@@ -16,9 +16,10 @@ exhaustively by the test suite rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .paths import LatticePath, NuContext, _check_ell
+from .paths import LatticePath, NuContext, _check_ell, covers_down, enumerate_tam
 
 __all__ = [
     "BracketVector",
@@ -176,3 +177,32 @@ def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVec
     """All valid vectors for nu, in lexicographic order on entries."""
     _check_ell(ctx.ell, force)
     return [BracketVector(e, ctx) for e in _iter_entry_tuples(ctx)]
+
+
+@lru_cache(maxsize=4)
+def _lattice_tables(nu_text: str):
+    """Enumerated lattice with cover-closure order matrix and vector array.
+
+    Returns (paths, vectors-as-int16-array, order bool matrix O with
+    O[i, j] = i <= j, elements sorted by (entry sum, entries)).
+    """
+    import numpy as np
+
+    ctx = NuContext.from_text(nu_text)
+    mus = enumerate_tam(ctx, force=True)
+    vecs = [path_to_vector(mu, ctx).entries for mu in mus]
+    order_key = sorted(range(len(mus)), key=lambda i: (sum(vecs[i]), vecs[i]))
+    mus = [mus[i] for i in order_key]
+    vecs = [vecs[i] for i in order_key]
+    index = {v: i for i, v in enumerate(vecs)}
+    m = len(mus)
+    down = np.zeros((m, m), dtype=bool)
+    for i, mu in enumerate(mus):
+        down[i, i] = True
+        for lower in covers_down(mu, ctx):
+            j = index[path_to_vector(lower, ctx).entries]
+            if sum(vecs[j]) >= sum(vecs[i]):
+                raise RuntimeError(f"cover does not decrease entry sum over {nu_text}")
+            down[i] |= down[j]
+    V = np.array(vecs, dtype=np.int16)
+    return ctx, mus, vecs, V, down.T  # O[i, j] = (i <= j) = down[j][i]

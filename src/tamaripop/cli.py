@@ -63,8 +63,8 @@ def _cmd_pop(args) -> int:
 
 
 def _cmd_sortable(args) -> int:
+    h = series.h_series(args.t, args.n)  # rejects t < 1 before the census is built
     count = pop.count_t_sortable(args.n, args.t, force=args.force)
-    h = series.h_series(args.t, args.n)
     _emit(
         {
             "n": args.n,

@@ -6,7 +6,7 @@ projection pi_down to the minimal element of the sylvester class, computed
 by repeatedly swapping an adjacent descent (c, a) that has a later witness b
 with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection,
 built recursively from the position of the value 1 and verified on the
-spot against both Hasse diagrams.
+spot by comparing the weak order with the Tamari order.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .brackets import BracketVector, _iter_entry_tuples, path_to_vector, vector_to_path
-from .paths import NuContext, covers_down
+from .brackets import BracketVector, _iter_entry_tuples, _lattice_tables
+from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
 
 __all__ = [
@@ -52,7 +51,7 @@ def _check_n(n: int, force: bool) -> None:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if not force and n > DEFAULT_MAX_N:
-        raise ValueError(
+        raise BoundExceeded(
             f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N}; "
             "use force=True (--force) to override"
         )
@@ -294,19 +293,26 @@ def count_231_equal_descents_peaks(n: int, k: int, *, force: bool = False) -> in
     """Brute-force count of 231-avoiding words in S_{n+1} with k descents and k peaks."""
     if k < 0:
         return 0
-    return _desc_peak_231_histogram(n + 1, force).get(k, 0)
+    _check_n(n + 1, force)
+    return sum(1 for w in _equal_descents_peaks_231(n + 1) if _descents(w) == k)
+
+
+def _descents(w: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
 @lru_cache(maxsize=None)
-def _desc_peak_231_histogram(m: int, force: bool = False) -> dict[int, int]:
-    _check_n(m, force)
-    hist: dict[int, int] = {}
+def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
+    """Scan all of S_m for the 231-avoiders with as many descents as peaks.
+
+    Unbounded: callers check m against the enumeration bound first.
+    """
+    out = []
     for w in itertools.permutations(range(1, m + 1)):
-        desc = sum(1 for i in range(m - 1) if w[i] > w[i + 1])
         peaks = sum(1 for i in range(1, m - 1) if w[i - 1] < w[i] > w[i + 1])
-        if desc == peaks and _avoids_231(w):
-            hist[desc] = hist.get(desc, 0) + 1
-    return hist
+        if _descents(w) == peaks and _avoids_231(w):
+            out.append(w)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -335,105 +341,21 @@ def _phi_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
-def _weak_order_cover_edges(words: list[tuple[int, ...]]) -> set[tuple[int, int]]:
-    """Cover pairs (lower, upper) of the weak order restricted to words.
+def _weak_order_matrix(words: list[tuple[int, ...]]):
+    """Bool matrix of the weak order on words: [i, j] is inv(i) <= inv(j).
 
-    Order is inversion-set containment; covers are extracted from the full
-    order matrix (the sublattice can skip several inversions at once).
+    Inversion sets are uint64 bitmasks, one bit per value pair.
     """
     import numpy as np
 
-    m = len(words)
-    n = len(words[0]) if words else 0
-    pair_index = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            pair_index[(a, b)] = len(pair_index)
-    masks = np.zeros(m, dtype=np.uint64)
-    for idx, w in enumerate(words):
-        acc = 0
-        for j in range(n):
-            for i in range(j):
-                if w[i] > w[j]:
-                    acc |= 1 << pair_index[(w[j], w[i])]
-        masks[idx] = acc
-    leq = (masks[:, None] & ~masks[None, :]) == 0
-    strict = leq & ~np.eye(m, dtype=bool)
-    # x < z < y exists iff the strict-order walk of length two connects x to y
-    two_step = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0
-    cover = strict & ~two_step
-    lo, hi = np.nonzero(cover)
-    return set(zip(lo.tolist(), hi.tolist()))
-
-
-def _tamari_cover_edges(
-    vectors: list[tuple[int, ...]], ctx: NuContext
-) -> set[tuple[int, int]]:
-    index = {v: i for i, v in enumerate(vectors)}
-    edges = set()
-    for i, v in enumerate(vectors):
-        mu = vector_to_path(BracketVector(v, ctx))
-        for lower in covers_down(mu, ctx):
-            edges.add((index[path_to_vector(lower, ctx).entries], i))
-    return edges
-
-
-def _match_cover_digraphs(
-    edges_a: set[tuple[int, int]], edges_b: set[tuple[int, int]], m: int
-) -> list[int] | None:
-    """Backtracking isomorphism of two cover DAGs on 0..m-1, guided by
-    (height-from-bottom, in-degree, out-degree) signatures.  Fallback only."""
-    def analyze(edges):
-        children: list[list[int]] = [[] for _ in range(m)]
-        parents: list[list[int]] = [[] for _ in range(m)]
-        for lo, hi in edges:
-            children[hi].append(lo)
-            parents[lo].append(hi)
-        height = [0] * m
-        # longest-chain heights via relaxation; the DAGs here are small
-        changed = True
-        while changed:
-            changed = False
-            for lo, hi in edges:
-                if height[hi] < height[lo] + 1:
-                    height[hi] = height[lo] + 1
-                    changed = True
-        sig = [(height[v], len(parents[v]), len(children[v])) for v in range(m)]
-        return children, parents, height, sig
-
-    ch_a, pa_a, h_a, sig_a = analyze(edges_a)
-    ch_b, pa_b, h_b, sig_b = analyze(edges_b)
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    by_sig: dict[tuple[int, int, int], list[int]] = {}
-    for v in range(m):
-        by_sig.setdefault(sig_b[v], []).append(v)
-    order = sorted(range(m), key=lambda v: (h_a[v], sig_a[v]))
-    mapping = [-1] * m
-    used = [False] * m
-
-    def assign(pos: int) -> bool:
-        if pos == m:
-            return True
-        v = order[pos]
-        for w in by_sig.get(sig_a[v], []):
-            if used[w]:
-                continue
-            ok = all(
-                mapping[c] == -1 or (mapping[c], w) in edges_b for c in ch_a[v]
-            ) and all(
-                mapping[p] == -1 or (w, mapping[p]) in edges_b for p in pa_a[v]
-            )
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if assign(pos + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return mapping if assign(0) else None
+    n = len(words[0])
+    bit = {pair: 1 << k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    positions = list(itertools.combinations(range(n), 2))
+    masks = np.array(
+        [sum(bit[w[j], w[i]] for i, j in positions if w[i] > w[j]) for w in words],
+        dtype=np.uint64,
+    )
+    return (masks[:, None] & ~masks[None, :]) == 0
 
 
 @lru_cache(maxsize=None)
@@ -441,41 +363,37 @@ def _verified_bijection(n: int, force: bool = False) -> dict[tuple[int, ...], tu
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_n(n, force)
+    if n * (n - 1) // 2 > 64:
+        raise BoundExceeded(f"n={n} has more than 64 value pairs; inversion masks are uint64")
+    import numpy as np
+
     ctx = _east_staircase_ctx(n)
     words = list(_av312_words(n))
     phi = _phi_words(n)
-    vectors = sorted(_iter_entry_tuples(ctx))
-    if sorted(phi[w] for w in words) != vectors:
+    if sorted(phi[w] for w in words) != sorted(_iter_entry_tuples(ctx)):
         raise RuntimeError(f"constructed map is not onto the vectors for n={n}")
-    word_index = {w: i for i, w in enumerate(words)}
-    vec_list = [phi[w] for w in words]
-    perm_edges = _weak_order_cover_edges(words)
-    tam_edges_raw = _tamari_cover_edges(sorted(vec_list), ctx)
-    # re-index tamari edges into word indexing via phi
-    sorted_vecs = sorted(vec_list)
-    vec_pos = {v: i for i, v in enumerate(vec_list)}
-    remap = [vec_pos[v] for v in sorted_vecs]
-    tam_edges = {(remap[a], remap[b]) for a, b in tam_edges_raw}
-    if perm_edges == tam_edges:
-        return phi
-    print(
-        f"recursive bijection for n={n} is not cover-preserving; "
-        "falling back to Hasse matching",
-        file=sys.stderr,
-    )
-    matching = _match_cover_digraphs(perm_edges, tam_edges, len(words))
-    if matching is None:
-        raise RuntimeError(f"no order isomorphism found for n={n}")
-    return {w: vec_list[matching[word_index[w]]] for w in words}
+    weak = _weak_order_matrix(words)
+    _, _, vecs, _, order = _lattice_tables(ctx.nu.steps)
+    index = {v: i for i, v in enumerate(vecs)}
+    idx = [index[phi[w]] for w in words]
+    tamari = order[np.ix_(idx, idx)]
+    if not np.array_equal(weak, tamari):
+        i, j = map(int, next(zip(*np.nonzero(weak != tamari))))
+        raise RuntimeError(
+            f"constructed map is not an order isomorphism for n={n}: "
+            f"{words[i]} <= {words[j]} is {bool(weak[i, j])} in the weak order, "
+            f"{phi[words[i]]} <= {phi[words[j]]} is {bool(tamari[i, j])} in Tamari"
+        )
+    return phi
 
 
 def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, BracketVector]:
     """Verified order isomorphism from 312-avoiders onto vectors for E(NE)^(n-1).
 
-    The recursive construction is checked to send weak-order covers (within
-    the sublattice) bijectively onto Tamari covers; a Hasse-matching fallback
-    (with a report on stderr) runs if that ever fails, and failure of both is
-    a hard error.
+    The recursive construction is checked to be onto the vectors and to carry
+    the weak order (inversion-set containment) exactly onto the Tamari order
+    (closure of the path-level lower covers); any disagreement is a
+    RuntimeError naming the first pair of words and vectors that differ.
     """
     phi = _verified_bijection(n, force)
     ctx = _east_staircase_ctx(n)

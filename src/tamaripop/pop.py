@@ -171,7 +171,8 @@ class _Census:
             if i == bottom:
                 continue
             target = self.pop_idx[i]
-            assert sums[target] < sums[i], "Pop must strictly decrease non-minimal vectors"
+            if sums[target] >= sums[i]:
+                raise RuntimeError("Pop must strictly decrease non-minimal vectors")
             times[i] = 1 + times[target]
         self.times = times
 

@@ -50,7 +50,8 @@ def a055151(n: int, k: int) -> int:
     if k < 0 or 2 * k > n:
         return 0
     num = math.comb(2 * k, k) * math.comb(n, 2 * k)
-    assert num % (k + 1) == 0, f"a055151({n},{k}) is not integral"
+    if num % (k + 1):
+        raise RuntimeError(f"a055151({n},{k}) is not integral")
     return num // (k + 1)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -70,6 +69,11 @@ class VerifyOptions:
     max_n: int | None = None
     max_t: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, value in (("max_n", self.max_n), ("max_t", self.max_t)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def n(self, default: int) -> int:
         return self.max_n if self.max_n is not None else default
@@ -150,33 +154,6 @@ def corpus_nus(max_ell: int, seed: int, n_random: int = RANDOM_NU_COUNT) -> list
     return out
 
 
-@lru_cache(maxsize=4)
-def _lattice_tables(nu_text: str):
-    """Enumerated lattice with cover-closure order matrix and vector array.
-
-    Returns (paths, vectors-as-int16-array, order bool matrix O with
-    O[i, j] = i <= j, elements sorted by (entry sum, entries)).
-    """
-    ctx = NuContext.from_text(nu_text)
-    mus = paths.enumerate_tam(ctx, force=True)
-    vecs = [brackets.path_to_vector(mu, ctx).entries for mu in mus]
-    order_key = sorted(range(len(mus)), key=lambda i: (sum(vecs[i]), vecs[i]))
-    mus = [mus[i] for i in order_key]
-    vecs = [vecs[i] for i in order_key]
-    index = {v: i for i, v in enumerate(vecs)}
-    m = len(mus)
-    down = np.zeros((m, m), dtype=bool)
-    for i, mu in enumerate(mus):
-        down[i, i] = True
-        for lower in paths.covers_down(mu, ctx):
-            j = index[brackets.path_to_vector(lower, ctx).entries]
-            if sum(vecs[j]) >= sum(vecs[i]):
-                raise RuntimeError(f"cover does not decrease entry sum over {nu_text}")
-            down[i] |= down[j]
-    V = np.array(vecs, dtype=np.int16)
-    return ctx, mus, vecs, V, down.T  # O[i, j] = (i <= j) = down[j][i]
-
-
 def _componentwise_leq_matrix(V: np.ndarray) -> np.ndarray:
     m = V.shape[0]
     out = np.zeros((m, m), dtype=bool)
@@ -189,7 +166,7 @@ def _componentwise_leq_matrix(V: np.ndarray) -> np.ndarray:
 
 def _check_one_bijection(nu_text: str) -> dict | None:
     """Bijection + order isomorphism + meet coherence for one base path."""
-    ctx, mus, vecs, V, O = _lattice_tables(nu_text)
+    ctx, mus, vecs, V, O = brackets._lattice_tables(nu_text)
     m = len(mus)
 
     enumerated = brackets.enumerate_vectors(ctx, force=True)
@@ -502,7 +479,7 @@ def check_hash_sortability_threshold(opts: VerifyOptions) -> CheckOutcome:
 
 
 def check_perm_isomorphism_covers(opts: VerifyOptions) -> CheckOutcome:
-    """tamari_perm_bijection verifies cover preservation internally; run it."""
+    """tamari_perm_bijection checks that it is an order isomorphism; run it."""
     max_n = opts.n(CONGRUENCE_MAX_N)
     params = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -649,20 +626,13 @@ def check_rmap_bijection(opts: VerifyOptions) -> CheckOutcome:
     descent and peak counts, matching k descents to n-k up-covers."""
     max_n = opts.n(CONGRUENCE_MAX_N)
     params = {"max_n": max_n}
-    import itertools
-
     for n in range(1, max_n + 1):
         m = n + 1
         image = {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(m)}
         mapped = {perms.r_map(p) for p in image}
         if len(mapped) != len(image):
             return False, {"n": n, "failure": "r not injective on the image"}, params
-        target = set()
-        for w in itertools.permutations(range(1, m + 1)):
-            desc = sum(1 for i in range(m - 1) if w[i] > w[i + 1])
-            peaks = sum(1 for i in range(1, m - 1) if w[i - 1] < w[i] > w[i + 1])
-            if desc == peaks and perms._avoids_231(w):
-                target.add(perms.Permutation(w))
+        target = {perms.Permutation(w) for w in perms._equal_descents_peaks_231(m)}
         if mapped != target:
             return False, {"n": n, "failure": "r image mismatch"}, params
         for p in image:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tamaripop import pop
 from tamaripop.cli import main
 
 
@@ -86,6 +87,17 @@ def test_sortable_agrees_with_series(capsys):
     }
 
 
+def test_sortable_rejects_t_zero_before_the_census(capsys, monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census built for an invalid t")
+
+    monkeypatch.setattr(pop, "_census", no_census)
+    code, out, err = run(capsys, "sortable", "--n", "11", "--t", "0")
+    assert code == 2
+    assert out == ""
+    assert "t >= 1" in err
+
+
 def test_series_output_is_decimal_strings(capsys):
     code, out, _ = run(capsys, "series", "--t", "1", "--terms", "6")
     assert code == 0
@@ -117,6 +129,16 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-t"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_empty_bounds(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--suite", "petersen", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+    assert "pass" not in err
 
 
 def test_verify_stdout_deterministic(capsys):

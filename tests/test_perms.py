@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamaripop import perms
+from tamaripop.paths import BoundExceeded
 from tamaripop.perms import (
     Permutation,
     avoids,
@@ -174,26 +176,25 @@ def test_bijection_identity_goes_to_bottom():
     assert v.entries == v.ctx.heights
 
 
-def test_hasse_matching_fallback_finds_isomorphism():
-    # Relabel the cover digraph of a small lattice and ask the matcher to
-    # recover an isomorphism; composing the two edge images must agree.
-    from tamaripop.brackets import path_to_vector
-    from tamaripop.paths import NuContext, covers_down, enumerate_tam
-    from tamaripop.perms import _match_cover_digraphs
+def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
+    phi = dict(perms._phi_words(4))
+    bottom, top = (1, 2, 3, 4), (4, 3, 2, 1)
+    phi[bottom], phi[top] = phi[top], phi[bottom]
+    monkeypatch.setattr(perms, "_phi_words", lambda n: phi)
+    perms._verified_bijection.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not an order isomorphism"):
+            tamari_perm_bijection(4)
+    finally:
+        perms._verified_bijection.cache_clear()
 
-    ctx = NuContext.from_text("ENENENE")
-    elements = sorted(enumerate_tam(ctx), key=lambda mu: path_to_vector(mu, ctx).entries)
-    index = {mu: i for i, mu in enumerate(elements)}
-    edges = {
-        (index[mu], index[lower])
-        for mu in elements
-        for lower in covers_down(mu, ctx)
-    }
-    m = len(elements)
-    shuffle = [(i * 5 + 3) % m for i in range(m)]
-    assert sorted(shuffle) == list(range(m))
-    relabeled = {(shuffle[a], shuffle[b]) for a, b in edges}
-    match = _match_cover_digraphs(edges, relabeled, m)
-    assert match is not None
-    assert sorted(match) == list(range(m))
-    assert {(match[a], match[b]) for a, b in edges} == relabeled
+
+def test_enumeration_bound_raises_bound_exceeded():
+    with pytest.raises(BoundExceeded):
+        enumerate_av312(perms.DEFAULT_MAX_N + 1)
+
+
+def test_bijection_refuses_n_past_uint64_inversion_masks():
+    # C(12, 2) = 66 value pairs; refused before the 208,012 words are built
+    with pytest.raises(BoundExceeded):
+        tamari_perm_bijection(12, force=True)
