@@ -183,8 +183,9 @@ def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVec
 def _lattice_tables(nu_text: str):
     """Enumerated lattice with cover-closure order matrix and vector array.
 
-    Returns (paths, vectors-as-int16-array, order bool matrix O with
-    O[i, j] = i <= j, elements sorted by (entry sum, entries)).
+    Returns (ctx, mus, vecs, V, O): the context, the paths, their vectors as
+    tuples, the same vectors as an int16 array, and the bool order matrix with
+    O[i, j] = i <= j; elements are sorted by (entry sum, entries).
     """
     import numpy as np
 

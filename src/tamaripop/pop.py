@@ -12,17 +12,30 @@ routes are compared exhaustively by the verification suites.
 
 The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
-Tam_n; enumeration plus memoized Pop trajectories is the production
-algorithm, and the irreducible-decomposition recursion is only a check.
+Tam_n.  The production census is array-native: every vector of the lattice
+is one row of an int8 numpy matrix, Pop is the eta formula applied to all
+rows with a descent at i, one index i at a time, images are mapped to rows
+by integer keys and a sorted search, and sortability times follow the
+Pop-target array.  The scalar functions above serve single vectors and are
+the test oracle for the census; the irreducible-decomposition recursion is
+only a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .brackets import BracketVector, _iter_entry_tuples, meet, path_to_vector, vector_to_path
-from .paths import LatticePath, NuContext, _check_ell, covers_down, covers_up, east_staircase
+from .brackets import BracketVector, meet, path_to_vector, vector_to_path
+from .paths import (
+    BoundExceeded,
+    LatticePath,
+    NuContext,
+    _check_ell,
+    covers_down,
+    covers_up,
+    east_staircase,
+)
 
 __all__ = [
     "PopPolynomial",
@@ -153,28 +166,114 @@ def _east_staircase_ctx(n: int) -> NuContext:
     return NuContext.from_text(east_staircase(n).steps)
 
 
+def _census_rows(ctx: NuContext, np):
+    """All valid vectors as an int8 matrix, rows in lexicographic order.
+
+    The invariant of _iter_entry_tuples, one column at a time over all rows:
+    each row carries its cap array, and assigning v at column i caps columns
+    i+1..fixed_positions[v] at v.  A cap at column i comes from some v with
+    fixed_positions[v] >= i, so it is at least heights[i]: a free column
+    always admits heights[i]..cap, and a fixed column its single value.
+    """
+    ell, n_nu = ctx.ell, ctx.n_nu
+    fixed = np.array(ctx.fixed_positions, dtype=np.int16)
+    fixed_value = {pos: k for k, pos in enumerate(ctx.fixed_positions)}
+    cols: list = []  # cols[c]: column c of every row so far
+    caps = [np.full(1, n_nu, dtype=np.int8)] * (ell + 1)  # caps[k]: cap of column k+i
+    for i in range(ell + 1):
+        cap = caps.pop(0)  # now caps[k] is the cap of column k+i+1
+        if i in fixed_value:
+            values = np.full(len(cap), fixed_value[i], dtype=np.int8)
+        else:
+            counts = cap.astype(np.intp) - (ctx.heights[i] - 1)
+            parent = np.repeat(np.arange(len(counts)), counts)
+            offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+            values = (ctx.heights[i] + offset).astype(np.int8)
+            cols = [c[parent] for c in cols]
+            caps = [c[parent] for c in caps]
+        cols.append(values)
+        limit = fixed[values]
+        for k in range(int(limit.max()) - i):
+            caps[k] = np.minimum(caps[k], np.where(limit > k + i, values, np.int8(n_nu)))
+    return np.stack(cols).T
+
+
+def _pop_rows(rows, ctx: NuContext, np):
+    """Pop of every row at once: the eta formula of _eta_at, one index at a time."""
+    heights, fixed = ctx.heights, ctx.fixed_positions
+    out = rows.copy(order="K")
+    for i in range(ctx.ell):
+        sel = np.flatnonzero(rows[:, i] > rows[:, i + 1])
+        if not len(sel):
+            continue
+        b = rows[sel, i]
+        top = int(b.max()) - 1
+        prefix_max = [rows[sel, i + 1]]  # prefix_max[k] = max e[i+1..i+1+k]
+        for j in range(i + 2, fixed[top] + 1):
+            prefix_max.append(np.maximum(prefix_max[-1], rows[sel, j]))
+        eta_i = np.full(len(sel), -1, dtype=np.int8)
+        for x in range(top, heights[i] - 1, -1):
+            ok = (eta_i < 0) & (x < b)
+            if fixed[x] > i:
+                ok &= prefix_max[fixed[x] - i - 1] <= x
+            eta_i[ok] = x
+        if (eta_i < 0).any():
+            bad = tuple(rows[sel[np.argmax(eta_i < 0)]].tolist())
+            raise RuntimeError(f"no admissible value at index {i} of {bad}; input vector invalid?")
+        out[sel, i] = eta_i
+    return out
+
+
 class _Census:
-    """All vectors for E(NE)^(n-1) with Pop targets and sortability times."""
+    """All vectors for E(NE)^(n-1) with Pop targets and sortability times.
+
+    rows is an int8 matrix (one valid vector per row, lexicographic order),
+    pop_idx[r] the row of Pop(rows[r]) and times[r] its sortability time.
+    """
 
     def __init__(self, n: int, force: bool):
+        import numpy as np
+
         ctx = _east_staircase_ctx(n)
         _check_ell(ctx.ell, force)
+        free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
+        radix = ctx.n_nu + 1
+        if radix ** len(free) >= 2**63:
+            raise BoundExceeded(
+                f"the census for n={n} needs {radix}^{len(free)} row keys, more than int64 holds"
+            )
         self.ctx = ctx
-        self.entries = list(_iter_entry_tuples(ctx))
-        index = {e: i for i, e in enumerate(self.entries)}
-        heights, fixed = ctx.heights, ctx.fixed_positions
-        self.pop_idx = [index[_pop_entries(e, heights, fixed)] for e in self.entries]
-        sums = [sum(e) for e in self.entries]
-        bottom = index[ctx.bottom_entries()]
-        times = [0] * len(self.entries)
-        for i in sorted(range(len(self.entries)), key=sums.__getitem__):
-            if i == bottom:
-                continue
-            target = self.pop_idx[i]
-            if sums[target] >= sums[i]:
-                raise RuntimeError("Pop must strictly decrease non-minimal vectors")
-            times[i] = 1 + times[target]
-        self.times = times
+        rows = _census_rows(ctx, np)
+
+        def keys(m):  # mixed radix over the free columns, by Horner's rule
+            k = np.zeros(len(m), dtype=np.int64)
+            for c in free:
+                k = k * radix + m[:, c]
+            return k
+
+        row_keys = keys(rows)
+        if (np.diff(row_keys) <= 0).any():
+            raise RuntimeError(f"census rows for n={n} are not strictly increasing")
+        image = _pop_rows(rows, ctx, np)
+        pop_idx = np.minimum(np.searchsorted(row_keys, keys(image)), len(rows) - 1)
+        if not np.array_equal(rows[pop_idx], image):
+            r = int(np.argmax((rows[pop_idx] != image).any(axis=1)))
+            raise RuntimeError(f"Pop image {tuple(image[r].tolist())} is not a census row")
+        sums = rows.sum(axis=1, dtype=np.int64)
+        bottom = sums == sum(ctx.bottom_entries())  # the minimum is the only vector of least sum
+        if (sums[pop_idx] >= sums)[~bottom].any():
+            raise RuntimeError("Pop must strictly decrease non-minimal vectors")
+        times = np.zeros(len(rows), dtype=np.int32)
+        cur = np.arange(len(rows))
+        while not bottom[cur].all():  # ends: every step strictly lowers the entry sum
+            times += ~bottom[cur]
+            cur = pop_idx[cur]
+        self.rows, self.pop_idx, self.times = rows, pop_idx, times
+
+    @cached_property
+    def entries(self) -> list[tuple[int, ...]]:
+        """The rows as tuples, for verification callers."""
+        return list(map(tuple, self.rows.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -186,20 +285,20 @@ def count_t_sortable(n: int, t: int, *, force: bool = False) -> int:
     """Number of vectors for E(NE)^(n-1) that Pop sends to the minimum in <= t steps."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    census = _census(n, force)
-    return sum(1 for time in census.times if time <= t)
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
+    return int((_census(n, force).times <= t).sum())
 
 
 def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:
     """Distinct Pop images over all vectors for E(NE)^(n-1)."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     census = _census(n, force)
-    return {
-        BracketVector(census.entries[i], census.ctx) for i in set(census.pop_idx)
-    }
+    image_rows = census.rows[np.unique(census.pop_idx)].tolist()
+    return {BracketVector(tuple(e), census.ctx) for e in image_rows}
 
 
 def up_cover_count(vec: BracketVector) -> int:

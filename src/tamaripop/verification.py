@@ -327,7 +327,7 @@ def check_irreducible_census_matches_series(opts: VerifyOptions) -> CheckOutcome
             census = pop._census(n)
             counted = sum(
                 1
-                for e, time_ in zip(census.entries, census.times)
+                for e, time_ in zip(census.entries, census.times.tolist())
                 if e[0] == e[-1] and time_ <= t
             )
             if counted != g[n]:
@@ -397,7 +397,7 @@ def check_decomposition_sortability(opts: VerifyOptions) -> CheckOutcome:
     params = {"max_n": max_n}
     for n in range(1, max_n + 1):
         census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times):
+        for e, time_ in zip(census.entries, census.times.tolist()):
             parts = pop.decompose_irreducible(BracketVector(e, census.ctx))
             expected = max(pop.sortability_time(p) for p in parts)
             if time_ != expected:
@@ -426,7 +426,7 @@ def check_hash_validity_monotonicity(opts: VerifyOptions) -> CheckOutcome:
     params = {"max_n": max_n}
     for n in range(2, max_n + 1):
         census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times):
+        for e, time_ in zip(census.entries, census.times.tolist()):
             reduced = pop.hash_map(BracketVector(e, census.ctx))
             if not brackets.is_valid(reduced.entries, reduced.ctx):
                 return False, {"n": n, "vector": list(e), "failure": "hash not valid"}, params
@@ -462,7 +462,7 @@ def check_hash_sortability_threshold(opts: VerifyOptions) -> CheckOutcome:
     params = {"max_n": max_n}
     for n in range(2, max_n + 1):
         census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times):
+        for e, time_ in zip(census.entries, census.times.tolist()):
             if e[0] != e[-1]:
                 continue
             reduced = pop.hash_map(BracketVector(e, census.ctx))

@@ -98,6 +98,17 @@ def test_sortable_rejects_t_zero_before_the_census(capsys, monkeypatch):
     assert "t >= 1" in err
 
 
+def test_sortable_past_int64_census_keys_exits_2_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("census enumerated past the int64 key bound")
+
+    monkeypatch.setattr(pop, "_census_rows", no_enumeration)
+    code, out, err = run(capsys, "sortable", "--n", "16", "--t", "1", "--force")
+    assert code == 2
+    assert out == ""
+    assert "int64" in err
+
+
 def test_series_output_is_decimal_strings(capsys):
     code, out, _ = run(capsys, "series", "--t", "1", "--terms", "6")
     assert code == 0
