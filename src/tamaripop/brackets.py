@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .paths import LatticePath, NuContext, _check_ell, covers_down, enumerate_tam
+from .paths import (
+    BoundExceeded,
+    LatticePath,
+    NuContext,
+    _check_ell,
+    _count_tam,
+    covers_down,
+    enumerate_tam,
+)
 
 __all__ = [
     "BracketVector",
@@ -76,18 +84,31 @@ def is_valid(vec: Sequence[int], ctx: NuContext) -> bool:
 
 
 def path_to_vector(mu: LatticePath, ctx: NuContext) -> BracketVector:
-    """Associated vector of mu: slot-filling along the path."""
-    if mu.endpoint != ctx.nu.endpoint:
+    """Associated vector of mu: slot-filling along the path.
+
+    Heights never fall along a path, so the points of height k fill slots
+    leftwards from fixed_positions[k], skipping those of lower heights; a
+    path that dips below nu runs out of slots.
+    """
+    steps = mu.steps
+    if len(steps) != ctx.ell or steps.count("N") != ctx.n_nu:
         raise ValueError(
             f"endpoint mismatch: {mu} ends at {mu.endpoint}, "
             f"{ctx.nu} ends at {ctx.nu.endpoint}"
         )
     fixed = ctx.fixed_positions
     slots: list[int | None] = [None] * (ctx.ell + 1)
-    for k in mu.heights():
-        j = fixed[k]
-        while slots[j] is not None:
+    k = 0
+    j = fixed[0]
+    slots[j] = 0
+    for s in steps:
+        if s == "N":
+            k += 1
+            j = fixed[k]  # lower heights fill only slots up to fixed[k - 1]
+        else:
             j -= 1
+            while j >= 0 and slots[j] is not None:
+                j -= 1
             if j < 0:
                 raise ValueError(f"{mu} is not weakly above {ctx.nu}")
         slots[j] = k
@@ -179,30 +200,51 @@ def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVec
     return [BracketVector(e, ctx) for e in _iter_entry_tuples(ctx)]
 
 
+#: Bytes of one m x m bool order matrix that _lattice_tables may build.  The
+#: bijection check holds a few such matrices at once.  2**29 admits Tam_10
+#: (16,796 elements, 0.28 GB each) and refuses Tam_11 (58,786, 3.5 GB each).
+ORDER_MATRIX_MAX_BYTES = 1 << 29
+
+
+def _order_matrix_guard(ctx: NuContext) -> None:
+    """BoundExceeded if the order matrix of Tam(nu) would pass
+    ORDER_MATRIX_MAX_BYTES; |Tam(nu)| is counted without enumerating."""
+    m = _count_tam(ctx)
+    if m * m > ORDER_MATRIX_MAX_BYTES:
+        raise BoundExceeded(
+            f"Tam({ctx.nu}) has {m} elements; its order matrix would take "
+            f"{m * m / 1e9:.1f} GB, over the bound of {ORDER_MATRIX_MAX_BYTES / 1e9:.2f} GB"
+        )
+
+
 @lru_cache(maxsize=4)
 def _lattice_tables(nu_text: str):
     """Enumerated lattice with cover-closure order matrix and vector array.
 
     Returns (ctx, mus, vecs, V, O): the context, the paths, their vectors as
     tuples, the same vectors as an int16 array, and the bool order matrix with
-    O[i, j] = i <= j; elements are sorted by (entry sum, entries).
+    O[i, j] = i <= j; elements are sorted by (entry sum, entries).  Covers
+    are looked up by path, so each path is encoded once.  Raises
+    BoundExceeded before enumerating when O would be too large.
     """
     import numpy as np
 
     ctx = NuContext.from_text(nu_text)
+    _order_matrix_guard(ctx)
     mus = enumerate_tam(ctx, force=True)
+    m = len(mus)
     vecs = [path_to_vector(mu, ctx).entries for mu in mus]
-    order_key = sorted(range(len(mus)), key=lambda i: (sum(vecs[i]), vecs[i]))
+    order_key = sorted(range(m), key=lambda i: (sum(vecs[i]), vecs[i]))
     mus = [mus[i] for i in order_key]
     vecs = [vecs[i] for i in order_key]
-    index = {v: i for i, v in enumerate(vecs)}
-    m = len(mus)
+    sums = [sum(v) for v in vecs]
+    index = {mu.steps: i for i, mu in enumerate(mus)}
     down = np.zeros((m, m), dtype=bool)
     for i, mu in enumerate(mus):
         down[i, i] = True
         for lower in covers_down(mu, ctx):
-            j = index[path_to_vector(lower, ctx).entries]
-            if sum(vecs[j]) >= sum(vecs[i]):
+            j = index[lower.steps]
+            if sums[j] >= sums[i]:
                 raise RuntimeError(f"cover does not decrease entry sum over {nu_text}")
             down[i] |= down[j]
     V = np.array(vecs, dtype=np.int16)

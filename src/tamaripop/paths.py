@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Literal
 
 __all__ = [
@@ -247,6 +248,14 @@ def enumerate_tam(ctx: NuContext, *, force: bool = False) -> list[LatticePath]:
     return out
 
 
+def _count_tam(ctx: NuContext) -> int:
+    """|Tam(nu)| without enumerating: paths to each point, one height at a time."""
+    ways = [1] * (ctx._rightmost[0] + 1)
+    for width in ctx._rightmost[1:]:
+        ways = list(accumulate(ways + [0] * (width + 1 - len(ways))))
+    return ways[-1]
+
+
 def _require_member(mu: LatticePath, ctx: NuContext) -> None:
     if not lies_weakly_above(mu, ctx):
         raise ValueError(f"{mu} is not weakly above {ctx.nu}")
@@ -294,16 +303,18 @@ def covers_down(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
     the inverse move requires D to be followed by an east step, which is
     pulled in front of D.
     """
-    _require_member(mu, ctx)
     steps = mu.steps
+    ell = len(steps)
+    if ell != ctx.ell or steps.count("N") != ctx.n_nu:
+        _require_member(mu, ctx)  # raises the endpoint mismatch
     dist = _distances(mu, ctx)
-    ell = mu.ell
+    if min(dist) < 0:
+        raise ValueError(f"{mu} is not weakly above {ctx.nu}")
     out: set[LatticePath] = set()
-    for j in range(ell):
-        if steps[j] != "N":
+    for j, s in enumerate(steps):
+        if s != "N":
             continue
-        d = dist[j]
-        m = next(i for i in range(j + 1, ell + 1) if dist[i] == d)
+        m = dist.index(dist[j], j + 1)
         if m < ell and steps[m] == "E":
             out.add(LatticePath(steps[:j] + "E" + steps[j:m] + steps[m + 1 :]))
     return out

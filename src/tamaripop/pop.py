@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .brackets import BracketVector, meet, path_to_vector, vector_to_path
+from .brackets import BracketVector, path_to_vector, vector_to_path
 from .paths import (
     BoundExceeded,
     LatticePath,
@@ -106,10 +106,10 @@ def pop_vector(vec: BracketVector) -> BracketVector:
 
 def pop_generic(mu: LatticePath, ctx: NuContext) -> LatticePath:
     """Pop computed as the meet of mu with all paths it covers (oracle route)."""
-    acc = path_to_vector(mu, ctx)
+    acc = path_to_vector(mu, ctx).entries
     for lower in covers_down(mu, ctx):
-        acc = meet(acc, path_to_vector(lower, ctx))
-    return vector_to_path(acc)
+        acc = tuple(map(min, acc, path_to_vector(lower, ctx).entries))
+    return vector_to_path(BracketVector(acc, ctx))
 
 
 def down_cover_candidates(vec: BracketVector) -> set[BracketVector]:

@@ -17,8 +17,14 @@ together imply that P is a meet-semilattice and that
 phi(glb(u, v)) = min(phi(u), phi(v)) for every pair: writing
 w = phi^-1(min(phi u, phi v)), (i) gives w <= u and w <= v, and any common
 lower bound z has phi(z) <= min(phi u, phi v) = phi(w), hence z <= w.  The
-suite checks (i) for all pairs and (ii) for all pairs, plus a direct
-down-set-intersection oracle on small lattices.
+suite checks (i) for all pairs and (ii) for the incomparable pairs (the min
+of a comparable pair is one of the two), looking mins up by integer keys
+over the columns that are not fixed to a height.  On lattices of at most
+DIRECT_GLB_LIMIT elements it adds a direct oracle for each incomparable
+pair: w <= u, w <= v and |down(w)| = |down(u) & down(v)|.  The first two
+give down(w) inside down(u) & down(v), so equal sizes make the sets equal,
+i.e. w is the glb; the sizes come from one float32 matrix product of the
+down-set rows, exact below 2**24 elements.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from . import brackets, paths, perms, pop, series
 from .brackets import BracketVector
@@ -154,18 +158,20 @@ def corpus_nus(max_ell: int, seed: int, n_random: int = RANDOM_NU_COUNT) -> list
     return out
 
 
-def _componentwise_leq_matrix(V: np.ndarray) -> np.ndarray:
-    m = V.shape[0]
-    out = np.zeros((m, m), dtype=bool)
-    chunk = max(1, (1 << 22) // max(1, m * V.shape[1]))
-    for start in range(0, m, chunk):
-        block = V[start : start + chunk]
-        out[start : start + chunk] = (block[:, None, :] <= V[None, :, :]).all(axis=2)
+def _componentwise_leq_matrix(V):
+    """Bool matrix with [i, j] = V[i] <= V[j] in every column."""
+    import numpy as np
+
+    out = np.ones((V.shape[0], V.shape[0]), dtype=bool)
+    for c in range(V.shape[1]):
+        out &= V[:, None, c] <= V[None, :, c]
     return out
 
 
 def _check_one_bijection(nu_text: str) -> dict | None:
     """Bijection + order isomorphism + meet coherence for one base path."""
+    import numpy as np
+
     ctx, mus, vecs, V, O = brackets._lattice_tables(nu_text)
     m = len(mus)
 
@@ -190,39 +196,65 @@ def _check_one_bijection(nu_text: str) -> dict | None:
             "cover_closure": bool(O[i, j]),
         }
 
-    # componentwise-min closure, via integer keys (base fits in int64)
+    # componentwise-min closure via int64 keys over the free columns: the
+    # fixed columns must hold their heights, so they add nothing to a key
+    fixed = list(ctx.fixed_positions)
+    off = V[:, fixed] != np.arange(ctx.n_nu + 1)
+    if off.any():
+        i, k = map(int, next(zip(*np.nonzero(off))))
+        return {
+            "nu": nu_text,
+            "failure": "fixed column off its height",
+            "element": V[i].tolist(),
+            "column": fixed[k],
+        }
+    free_cols = np.delete(V, fixed, axis=1).T
     base = ctx.n_nu + 1
-    powers = np.array([base**c for c in range(V.shape[1])], dtype=np.int64)
-    keys = V.astype(np.int64) @ powers
-    sorted_keys = np.sort(keys)
-    chunk = max(1, (1 << 22) // max(1, m * V.shape[1]))
-    for start in range(0, m, chunk):
-        block = V[start : start + chunk]
-        mins = np.minimum(block[:, None, :], V[None, :, :]).astype(np.int64)
-        min_keys = mins @ powers
-        pos = np.searchsorted(sorted_keys, min_keys)
-        ok = (pos < m) & (sorted_keys[np.minimum(pos, m - 1)] == min_keys)
-        if not ok.all():
-            a, b = map(int, next(zip(*np.nonzero(~ok))))
+    if base ** len(free_cols) > 2**63:
+        raise paths.BoundExceeded(f"termwise-min keys over {nu_text} would overflow int64")
+
+    def min_keys(a, b):  # Horner's rule over the free columns of min(V_a, V_b)
+        key = np.zeros(len(a), dtype=np.int64)
+        for col in free_cols:
+            key *= base
+            key += np.minimum(col[a], col[b])
+        return key
+
+    every = np.arange(m)
+    row_keys = min_keys(every, every)
+    by_key = np.argsort(row_keys)
+    sorted_keys = row_keys[by_key]
+    # a comparable pair's min is one of the pair, so only incomparable pairs
+    # (a < b, row-major: the first failure is the one an all-pairs scan finds)
+    incomparable = ~(vec_leq | vec_leq.T)
+    direct = m <= DIRECT_GLB_LIMIT
+    rows = m if direct else max(1, (1 << 20) // m)
+    for start in range(0, m, rows):
+        a, b = np.nonzero(np.triu(incomparable[start : start + rows], start + 1))
+        a += start
+        key = min_keys(a, b)
+        pos = np.minimum(np.searchsorted(sorted_keys, key), m - 1)
+        found = sorted_keys[pos] == key
+        if not found.all():
+            bad = int(np.argmin(found))
             return {
                 "nu": nu_text,
                 "failure": "termwise min left the vector set",
-                "pair": [list(V[start + a]), list(V[b])],
+                "pair": [V[a[bad]].tolist(), V[b[bad]].tolist()],
             }
-
-    # direct oracle on small lattices: glb from down-set intersections
-    if m <= DIRECT_GLB_LIMIT:
-        down = O.T
-        for i in range(m):
-            inter = down & down[i]  # row v: points below both v and i
-            glb_idx = m - 1 - np.argmax(inter[:, ::-1], axis=1)
-            if not (down[glb_idx] == inter).all() or not (
-                np.minimum(V, V[i]) == V[glb_idx]
-            ).all():
+        if direct:
+            # one chunk, so every min was found: the row g holding min(V_a, V_b)
+            # must be the glb, down(g) = down(a) & down(b); g <= a and g <= b
+            # give containment, so equal sizes give equality
+            g = by_key[pos]
+            D = O.T.astype(np.float32)  # row v: the down-set of v
+            shared = D @ D.T  # |down(u) & down(v)|, exact below 2**24
+            ok = O[g, a] & O[g, b] & (shared[g, g] == shared[a, b])
+            if not ok.all():
                 return {
                     "nu": nu_text,
                     "failure": "down-set glb disagrees with termwise min",
-                    "element": list(vecs[i]),
+                    "element": list(vecs[int(a[np.argmin(ok)])]),
                 }
     return None
 
@@ -236,7 +268,10 @@ CheckOutcome = tuple[bool, dict | None, dict]
 def check_order_isomorphism(opts: VerifyOptions) -> CheckOutcome:
     max_ell = opts.n(BIJECTION_MAX_ELL)
     params = {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
-    for nu in corpus_nus(max_ell, opts.seed):
+    corpus = corpus_nus(max_ell, opts.seed)
+    for nu in corpus:  # refuse an oversized lattice before building any table
+        brackets._order_matrix_guard(NuContext.from_text(nu.steps))
+    for nu in corpus:
         bad = _check_one_bijection(nu.steps)
         if bad:
             return False, bad, params
@@ -737,6 +772,8 @@ def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
         start = time.perf_counter()
         try:
             passed, counterexample, params = checks[name](opts)
+        except paths.BoundExceeded:  # a refused size is a usage error, not a failure
+            raise
         except Exception as exc:  # a crash is a failed check, not a crashed run
             passed, counterexample, params = False, {"error": repr(exc)}, {}
         elapsed = time.perf_counter() - start

@@ -15,7 +15,15 @@ from tamaripop.brackets import (
     path_to_vector,
     vector_to_path,
 )
-from tamaripop.paths import NuContext, east_staircase, enumerate_tam, staircase
+from tamaripop.paths import (
+    LatticePath,
+    NuContext,
+    covers_down,
+    east_staircase,
+    enumerate_tam,
+    lies_weakly_above,
+    staircase,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -79,10 +87,24 @@ def test_round_trip_random_paths(bits, ell):
         assert vector_to_path(v) == mu
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_non_members_are_rejected_on_random_nu(data):
+    text = data.draw(st.text("NE", min_size=1, max_size=10))
+    ctx = NuContext.from_text(text)
+    mu = LatticePath("".join(data.draw(st.permutations(text))))
+    for f in (path_to_vector, covers_down):
+        if lies_weakly_above(mu, ctx):
+            f(mu, ctx)
+        else:
+            with pytest.raises(ValueError, match="not weakly above"):
+                f(mu, ctx)
+        with pytest.raises(ValueError, match="endpoint mismatch"):
+            f(LatticePath(text + "N"), ctx)
+
+
 def test_leq_matches_cover_order():
     # componentwise order must agree with reachability through covers
-    from tamaripop.paths import covers_down
-
     ctx = NuContext.from_text("NENENE")
     elements = enumerate_tam(ctx)
     vec = {mu: path_to_vector(mu, ctx) for mu in elements}

@@ -1,6 +1,10 @@
 """CLI contract: JSON on stdout, diagnostics on stderr, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,11 @@ def test_pop_requires_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pop"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, tamaripop.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0

@@ -1,11 +1,14 @@
 """Lattice path primitives: parsing, geometry, covers, enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamaripop.paths import (
     BoundExceeded,
     LatticePath,
     NuContext,
+    _count_tam,
     covers_down,
     covers_up,
     east_staircase,
@@ -108,6 +111,19 @@ def test_covers_are_mutually_inverse():
                 assert mu in down[upper]
             for lower in down[mu]:
                 assert mu in up[lower]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text("NE", min_size=1, max_size=10))
+def test_covers_are_mutually_inverse_on_random_nu(text):
+    ctx = NuContext.from_text(text)
+    elements = enumerate_tam(ctx)
+    assert _count_tam(ctx) == len(elements)
+    for mu in elements:
+        for upper in covers_up(mu, ctx):
+            assert mu in covers_down(upper, ctx)
+        for lower in covers_down(mu, ctx):
+            assert mu in covers_up(lower, ctx)
 
 
 def test_cover_requires_membership():

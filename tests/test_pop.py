@@ -1,6 +1,8 @@
 """The pop operator: entrywise formula, meet-of-covers oracle, census, image."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamaripop.brackets import BracketVector, enumerate_vectors, path_to_vector, vector_to_path
 from tamaripop.paths import NuContext, east_staircase, enumerate_tam, parse_path
@@ -66,6 +68,17 @@ def test_pop_generic_equals_pop_vector(text):
         via_meet = pop_generic(mu, ctx)
         via_formula = vector_to_path(pop_vector(path_to_vector(mu, ctx)))
         assert via_meet == via_formula
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text("NE", min_size=1, max_size=10))
+def test_pop_routes_agree_and_lower_the_sum_on_random_nu(text):
+    ctx = NuContext.from_text(text)
+    for mu in enumerate_tam(ctx):
+        v = path_to_vector(mu, ctx)
+        popped = pop_vector(v)
+        assert pop_generic(mu, ctx) == vector_to_path(popped)
+        assert sum(popped.entries) < sum(v.entries) or v.entries == ctx.bottom_entries()
 
 
 def test_pop_is_decreasing():

@@ -1,0 +1,136 @@
+"""Each failure branch of the order-isomorphism check fires on a broken table,
+and oversized lattices are refused before anything is enumerated."""
+
+import pytest
+
+from tamaripop import brackets, verification
+from tamaripop.cli import main
+from tamaripop.paths import BoundExceeded, NuContext
+
+NU = "ENENE"
+# Tables of Tam(ENENE), rows sorted by (entry sum, entries):
+#   0 (0,0,1,1,2,2)  1 (0,0,2,1,2,2)  2 (1,0,1,1,2,2)  3 (2,0,1,1,2,2)  4 (2,0,2,1,2,2)
+# Columns 1, 3 and 5 are fixed to heights 0, 1 and 2.
+
+
+def _check_with(monkeypatch, edit, consistent_order=False):
+    """Run the check on copies of the tables changed by edit(V, O); with
+    consistent_order, O is recomputed as the componentwise order of the new V."""
+    ctx, mus, vecs, V, O = brackets._lattice_tables(NU)
+    V, O = V.copy(), O.copy()
+    edit(V, O)
+    if consistent_order:
+        O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
+    monkeypatch.setattr(brackets, "_lattice_tables", lambda text: (ctx, mus, vecs, V, O))
+    return verification._check_one_bijection(NU)
+
+
+def test_unbroken_tables_pass(monkeypatch):
+    assert _check_with(monkeypatch, lambda V, O: None) is None
+
+
+def test_removed_order_edge_is_an_order_disagreement(monkeypatch):
+    def drop(V, O):
+        O[0, 4] = False
+
+    assert _check_with(monkeypatch, drop) == {
+        "nu": NU,
+        "failure": "order disagreement",
+        "pair": [[0, 0, 1, 1, 2, 2], [2, 0, 2, 1, 2, 2]],
+        "componentwise": True,
+        "cover_closure": False,
+    }
+
+
+def test_min_outside_the_set_is_reported_with_its_pair(monkeypatch):
+    def lower(V, O):
+        V[1, 4] = 1  # (0,0,2,1,1,2): its min with row 0 is (0,0,1,1,1,2)
+
+    assert _check_with(monkeypatch, lower, consistent_order=True) == {
+        "nu": NU,
+        "failure": "termwise min left the vector set",
+        "pair": [[0, 0, 1, 1, 2, 2], [0, 0, 2, 1, 1, 2]],
+    }
+
+
+def test_fixed_column_off_its_height(monkeypatch):
+    def shift(V, O):
+        V[4, 5] = 1
+
+    assert _check_with(monkeypatch, shift, consistent_order=True) == {
+        "nu": NU,
+        "failure": "fixed column off its height",
+        "element": [2, 0, 2, 1, 2, 1],
+        "column": 5,
+    }
+
+
+@pytest.mark.parametrize(
+    "flips, element",
+    [
+        ([(2, 1)], [0, 0, 2, 1, 2, 2]),  # 2 joins down(1): only the sizes differ
+        ([(0, 0), (0, 1)], [0, 0, 1, 1, 2, 2]),  # 0 leaves down(0), down(1): only g <= a fails
+    ],
+)
+def test_down_set_that_is_not_the_glb(monkeypatch, flips, element):
+    # Once the order check passes, O is the componentwise order, and then
+    # the glb identity follows from min-closure; so only a leq kernel that
+    # echoes O lets a bad down-set row through to the direct oracle.
+    def flip(V, O):
+        for i, j in flips:
+            O[i, j] = not O[i, j]
+
+    def echo_order(V):  # the patched tables' O
+        return brackets._lattice_tables(NU)[4]
+
+    monkeypatch.setattr(verification, "_componentwise_leq_matrix", echo_order)
+    assert _check_with(monkeypatch, flip) == {
+        "nu": NU,
+        "failure": "down-set glb disagrees with termwise min",
+        "element": element,
+    }
+
+
+def test_vector_to_path_that_does_not_invert(monkeypatch):
+    ctx, mus, vecs, _, _ = brackets._lattice_tables(NU)
+    real = brackets.vector_to_path
+
+    def broken(vec):
+        return mus[0] if vec.entries == vecs[2] else real(vec)
+
+    monkeypatch.setattr(brackets, "vector_to_path", broken)
+    assert verification._check_one_bijection(NU) == {
+        "nu": NU,
+        "failure": "vector_to_path does not invert",
+        "path": mus[2].steps,
+    }
+
+
+def test_min_keys_that_would_overflow_int64_are_refused():
+    # E^64 N: 65 elements, but keys of 64 free columns in base 2
+    with pytest.raises(BoundExceeded, match="int64"):
+        verification._check_one_bijection("E" * 64 + "N")
+
+
+@pytest.mark.parametrize("text", ["E" + "NE" * 9, "NE" * 10, "E" * 7 + "N" * 7])
+def test_order_matrix_guard_admits_the_default_sizes(text):
+    brackets._order_matrix_guard(NuContext.from_text(text))
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("enumerated a lattice past the order-matrix bound")
+
+
+def test_lattice_tables_refuse_tam_11_before_enumerating(monkeypatch):
+    monkeypatch.setattr(brackets, "enumerate_tam", _no_enumeration)
+    with pytest.raises(BoundExceeded, match="58786 elements"):
+        brackets._lattice_tables("E" + "NE" * 10)
+
+
+def test_verify_bijection_past_the_bound_exits_2_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(brackets, "enumerate_tam", _no_enumeration)
+    code = main(["verify", "--suite", "bijection", "--max-n", "24"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "order matrix" in captured.err
