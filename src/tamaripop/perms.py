@@ -6,7 +6,9 @@ projection pi_down to the minimal element of the sylvester class, computed
 by repeatedly swapping an adjacent descent (c, a) that has a later witness b
 with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection,
 built recursively from the position of the value 1 and verified on the
-spot by comparing the weak order with the Tamari order.
+spot: the uint64 inversion sets of the words, taken in the row order of the
+Tamari order matrix through the map, are compared with that matrix one
+column at a time.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -15,11 +17,12 @@ Permutations are words on 1..n; text form is a digit string for n <= 9
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .brackets import BracketVector, _iter_entry_tuples, _lattice_tables
+from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _iter_entry_tuples, _lattice_tables
 from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
 
@@ -294,25 +297,59 @@ def count_231_equal_descents_peaks(n: int, k: int, *, force: bool = False) -> in
     if k < 0:
         return 0
     _check_n(n + 1, force)
-    return sum(1 for w in _equal_descents_peaks_231(n + 1) if _descents(w) == k)
+    return _scan_231_equal_descents_peaks(n + 1)[1].count(k)
 
 
-def _descents(w: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
+    """The 231-avoiders in S_m with as many descents as peaks, lexicographically."""
+    return _scan_231_equal_descents_peaks(m)[0]
+
+
+#: Bytes per word of S_m that the scan holds besides the word itself: the
+#: int8 descent and peak counts and three bool column temporaries.
+_SCAN_ROW_OVERHEAD = 5
 
 
 @lru_cache(maxsize=None)
-def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
+def _scan_231_equal_descents_peaks(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Scan all of S_m for the 231-avoiders with as many descents as peaks.
 
-    Unbounded: callers check m against the enumeration bound first.
+    S_m is one m! x m int8 matrix in lexicographic order; descents and peaks
+    are counted column by column, and 231 containment (w[k] < w[i] < w[j]
+    at positions i < j < k) is tested over every position triple of the
+    rows that remain.  Returns those words in order and the descent count
+    of each.  Callers check m against the enumeration bound first; this
+    raises BoundExceeded before enumerating when the scan would hold more
+    than ORDER_MATRIX_MAX_BYTES (S_10 fits, S_11 does not).
     """
-    out = []
-    for w in itertools.permutations(range(1, m + 1)):
-        peaks = sum(1 for i in range(1, m - 1) if w[i - 1] < w[i] > w[i + 1])
-        if _descents(w) == peaks and _avoids_231(w):
-            out.append(w)
-    return tuple(out)
+    rows = math.factorial(m)
+    need = rows * (m + _SCAN_ROW_OVERHEAD)
+    if need > ORDER_MATRIX_MAX_BYTES:
+        raise BoundExceeded(
+            f"the scan of S_{m} would hold {need / 1e9:.1f} GB, "
+            f"over the bound of {ORDER_MATRIX_MAX_BYTES / 1e9:.2f} GB"
+        )
+    import numpy as np
+
+    words = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(1, m + 1))),
+        dtype=np.int8,
+        count=rows * m,
+    ).reshape(rows, m)
+    descents = np.zeros(rows, dtype=np.int8)
+    peaks = np.zeros(rows, dtype=np.int8)
+    rise = np.zeros(rows, dtype=bool)  # w[i-1] < w[i]
+    for i in range(m - 1):
+        fall = words[:, i] > words[:, i + 1]
+        descents += fall
+        peaks += rise & fall
+        rise = ~fall
+    keep = descents == peaks
+    words, descents = words[keep], descents[keep]
+    has_231 = np.zeros(len(words), dtype=bool)
+    for i, j, k in itertools.combinations(range(m), 3):
+        has_231 |= (words[:, k] < words[:, i]) & (words[:, i] < words[:, j])
+    return tuple(map(tuple, words[~has_231].tolist())), tuple(descents[~has_231].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +378,17 @@ def _phi_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
-def _weak_order_matrix(words: list[tuple[int, ...]]):
-    """Bool matrix of the weak order on words: [i, j] is inv(i) <= inv(j).
-
-    Inversion sets are uint64 bitmasks, one bit per value pair.
-    """
+def _inversion_masks(words):
+    """Inversion sets of words on 1..n (n <= 11) as a uint64 array: bit k is
+    set when the k-th value pair a < b, in itertools.combinations order,
+    appears as b before a."""
     import numpy as np
 
-    n = len(words[0])
-    bit = {pair: 1 << k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    positions = list(itertools.combinations(range(n), 2))
-    masks = np.array(
-        [sum(bit[w[j], w[i]] for i, j in positions if w[i] > w[j]) for w in words],
-        dtype=np.uint64,
-    )
-    return (masks[:, None] & ~masks[None, :]) == 0
+    pos = np.argsort(np.array(words, dtype=np.int8), axis=1)  # pos[r, v-1]: where v sits
+    masks = np.zeros(len(pos), dtype=np.uint64)
+    for k, (a, b) in enumerate(itertools.combinations(range(pos.shape[1]), 2)):
+        masks |= (pos[:, b] < pos[:, a]).astype(np.uint64) << np.uint64(k)
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -368,22 +401,23 @@ def _verified_bijection(n: int, force: bool = False) -> dict[tuple[int, ...], tu
     import numpy as np
 
     ctx = _east_staircase_ctx(n)
-    words = list(_av312_words(n))
+    words = _av312_words(n)
     phi = _phi_words(n)
     if sorted(phi[w] for w in words) != sorted(_iter_entry_tuples(ctx)):
         raise RuntimeError(f"constructed map is not onto the vectors for n={n}")
-    weak = _weak_order_matrix(words)
     _, _, vecs, _, order = _lattice_tables(ctx.nu.steps)
-    index = {v: i for i, v in enumerate(vecs)}
-    idx = [index[phi[w]] for w in words]
-    tamari = order[np.ix_(idx, idx)]
-    if not np.array_equal(weak, tamari):
-        i, j = map(int, next(zip(*np.nonzero(weak != tamari))))
-        raise RuntimeError(
-            f"constructed map is not an order isomorphism for n={n}: "
-            f"{words[i]} <= {words[j]} is {bool(weak[i, j])} in the weak order, "
-            f"{phi[words[i]]} <= {phi[words[j]]} is {bool(tamari[i, j])} in Tamari"
-        )
+    word_of = {phi[w]: w for w in words}
+    row_words = [word_of[v] for v in vecs]
+    masks = _inversion_masks(row_words)
+    for j in range(len(vecs)):
+        weak = (masks & ~masks[j]) == 0  # weak[i]: inv(row i) <= inv(row j)
+        if not np.array_equal(weak, order[:, j]):
+            i = int(np.flatnonzero(weak != order[:, j])[0])
+            raise RuntimeError(
+                f"constructed map is not an order isomorphism for n={n}: "
+                f"{row_words[i]} <= {row_words[j]} is {bool(weak[i])} in the weak order, "
+                f"{vecs[i]} <= {vecs[j]} is {bool(order[i, j])} in Tamari"
+            )
     return phi
 
 
@@ -392,8 +426,11 @@ def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, B
 
     The recursive construction is checked to be onto the vectors and to carry
     the weak order (inversion-set containment) exactly onto the Tamari order
-    (closure of the path-level lower covers); any disagreement is a
-    RuntimeError naming the first pair of words and vectors that differ.
+    (closure of the path-level lower covers).  The check runs column by
+    column of the Tamari order matrix: column j is compared with the words
+    whose inversion set lies inside that of the word sent to vector j.  Any
+    disagreement is a RuntimeError naming the first pair of words and vectors
+    that differ, in the first column that differs.
     """
     phi = _verified_bijection(n, force)
     ctx = _east_staircase_ctx(n)

@@ -1,6 +1,9 @@
 """Permutation side: pop-stack, pattern avoidance, the projection, the bijection."""
 
+import ast
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from tamaripop.perms import (
 )
 from tamaripop.pop import pop_vector
 from tamaripop.series import a055151, catalan, motzkin
+from test_census import _run_optimized
 
 
 def P(text):
@@ -159,6 +163,102 @@ def test_r_map_sends_image_to_231_descent_peak_set():
 def test_descent_peak_counts_match_formula(n):
     for k in range(0, n // 2 + 1):
         assert count_231_equal_descents_peaks(n, k) == a055151(n, k)
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_scan_matches_scalar_definition(m):
+    def descents(w):
+        return sum(1 for i in range(m - 1) if w[i] > w[i + 1])
+
+    def peaks(w):
+        return sum(1 for i in range(1, m - 1) if w[i - 1] < w[i] > w[i + 1])
+
+    expected = tuple(
+        w
+        for w in itertools.permutations(range(1, m + 1))
+        if descents(w) == peaks(w) and perms._avoids_231(w)
+    )
+    assert perms._equal_descents_peaks_231(m) == expected
+    assert perms._scan_231_equal_descents_peaks(m)[1] == tuple(map(descents, expected))
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def test_scan_refuses_s12_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise _Enumerated
+
+    monkeypatch.setattr(perms.itertools, "permutations", no_enumeration)
+    with pytest.raises(BoundExceeded, match="S_12"):
+        count_231_equal_descents_peaks(11, 0, force=True)
+    with pytest.raises(BoundExceeded, match="S_11"):
+        perms._equal_descents_peaks_231(11)
+    # S_10 passes the bound and reaches the enumeration
+    with pytest.raises(_Enumerated):
+        perms._equal_descents_peaks_231(10)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_masks_give_the_weak_order(n):
+    below: dict = {}  # reflexive-transitive closure of weak_order_covers_down
+
+    def down_set(w):
+        if w not in below:
+            covers = weak_order_covers_down(Permutation(w))
+            below[w] = {w}.union(*(down_set(c.word) for c in covers))
+        return below[w]
+
+    words = list(itertools.permutations(range(1, n + 1)))
+    masks = perms._inversion_masks(words)
+    for j, w in enumerate(words):
+        contained = (masks & ~masks[j]) == 0
+        assert {u for u, c in zip(words, contained) if c} == down_set(w)
+
+
+def _inversions(w):
+    return {(w[j], w[i]) for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j]}
+
+
+def test_bijection_fault_names_a_pair_that_differs(monkeypatch):
+    real = perms._lattice_tables
+    a, b = 7, 3
+
+    def flipped(nu_text):
+        ctx, mus, vecs, V, order = real(nu_text)
+        order = order.copy()
+        order[a, b] = not order[a, b]
+        return ctx, mus, vecs, V, order
+
+    monkeypatch.setattr(perms, "_lattice_tables", flipped)
+    perms._verified_bijection.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not an order isomorphism") as err:
+            tamari_perm_bijection(5)
+    finally:
+        perms._verified_bijection.cache_clear()
+    tup = r"(\([\d, ]*\))"
+    found = re.search(
+        rf"{tup} <= {tup} is (True|False) in the weak order, {tup} <= {tup} is (True|False) in Tamari",
+        str(err.value),
+    )
+    assert found, str(err.value)
+    u, w, weak, x, y, tamari = found.groups()
+    u, w, x, y = map(ast.literal_eval, (u, w, x, y))
+    _, _, vecs, _, order = real(perms._east_staircase_ctx(5).nu.steps)
+    assert (x, y) == (vecs[a], vecs[b])
+    phi = perms._phi_words(5)
+    assert (phi[u], phi[w]) == (x, y)
+    assert weak == str(_inversions(u) <= _inversions(w)) == str(bool(order[a, b]))
+    assert tamari == str(not order[a, b])
+
+
+def test_bijection_fault_raises_under_python_optimize():
+    test = f"{__file__}::test_bijection_fault_names_a_pair_that_differs"
+    proc = _run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
 
 
 @pytest.mark.parametrize("n", range(1, 8))
