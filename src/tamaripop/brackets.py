@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .paths import (
     BoundExceeded,
@@ -152,52 +152,66 @@ def leq(v1: BracketVector, v2: BracketVector) -> bool:
     return all(a <= b for a, b in zip(v1.entries, v2.entries))
 
 
-def _iter_entry_tuples(ctx: NuContext) -> Iterator[tuple[int, ...]]:
-    """Yield all valid raw vectors in lexicographic order.
+def _vector_rows(ctx: NuContext):
+    """All valid vectors as one numpy matrix, rows in lexicographic order.
 
-    Backtracking with an incrementally maintained cap array: assigning value
-    v at index i caps every index up to fixed_positions[v] at v, which is
-    exactly condition (3); fixed positions then admit a single value.
+    Built one column at a time over all rows: each row carries its cap
+    array, and assigning v at column i caps columns i+1..fixed_positions[v]
+    at v, which is exactly condition (3).  A cap at column i comes from some
+    v with fixed_positions[v] >= i, so it is at least heights[i]: a free
+    column admits heights[i]..cap, a fixed column its single value.  Rows
+    are int8 while n_nu fits, int16 past that.
     """
-    heights = ctx.heights
-    fixed = ctx.fixed_positions
-    n_nu = ctx.n_nu
-    ell = ctx.ell
-    is_fixed = [False] * (ell + 1)
-    fixed_value = [0] * (ell + 1)
-    for k, pos in enumerate(fixed):
-        is_fixed[pos] = True
-        fixed_value[pos] = k
-    cap = [n_nu] * (ell + 2)
-    buf = [0] * (ell + 1)
+    import numpy as np
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i > ell:
-            yield tuple(buf)
-            return
-        if is_fixed[i]:
-            lo = hi = fixed_value[i]
+    ell, n_nu = ctx.ell, ctx.n_nu
+    dtype = np.int8 if n_nu < 128 else np.int16
+    fixed = np.array(ctx.fixed_positions, dtype=np.int16)
+    fixed_value = {pos: k for k, pos in enumerate(ctx.fixed_positions)}
+    cols: list = []  # cols[c]: column c of every row so far
+    caps = [np.full(1, n_nu, dtype=dtype)] * (ell + 1)  # caps[k]: cap of column k+i
+    for i in range(ell + 1):
+        cap = caps.pop(0)  # now caps[k] is the cap of column k+i+1
+        if i in fixed_value:
+            values = np.full(len(cap), fixed_value[i], dtype=dtype)
         else:
-            lo, hi = heights[i], cap[i]
-        for v in range(lo, min(hi, cap[i]) + 1):
-            buf[i] = v
-            limit = fixed[v]
-            touched = []
-            for j in range(i + 1, limit + 1):
-                if cap[j] > v:
-                    touched.append((j, cap[j]))
-                    cap[j] = v
-            yield from rec(i + 1)
-            for j, old in touched:
-                cap[j] = old
-
-    yield from rec(0)
+            counts = cap.astype(np.intp) - (ctx.heights[i] - 1)
+            parent = np.repeat(np.arange(len(counts)), counts)
+            offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+            values = (ctx.heights[i] + offset).astype(dtype)
+            cols = [c[parent] for c in cols]
+            caps = [c[parent] for c in caps]
+        cols.append(values)
+        limit = fixed[values]
+        for k in range(int(limit.max()) - i):
+            caps[k] = np.minimum(caps[k], np.where(limit > k + i, values, dtype(n_nu)))
+    return np.stack(cols).T
 
 
 def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVector]:
-    """All valid vectors for nu, in lexicographic order on entries."""
+    """All valid vectors for nu, in lexicographic order on entries: the rows
+    of _vector_rows, the one vector enumeration of the package."""
     _check_ell(ctx.ell, force)
-    return [BracketVector(e, ctx) for e in _iter_entry_tuples(ctx)]
+    return [BracketVector(tuple(e), ctx) for e in _vector_rows(ctx).tolist()]
+
+
+def _check_key_bound(base: int, width: int, what: str) -> None:
+    """BoundExceeded unless keys of width digits in base fit in int64."""
+    if base**width > 2**63:
+        raise BoundExceeded(f"{what} needs {base}^{width} keys, more than int64 holds")
+
+
+def _mixed_radix_keys(columns, base: int, length: int):
+    """int64 keys of length rows by Horner's rule, one column at a time from
+    an iterable of columns, so no matrix of them is built; check the width
+    with _check_key_bound first."""
+    import numpy as np
+
+    keys = np.zeros(length, dtype=np.int64)
+    for col in columns:
+        keys *= base
+        keys += col
+    return keys
 
 
 #: Bytes of one m x m bool order matrix that _lattice_tables may build.  The

@@ -22,14 +22,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _iter_entry_tuples, _lattice_tables
+from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _lattice_tables, _vector_rows
 from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
 
 __all__ = [
     "PermStats",
     "Permutation",
-    "ascent_count",
     "avoids",
     "count_231_equal_descents_peaks",
     "enumerate_av312",
@@ -123,11 +122,6 @@ def perm_stats(p: Permutation) -> PermStats:
             start = i + 1
     runs.append(n - start)
     return PermStats(desc, asc, peaks, tuple(runs))
-
-
-def ascent_count(p: Permutation) -> int:
-    w = p.word
-    return sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
 
 
 def pop_stack(p: Permutation) -> Permutation:
@@ -403,7 +397,7 @@ def _verified_bijection(n: int, force: bool = False) -> dict[tuple[int, ...], tu
     ctx = _east_staircase_ctx(n)
     words = _av312_words(n)
     phi = _phi_words(n)
-    if sorted(phi[w] for w in words) != sorted(_iter_entry_tuples(ctx)):
+    if sorted(phi[w] for w in words) != sorted(map(tuple, _vector_rows(ctx).tolist())):
         raise RuntimeError(f"constructed map is not onto the vectors for n={n}")
     _, _, vecs, _, order = _lattice_tables(ctx.nu.steps)
     word_of = {phi[w]: w for w in words}

@@ -13,9 +13,10 @@ routes are compared exhaustively by the verification suites.
 The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
 Tam_n.  The production census is array-native: every vector of the lattice
-is one row of an int8 numpy matrix, Pop is the eta formula applied to all
-rows with a descent at i, one index i at a time, images are mapped to rows
-by integer keys and a sorted search, and sortability times follow the
+is one row of the int8 matrix from brackets._vector_rows (the enumeration
+behind enumerate_vectors too), Pop is the eta formula applied to all rows
+with a descent at i, one index i at a time, images are mapped to rows by
+integer keys and a sorted search, and sortability times follow the
 Pop-target array.  The scalar functions above serve single vectors and are
 the test oracle for the census; the irreducible-decomposition recursion is
 only a check.
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .brackets import BracketVector, path_to_vector, vector_to_path
+from .brackets import _check_key_bound, _mixed_radix_keys, _vector_rows
 from .paths import (
-    BoundExceeded,
     LatticePath,
     NuContext,
     _check_ell,
@@ -166,38 +167,6 @@ def _east_staircase_ctx(n: int) -> NuContext:
     return NuContext.from_text(east_staircase(n).steps)
 
 
-def _census_rows(ctx: NuContext, np):
-    """All valid vectors as an int8 matrix, rows in lexicographic order.
-
-    The invariant of _iter_entry_tuples, one column at a time over all rows:
-    each row carries its cap array, and assigning v at column i caps columns
-    i+1..fixed_positions[v] at v.  A cap at column i comes from some v with
-    fixed_positions[v] >= i, so it is at least heights[i]: a free column
-    always admits heights[i]..cap, and a fixed column its single value.
-    """
-    ell, n_nu = ctx.ell, ctx.n_nu
-    fixed = np.array(ctx.fixed_positions, dtype=np.int16)
-    fixed_value = {pos: k for k, pos in enumerate(ctx.fixed_positions)}
-    cols: list = []  # cols[c]: column c of every row so far
-    caps = [np.full(1, n_nu, dtype=np.int8)] * (ell + 1)  # caps[k]: cap of column k+i
-    for i in range(ell + 1):
-        cap = caps.pop(0)  # now caps[k] is the cap of column k+i+1
-        if i in fixed_value:
-            values = np.full(len(cap), fixed_value[i], dtype=np.int8)
-        else:
-            counts = cap.astype(np.intp) - (ctx.heights[i] - 1)
-            parent = np.repeat(np.arange(len(counts)), counts)
-            offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-            values = (ctx.heights[i] + offset).astype(np.int8)
-            cols = [c[parent] for c in cols]
-            caps = [c[parent] for c in caps]
-        cols.append(values)
-        limit = fixed[values]
-        for k in range(int(limit.max()) - i):
-            caps[k] = np.minimum(caps[k], np.where(limit > k + i, values, np.int8(n_nu)))
-    return np.stack(cols).T
-
-
 def _pop_rows(rows, ctx: NuContext, np):
     """Pop of every row at once: the eta formula of _eta_at, one index at a time."""
     heights, fixed = ctx.heights, ctx.fixed_positions
@@ -238,18 +207,12 @@ class _Census:
         _check_ell(ctx.ell, force)
         free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
         radix = ctx.n_nu + 1
-        if radix ** len(free) >= 2**63:
-            raise BoundExceeded(
-                f"the census for n={n} needs {radix}^{len(free)} row keys, more than int64 holds"
-            )
+        _check_key_bound(radix, len(free), f"the census for n={n}")
         self.ctx = ctx
-        rows = _census_rows(ctx, np)
+        rows = _vector_rows(ctx)
 
-        def keys(m):  # mixed radix over the free columns, by Horner's rule
-            k = np.zeros(len(m), dtype=np.int64)
-            for c in free:
-                k = k * radix + m[:, c]
-            return k
+        def keys(m):  # mixed radix over the free columns
+            return _mixed_radix_keys((m[:, c] for c in free), radix, len(m))
 
         row_keys = keys(rows)
         if (np.diff(row_keys) <= 0).any():

@@ -19,12 +19,9 @@ w = phi^-1(min(phi u, phi v)), (i) gives w <= u and w <= v, and any common
 lower bound z has phi(z) <= min(phi u, phi v) = phi(w), hence z <= w.  The
 suite checks (i) for all pairs and (ii) for the incomparable pairs (the min
 of a comparable pair is one of the two), looking mins up by integer keys
-over the columns that are not fixed to a height.  On lattices of at most
-DIRECT_GLB_LIMIT elements it adds a direct oracle for each incomparable
-pair: w <= u, w <= v and |down(w)| = |down(u) & down(v)|.  The first two
-give down(w) inside down(u) & down(v), so equal sizes make the sets equal,
-i.e. w is the glb; the sizes come from one float32 matrix product of the
-down-set rows, exact below 2**24 elements.
+over the columns that are not fixed to a height.  The argument above makes
+the glb identity a consequence of (i) and (ii), so the suite computes no
+glbs from down-sets: (i) and (ii) are all it needs.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ CONFLUENCE_TRIALS = 1000
 CHARACTERIZATION_MAX_N = 9
 PETERSEN_MAX_N = 8
 RANDOM_NU_COUNT = 50
-DIRECT_GLB_LIMIT = 700
 
 
 @dataclass
@@ -175,8 +171,7 @@ def _check_one_bijection(nu_text: str) -> dict | None:
     ctx, mus, vecs, V, O = brackets._lattice_tables(nu_text)
     m = len(mus)
 
-    enumerated = brackets.enumerate_vectors(ctx, force=True)
-    if sorted(v.entries for v in enumerated) != sorted(vecs):
+    if sorted(map(tuple, brackets._vector_rows(ctx).tolist())) != sorted(vecs):
         return {"nu": nu_text, "failure": "path_to_vector image differs from enumerate_vectors"}
     if len(set(vecs)) != m:
         return {"nu": nu_text, "failure": "path_to_vector is not injective"}
@@ -210,29 +205,17 @@ def _check_one_bijection(nu_text: str) -> dict | None:
         }
     free_cols = np.delete(V, fixed, axis=1).T
     base = ctx.n_nu + 1
-    if base ** len(free_cols) > 2**63:
-        raise paths.BoundExceeded(f"termwise-min keys over {nu_text} would overflow int64")
-
-    def min_keys(a, b):  # Horner's rule over the free columns of min(V_a, V_b)
-        key = np.zeros(len(a), dtype=np.int64)
-        for col in free_cols:
-            key *= base
-            key += np.minimum(col[a], col[b])
-        return key
-
-    every = np.arange(m)
-    row_keys = min_keys(every, every)
-    by_key = np.argsort(row_keys)
-    sorted_keys = row_keys[by_key]
+    brackets._check_key_bound(base, len(free_cols), f"the termwise-min check over {nu_text}")
+    sorted_keys = np.sort(brackets._mixed_radix_keys(free_cols, base, m))
     # a comparable pair's min is one of the pair, so only incomparable pairs
     # (a < b, row-major: the first failure is the one an all-pairs scan finds)
     incomparable = ~(vec_leq | vec_leq.T)
-    direct = m <= DIRECT_GLB_LIMIT
-    rows = m if direct else max(1, (1 << 20) // m)
+    rows = max(1, (1 << 20) // m)
     for start in range(0, m, rows):
         a, b = np.nonzero(np.triu(incomparable[start : start + rows], start + 1))
         a += start
-        key = min_keys(a, b)
+        mins = (np.minimum(c[a], c[b]) for c in free_cols)  # min(V_a, V_b), column by column
+        key = brackets._mixed_radix_keys(mins, base, len(a))
         pos = np.minimum(np.searchsorted(sorted_keys, key), m - 1)
         found = sorted_keys[pos] == key
         if not found.all():
@@ -242,20 +225,6 @@ def _check_one_bijection(nu_text: str) -> dict | None:
                 "failure": "termwise min left the vector set",
                 "pair": [V[a[bad]].tolist(), V[b[bad]].tolist()],
             }
-        if direct:
-            # one chunk, so every min was found: the row g holding min(V_a, V_b)
-            # must be the glb, down(g) = down(a) & down(b); g <= a and g <= b
-            # give containment, so equal sizes give equality
-            g = by_key[pos]
-            D = O.T.astype(np.float32)  # row v: the down-set of v
-            shared = D @ D.T  # |down(u) & down(v)|, exact below 2**24
-            ok = O[g, a] & O[g, b] & (shared[g, g] == shared[a, b])
-            if not ok.all():
-                return {
-                    "nu": nu_text,
-                    "failure": "down-set glb disagrees with termwise min",
-                    "element": list(vecs[int(a[np.argmin(ok)])]),
-                }
     return None
 
 
@@ -585,10 +554,11 @@ def check_ascents_count_up_covers(opts: VerifyOptions) -> CheckOutcome:
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
         for p, v in mapping.items():
-            if perms.ascent_count(p) != pop.up_cover_count(v):
+            ascents = len(perms.perm_stats(p).ascent_positions)
+            if ascents != pop.up_cover_count(v):
                 return (
                     False,
-                    {"n": n, "perm": str(p), "ascents": perms.ascent_count(p),
+                    {"n": n, "perm": str(p), "ascents": ascents,
                      "up_covers": pop.up_cover_count(v)},
                     params,
                 )
@@ -645,7 +615,7 @@ def check_qpolynomial_permutations(opts: VerifyOptions) -> CheckOutcome:
         image = {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n)}
         hist: dict[int, int] = {}
         for p in image:
-            a = perms.ascent_count(p)
+            a = len(perms.perm_stats(p).ascent_positions)
             hist[a] = hist.get(a, 0) + 1
         if hist != pop.pop_polynomial(n).coeffs:
             return (
@@ -674,7 +644,7 @@ def check_rmap_bijection(opts: VerifyOptions) -> CheckOutcome:
             q = perms.r_map(p)
             st = perms.perm_stats(q)
             k = len(st.descent_positions)
-            if len(st.peak_positions) != k or perms.ascent_count(p) != n - k:
+            if len(st.peak_positions) != k or len(perms.perm_stats(p).ascent_positions) != n - k:
                 return False, {"n": n, "perm": str(p), "failure": "descent/peak bookkeeping"}, params
     return True, None, params
 

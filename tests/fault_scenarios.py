@@ -1,0 +1,85 @@
+"""Injected faults that must raise, shared by the tests and their python -O runs.
+
+Each scenario returns None if the fault was refused as expected, else what
+went wrong; no assert statements, so `python -O tests/fault_scenarios.py
+census` (or `bijection`) checks the same and exits 1 on a miss.
+"""
+
+import itertools
+import sys
+
+from tamaripop import perms, pop
+
+_array_pop = pop._pop_rows
+
+
+def _identity_pop(rows, ctx, np):
+    return rows.copy()
+
+
+def _off_lattice_pop(rows, ctx, np):
+    out = _array_pop(rows, ctx, np)
+    out[-1, 1] += 1  # the fixed entry of height 0 becomes 1: no census row
+    return out
+
+
+CENSUS_FAULTS = [(_identity_pop, "strictly decrease"), (_off_lattice_pop, "not a census row")]
+
+
+def census_fault(fault, message):
+    """Count with Pop replaced by fault: a RuntimeError naming message, not a count."""
+    pop._pop_rows = fault
+    pop._census.cache_clear()
+    try:
+        count = pop.count_t_sortable(5, 2)
+    except RuntimeError as exc:
+        return None if message in str(exc) else f"expected {message!r}, got {exc}"
+    finally:
+        pop._pop_rows = _array_pop
+        pop._census.cache_clear()
+    return f"counted {count} instead of raising {message!r}"
+
+
+def _inversions(w):
+    return {(w[j], w[i]) for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j]}
+
+
+def bijection_fault(a=7, b=3):
+    """Flip entry (a, b) of the n = 5 Tamari order matrix: the bijection check
+    must raise a RuntimeError naming exactly that pair of words and vectors."""
+    real = perms._lattice_tables
+
+    def flipped(nu_text):
+        ctx, mus, vecs, V, order = real(nu_text)
+        order = order.copy()
+        order[a, b] = not order[a, b]
+        return ctx, mus, vecs, V, order
+
+    perms._lattice_tables = flipped
+    perms._verified_bijection.cache_clear()
+    try:
+        perms.tamari_perm_bijection(5)
+    except RuntimeError as exc:
+        message = str(exc)
+    else:
+        return "a flipped order matrix was accepted"
+    finally:
+        perms._lattice_tables = real
+        perms._verified_bijection.cache_clear()
+    _, _, vecs, _, order = real(perms._east_staircase_ctx(5).nu.steps)
+    word_of = {v: w for w, v in perms._phi_words(5).items()}
+    u, w = word_of[vecs[a]], word_of[vecs[b]]
+    weak = _inversions(u) <= _inversions(w)
+    if weak != bool(order[a, b]):
+        return f"{u} <= {w} is {weak} in the weak order but {bool(order[a, b])} in Tamari"
+    expected = (
+        f"constructed map is not an order isomorphism for n=5: {u} <= {w} is {weak} in the "
+        f"weak order, {vecs[a]} <= {vecs[b]} is {not weak} in Tamari"
+    )
+    return None if message == expected else f"expected {expected!r}, got {message!r}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "census":
+        sys.exit(next(filter(None, (census_fault(*case) for case in CENSUS_FAULTS)), None))
+    sys.exit(bijection_fault())

@@ -1,5 +1,6 @@
 """The array census against the scalar route, its invariants and its bounds."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -7,14 +8,39 @@ import sys
 from pathlib import Path
 
 import pytest
+from fault_scenarios import CENSUS_FAULTS, census_fault
 
 from tamaripop import pop
-from tamaripop.brackets import BracketVector, _iter_entry_tuples
-from tamaripop.paths import BoundExceeded
+from tamaripop.brackets import BracketVector, _vector_rows, enumerate_vectors
+from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.series import h_series
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-_array_pop = pop._pop_rows
+SCENARIOS = str(Path(__file__).with_name("fault_scenarios.py"))
+
+
+def _iter_entry_tuples(ctx):
+    """All valid vectors in lexicographic order by scalar backtracking, the
+    oracle of _vector_rows: assigning v at index i caps every index up to
+    fixed_positions[v] at v, which is exactly condition (3)."""
+    heights, fixed, n_nu, ell = ctx.heights, ctx.fixed_positions, ctx.n_nu, ctx.ell
+    fixed_value = {pos: k for k, pos in enumerate(fixed)}
+    cap = [n_nu] * (ell + 2)
+    buf = [0] * (ell + 1)
+
+    def rec(i):
+        if i > ell:
+            yield tuple(buf)
+            return
+        lo, hi = (fixed_value[i],) * 2 if i in fixed_value else (heights[i], cap[i])
+        for v in range(lo, min(hi, cap[i]) + 1):
+            buf[i] = v
+            saved = cap[i + 1 : fixed[v] + 1]
+            cap[i + 1 : fixed[v] + 1] = [min(c, v) for c in saved]
+            yield from rec(i + 1)
+            cap[i + 1 : fixed[v] + 1] = saved
+
+    yield from rec(0)
 
 
 def _run_optimized(*args):
@@ -23,6 +49,18 @@ def _run_optimized(*args):
     return subprocess.run(
         [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("ell", range(1, 10))
+def test_vector_rows_match_backtracking_on_every_short_word(ell):
+    for bits in itertools.product("NE", repeat=ell):
+        ctx = NuContext.from_text("".join(bits))
+        assert list(map(tuple, _vector_rows(ctx).tolist())) == list(_iter_entry_tuples(ctx))
+
+
+def test_vector_rows_widen_past_int8_heights():
+    ctx = NuContext.from_text("E" + "N" * 130)
+    assert [v.entries for v in enumerate_vectors(ctx, force=True)] == list(_iter_entry_tuples(ctx))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -35,35 +73,14 @@ def test_array_census_matches_scalar_route(n):
         assert time_ == pop.sortability_time(BracketVector(e, ctx))
 
 
-def _identity_pop(rows, ctx, np):
-    return rows.copy()
-
-
-def _off_lattice_pop(rows, ctx, np):
-    out = _array_pop(rows, ctx, np)
-    out[-1, 1] += 1  # the fixed entry of height 0 becomes 1: no census row
-    return out
-
-
-@pytest.mark.parametrize(
-    "fault,message",
-    [(_identity_pop, "strictly decrease"), (_off_lattice_pop, "not a census row")],
-)
-def test_wrong_pop_image_raises_instead_of_counting(monkeypatch, fault, message):
-    monkeypatch.setattr(pop, "_pop_rows", fault)
-    pop._census.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match=message):
-            pop.count_t_sortable(5, 2)
-    finally:
-        pop._census.cache_clear()
+@pytest.mark.parametrize("fault,message", CENSUS_FAULTS)
+def test_wrong_pop_image_raises_instead_of_counting(fault, message):
+    assert census_fault(fault, message) is None
 
 
 def test_census_fault_raises_under_python_optimize():
-    test = f"{__file__}::test_wrong_pop_image_raises_instead_of_counting"
-    proc = _run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
+    proc = _run_optimized(SCENARIOS, "census")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
 
 
 def test_sortable_agrees_with_series_under_python_optimize():
@@ -78,7 +95,7 @@ def test_census_refuses_keys_past_int64_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("census enumerated past the int64 key bound")
 
-    monkeypatch.setattr(pop, "_census_rows", no_enumeration)
+    monkeypatch.setattr(pop, "_vector_rows", no_enumeration)
     with pytest.raises(BoundExceeded, match="int64"):
         pop._census(16, force=True)
 

@@ -106,7 +106,7 @@ def test_sortable_past_int64_census_keys_exits_2_before_enumerating(capsys, monk
     def no_enumeration(*args, **kwargs):
         raise AssertionError("census enumerated past the int64 key bound")
 
-    monkeypatch.setattr(pop, "_census_rows", no_enumeration)
+    monkeypatch.setattr(pop, "_vector_rows", no_enumeration)
     code, out, err = run(capsys, "sortable", "--n", "16", "--t", "1", "--force")
     assert code == 2
     assert out == ""

@@ -65,30 +65,20 @@ def test_fixed_column_off_its_height(monkeypatch):
     }
 
 
-@pytest.mark.parametrize(
-    "flips, element",
-    [
-        ([(2, 1)], [0, 0, 2, 1, 2, 2]),  # 2 joins down(1): only the sizes differ
-        ([(0, 0), (0, 1)], [0, 0, 1, 1, 2, 2]),  # 0 leaves down(0), down(1): only g <= a fails
-    ],
-)
-def test_down_set_that_is_not_the_glb(monkeypatch, flips, element):
-    # Once the order check passes, O is the componentwise order, and then
-    # the glb identity follows from min-closure; so only a leq kernel that
-    # echoes O lets a bad down-set row through to the direct oracle.
-    def flip(V, O):
-        for i, j in flips:
-            O[i, j] = not O[i, j]
+@pytest.mark.parametrize("text", ["ENENE", "NE" * 4, "ENNEEN", "E" * 3 + "N" * 3])
+def test_componentwise_kernel_matches_scalar_leq(text):
+    ctx = NuContext.from_text(text)
+    vecs = brackets.enumerate_vectors(ctx)
+    V = brackets._vector_rows(ctx).astype("int16")
+    expected = [[brackets.leq(u, v) for v in vecs] for u in vecs]
+    assert verification._componentwise_leq_matrix(V).tolist() == expected
 
-    def echo_order(V):  # the patched tables' O
-        return brackets._lattice_tables(NU)[4]
 
-    monkeypatch.setattr(verification, "_componentwise_leq_matrix", echo_order)
-    assert _check_with(monkeypatch, flip) == {
-        "nu": NU,
-        "failure": "down-set glb disagrees with termwise min",
-        "element": element,
-    }
+def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
+    real = brackets._vector_rows
+    monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: real(ctx)[1:])
+    failure = "path_to_vector image differs from enumerate_vectors"
+    assert verification._check_one_bijection(NU) == {"nu": NU, "failure": failure}
 
 
 def test_vector_to_path_that_does_not_invert(monkeypatch):
