@@ -88,14 +88,8 @@ def _cmd_image(args) -> int:
     out = {"n": args.n, "size": len(image), "motzkin": series.motzkin(args.n - 1)}
     if args.qpoly:
         poly = pop.pop_polynomial(args.n, force=args.force)
-        formula = {}
-        m = args.n - 1
-        for k in range(0, m // 2 + 1):
-            val = series.a055151(m, k)
-            if val:
-                formula[str(m - k)] = val
         out["qpoly"] = {str(k): v for k, v in sorted(poly.coeffs.items())}
-        out["qpoly_formula"] = formula
+        out["qpoly_formula"] = {str(k): v for k, v in series.qpolynomial_formula(args.n - 1).items()}
     _emit(out)
     return 0
 

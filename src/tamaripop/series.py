@@ -22,6 +22,7 @@ __all__ = [
     "h_series_rational",
     "motzkin",
     "multiply",
+    "qpolynomial_formula",
     "reciprocal_one_minus",
 ]
 
@@ -53,6 +54,12 @@ def a055151(n: int, k: int) -> int:
     if num % (k + 1):
         raise RuntimeError(f"a055151({n},{k}) is not integral")
     return num // (k + 1)
+
+
+def qpolynomial_formula(m: int) -> dict[int, int]:
+    """{m - k: a055151(m, k)} over the k with a nonzero entry: the closed form
+    of the up-cover polynomial of the Pop image of Tam_{m+1}."""
+    return {m - k: v for k in range(m // 2 + 1) if (v := a055151(m, k))}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
 """Named verification suites behind both the CLI and the acceptance tests.
 
-Every check returns a CheckResult with the parameter ranges it actually ran
-at and, on failure, a small counterexample payload.  Checks are pure and
-deterministic for a fixed seed; a suite runs its checks in sorted name order
-so the assembled report is reproducible byte for byte (wall times are kept
-on the result objects and in stderr diagnostics, never in the stdout JSON).
+Every check is a case generator registered by `_check(suite, name)`.  It
+first yields its params, the parameter ranges it actually runs at, and then
+one verdict per case it examines: a small counterexample dict when the case
+fails, a falsy value when it holds.  The decorator turns the generator into
+a function returning (passed, counterexample, params).  The first
+counterexample ends the check, and a check that yields no verdict at all
+fails with {"failure": "no cases examined"}: a check that examined nothing
+has shown nothing.  Checks are pure and deterministic for a fixed seed; a
+suite runs its checks in sorted name order so the assembled report is
+reproducible byte for byte (wall times are kept on the result objects and in
+stderr diagnostics, never in the stdout JSON).
 
 The centerpiece equivalence used by the bijection suite: for a bijection
 phi from a finite poset P (order = reflexive-transitive closure of the
@@ -26,10 +32,13 @@ glbs from down-sets: (i) and (ii) are all it needs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import brackets, paths, perms, pop, series
 from .brackets import BracketVector
@@ -64,7 +73,11 @@ RANDOM_NU_COUNT = 50
 
 @dataclass
 class VerifyOptions:
-    """Effective knobs: max_n / max_t override per-check defaults when set."""
+    """Effective knobs: max_n / max_t override per-check defaults when set.
+
+    max_n bounds the path length ell for the bijection and pop-oracle suites
+    and the size n everywhere else; max_t bounds the step count t.
+    """
 
     max_n: int | None = None
     max_t: int | None = None
@@ -101,7 +114,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         out_checks = []
         for c in self.checks:
             entry: dict = {
@@ -111,8 +124,6 @@ class VerificationReport:
             }
             if c.counterexample is not None:
                 entry["counterexample"] = c.counterexample
-            if include_timing:
-                entry["seconds"] = round(c.seconds, 3)
             out_checks.append(entry)
         return {
             "suite": self.suite,
@@ -229,65 +240,92 @@ def _check_one_bijection(nu_text: str) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each returns (passed, counterexample, params).
+# Individual checks, registered by suite
 
 CheckOutcome = tuple[bool, dict | None, dict]
 
+_SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {}
 
-def check_order_isomorphism(opts: VerifyOptions) -> CheckOutcome:
+
+def _check(suite: str, name: str):
+    """Register a case generator as check `name` of `suite`, run as a
+    function of VerifyOptions that returns (passed, counterexample, params)."""
+
+    def register(cases: Callable[[VerifyOptions], Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
+        @functools.wraps(cases)
+        def check(opts: VerifyOptions) -> CheckOutcome:
+            verdicts = cases(opts)
+            params = next(verdicts)
+            outcome = False, {"failure": "no cases examined"}, params
+            for bad in verdicts:
+                if bad:
+                    return False, bad, params
+                outcome = True, None, params
+            return outcome
+
+        _SUITES.setdefault(suite, {})[name] = check
+        return check
+
+    return register
+
+
+def _census_rows(first_n: int, max_n: int):
+    """(n, vector, sortability time) for every element of Tam_n, first_n <= n <= max_n."""
+    for n in range(first_n, max_n + 1):
+        census = pop._census(n)
+        for e, time_ in zip(census.entries, census.times.tolist()):
+            yield n, BracketVector(e, census.ctx), time_
+
+
+def _av312_pop_image(n: int) -> set:
+    """The Pop image of the 312-avoiding permutations of size n."""
+    return {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n)}
+
+
+@_check("bijection", "order-isomorphism-and-meets")
+def check_order_isomorphism(opts: VerifyOptions):
     max_ell = opts.n(BIJECTION_MAX_ELL)
-    params = {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
+    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
     corpus = corpus_nus(max_ell, opts.seed)
     for nu in corpus:  # refuse an oversized lattice before building any table
         brackets._order_matrix_guard(NuContext.from_text(nu.steps))
     for nu in corpus:
-        bad = _check_one_bijection(nu.steps)
-        if bad:
-            return False, bad, params
-    return True, None, params
+        yield _check_one_bijection(nu.steps)
 
 
-def check_pop_oracle(opts: VerifyOptions) -> CheckOutcome:
+@_check("pop-oracle", "pop-meet-oracle-equivalence")
+def check_pop_oracle(opts: VerifyOptions):
     max_ell = opts.n(ORACLE_MAX_ELL)
-    params = {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
+    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
     for nu in corpus_nus(max_ell, opts.seed):
         ctx = NuContext.from_text(nu.steps)
         for mu in paths.enumerate_tam(ctx, force=True):
             via_covers = pop.pop_generic(mu, ctx)
             via_vector = brackets.vector_to_path(pop.pop_vector(brackets.path_to_vector(mu, ctx)))
-            if via_covers != via_vector:
-                return (
-                    False,
-                    {"nu": nu.steps, "path": mu.steps, "meet_of_covers": via_covers.steps,
-                     "entrywise_formula": via_vector.steps},
-                    params,
-                )
-    return True, None, params
+            yield via_covers != via_vector and {
+                "nu": nu.steps, "path": mu.steps, "meet_of_covers": via_covers.steps,
+                "entrywise_formula": via_vector.steps,
+            }
 
 
-def check_pop_entry_lower_bound(opts: VerifyOptions) -> CheckOutcome:
+@_check("pop-oracle", "pop-entry-lower-bound")
+def check_pop_entry_lower_bound(opts: VerifyOptions):
     max_ell = opts.n(ORACLE_MAX_ELL)
-    params = {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
+    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
     for nu in corpus_nus(max_ell, opts.seed):
         ctx = NuContext.from_text(nu.steps)
         fixed = ctx.fixed_positions
+        free = [i for i in range(fixed[-1]) if i not in fixed]
         for v in brackets.enumerate_vectors(ctx, force=True):
             popped = pop.pop_vector(v).entries
-            for k in range(ctx.n_nu + 1):
-                left = fixed[k - 1] if k > 0 else -1
-                for i in range(left + 1, fixed[k]):
-                    if popped[i] < v.entries[i + 1]:
-                        return (
-                            False,
-                            {"nu": nu.steps, "vector": list(v.entries), "index": i},
-                            params,
-                        )
-    return True, None, params
+            low = [i for i in free if popped[i] < v.entries[i + 1]]
+            yield low and {"nu": nu.steps, "vector": list(v.entries), "index": low[0]}
 
 
-def check_down_cover_candidates(opts: VerifyOptions) -> CheckOutcome:
+@_check("pop-oracle", "down-cover-candidates-match")
+def check_down_cover_candidates(opts: VerifyOptions):
     max_ell = opts.n(ORACLE_MAX_ELL)
-    params = {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
+    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
     for nu in corpus_nus(max_ell, opts.seed):
         ctx = NuContext.from_text(nu.steps)
         for mu in paths.enumerate_tam(ctx, force=True):
@@ -297,34 +335,30 @@ def check_down_cover_candidates(opts: VerifyOptions) -> CheckOutcome:
                 for lower in paths.covers_down(mu, ctx)
             }
             from_entries = {c.entries for c in pop.down_cover_candidates(v)}
-            if from_paths != from_entries:
-                return (
-                    False,
-                    {"nu": nu.steps, "path": mu.steps,
-                     "covers_down": sorted(map(list, from_paths)),
-                     "candidates": sorted(map(list, from_entries))},
-                    params,
-                )
-    return True, None, params
+            yield from_paths != from_entries and {
+                "nu": nu.steps, "path": mu.steps,
+                "covers_down": sorted(map(list, from_paths)),
+                "candidates": sorted(map(list, from_entries)),
+            }
 
 
-def check_census_matches_series(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-1", "census-matches-series")
+def check_census_matches_series(opts: VerifyOptions):
     max_n = opts.n(CENSUS_MAX_N)
     max_t = opts.t(CENSUS_MAX_T)
-    params = {"max_n": max_n, "max_t": max_t}
+    yield {"max_n": max_n, "max_t": max_t}
     for t in range(1, max_t + 1):
         h = series.h_series(t, max_n)
         for n in range(1, max_n + 1):
             counted = pop.count_t_sortable(n, t)
-            if counted != h[n]:
-                return False, {"n": n, "t": t, "census": counted, "series": h[n]}, params
-    return True, None, params
+            yield counted != h[n] and {"n": n, "t": t, "census": counted, "series": h[n]}
 
 
-def check_irreducible_census_matches_series(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-1", "irreducible-census-matches-series")
+def check_irreducible_census_matches_series(opts: VerifyOptions):
     max_n = opts.n(STRUCTURE_MAX_N)
     max_t = opts.t(STRUCTURE_MAX_T)
-    params = {"max_n": max_n, "max_t": max_t}
+    yield {"max_n": max_n, "max_t": max_t}
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
         for n in range(1, max_n + 1):
@@ -334,39 +368,37 @@ def check_irreducible_census_matches_series(opts: VerifyOptions) -> CheckOutcome
                 for e, time_ in zip(census.entries, census.times.tolist())
                 if e[0] == e[-1] and time_ <= t
             )
-            if counted != g[n]:
-                return False, {"n": n, "t": t, "census": counted, "series": g[n]}, params
-    return True, None, params
+            yield counted != g[n] and {"n": n, "t": t, "census": counted, "series": g[n]}
 
 
-def check_series_recurrence_vs_rational(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-1", "series-recurrence-vs-rational")
+def check_series_recurrence_vs_rational(opts: VerifyOptions):
     max_t = opts.t(SERIES_MAX_T)
-    params = {"max_t": max_t, "order": SERIES_ORDER}
+    yield {"max_t": max_t, "order": SERIES_ORDER}
     for t in range(1, max_t + 1):
-        if series.h_series(t, SERIES_ORDER) != series.h_series_rational(t, SERIES_ORDER):
-            return False, {"t": t, "series": "h"}, params
-        if series.g_series(t, SERIES_ORDER) != series.g_series_rational(t, SERIES_ORDER):
-            return False, {"t": t, "series": "g"}, params
-    return True, None, params
+        h_differs = series.h_series(t, SERIES_ORDER) != series.h_series_rational(t, SERIES_ORDER)
+        yield h_differs and {"t": t, "series": "h"}
+        g_differs = series.g_series(t, SERIES_ORDER) != series.g_series_rational(t, SERIES_ORDER)
+        yield g_differs and {"t": t, "series": "g"}
 
 
-def check_series_geometric_identity(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-1", "series-geometric-identity")
+def check_series_geometric_identity(opts: VerifyOptions):
     """1 + H_t = 1 / (1 - G_t)."""
     max_t = opts.t(SERIES_MAX_T)
-    params = {"max_t": max_t, "order": SERIES_ORDER}
+    yield {"max_t": max_t, "order": SERIES_ORDER}
     one = series.IntSeries.one(SERIES_ORDER)
     for t in range(1, max_t + 1):
         lhs = one + series.h_series(t, SERIES_ORDER)
         rhs = series.reciprocal_one_minus(series.g_series(t, SERIES_ORDER))
-        if lhs != rhs:
-            return False, {"t": t}, params
-    return True, None, params
+        yield lhs != rhs and {"t": t}
 
 
-def check_series_irreducible_recursion(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-1", "series-irreducible-recursion")
+def check_series_irreducible_recursion(opts: VerifyOptions):
     """G_t = z * ((1 + sum_{n<t} C_n z^n) G_t + 1)."""
     max_t = opts.t(SERIES_MAX_T)
-    params = {"max_t": max_t, "order": SERIES_ORDER}
+    yield {"max_t": max_t, "order": SERIES_ORDER}
     one = series.IntSeries.one(SERIES_ORDER)
     z = series.IntSeries.z(SERIES_ORDER)
     for t in range(1, max_t + 1):
@@ -374,146 +406,120 @@ def check_series_irreducible_recursion(opts: VerifyOptions) -> CheckOutcome:
         h_small = series.IntSeries.from_coeffs(
             [0] + [series.catalan(n) for n in range(1, t)], SERIES_ORDER
         )
-        rhs = z * ((one + h_small) * g + one)
-        if g != rhs:
-            return False, {"t": t}, params
-    return True, None, params
+        yield g != z * ((one + h_small) * g + one) and {"t": t}
 
 
-def check_decomposition_round_trip(opts: VerifyOptions) -> CheckOutcome:
+@_check("decomposition", "decomposition-round-trip")
+def check_decomposition_round_trip(opts: VerifyOptions):
     max_n = opts.n(STRUCTURE_MAX_N)
-    params = {"max_n": max_n}
-    for n in range(1, max_n + 1):
-        census = pop._census(n)
-        for e in census.entries:
-            v = BracketVector(e, census.ctx)
-            parts = pop.decompose_irreducible(v)
-            if any(p.entries[0] != p.entries[-1] for p in parts):
-                return False, {"n": n, "vector": list(e), "failure": "component not irreducible"}, params
-            if pop.concat_irreducible(parts).entries != e:
-                return False, {"n": n, "vector": list(e), "failure": "round trip"}, params
-    return True, None, params
+    yield {"max_n": max_n}
+    for n, v, _ in _census_rows(1, max_n):
+        parts = pop.decompose_irreducible(v)
+        case = {"n": n, "vector": list(v.entries)}
+        yield any(p.entries[0] != p.entries[-1] for p in parts) and {
+            **case, "failure": "component not irreducible"
+        }
+        yield pop.concat_irreducible(parts).entries != v.entries and {**case, "failure": "round trip"}
 
 
-def check_decomposition_sortability(opts: VerifyOptions) -> CheckOutcome:
+@_check("decomposition", "decomposition-sortability")
+def check_decomposition_sortability(opts: VerifyOptions):
     """Sortability time equals the max over irreducible components."""
     max_n = opts.n(STRUCTURE_MAX_N)
-    params = {"max_n": max_n}
-    for n in range(1, max_n + 1):
-        census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times.tolist()):
-            parts = pop.decompose_irreducible(BracketVector(e, census.ctx))
-            expected = max(pop.sortability_time(p) for p in parts)
-            if time_ != expected:
-                return (
-                    False,
-                    {"n": n, "vector": list(e), "time": time_, "component_max": expected},
-                    params,
-                )
-    return True, None, params
+    yield {"max_n": max_n}
+    for n, v, time_ in _census_rows(1, max_n):
+        expected = max(pop.sortability_time(p) for p in pop.decompose_irreducible(v))
+        yield time_ != expected and {
+            "n": n, "vector": list(v.entries), "time": time_, "component_max": expected
+        }
 
 
-def check_all_sort_within_n(opts: VerifyOptions) -> CheckOutcome:
+@_check("decomposition", "all-elements-sort-within-n")
+def check_all_sort_within_n(opts: VerifyOptions):
     """Everything in Tam_n is n-sortable."""
     max_n = opts.n(STRUCTURE_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         total = series.catalan(n)
         counted = pop.count_t_sortable(n, n)
-        if counted != total:
-            return False, {"n": n, "t": n, "count": counted, "catalan": total}, params
-    return True, None, params
+        yield counted != total and {"n": n, "t": n, "count": counted, "catalan": total}
 
 
-def check_hash_validity_monotonicity(opts: VerifyOptions) -> CheckOutcome:
+@_check("hash", "hash-validity-and-monotonicity")
+def check_hash_validity_monotonicity(opts: VerifyOptions):
     max_n = opts.n(STRUCTURE_MAX_N)
-    params = {"max_n": max_n}
-    for n in range(2, max_n + 1):
-        census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times.tolist()):
-            reduced = pop.hash_map(BracketVector(e, census.ctx))
-            if not brackets.is_valid(reduced.entries, reduced.ctx):
-                return False, {"n": n, "vector": list(e), "failure": "hash not valid"}, params
-            if pop.sortability_time(reduced) > time_:
-                return (
-                    False,
-                    {"n": n, "vector": list(e), "failure": "hash increased sortability time"},
-                    params,
-                )
-    return True, None, params
+    yield {"max_n": max_n}
+    for n, v, time_ in _census_rows(2, max_n):
+        reduced = pop.hash_map(v)
+        case = {"n": n, "vector": list(v.entries)}
+        yield not brackets.is_valid(reduced.entries, reduced.ctx) and {
+            **case, "failure": "hash not valid"
+        }
+        yield pop.sortability_time(reduced) > time_ and {
+            **case, "failure": "hash increased sortability time"
+        }
 
 
-def check_hash_bijection(opts: VerifyOptions) -> CheckOutcome:
+@_check("hash", "hash-bijection-on-irreducibles")
+def check_hash_bijection(opts: VerifyOptions):
     max_n = opts.n(HASH_BIJECTION_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(2, max_n + 1):
-        census = pop._census(n)
         images = [
-            pop.hash_map(BracketVector(e, census.ctx)).entries
-            for e in census.entries
-            if e[0] == e[-1]
+            pop.hash_map(v).entries for _, v, _ in _census_rows(n, n) if v.entries[0] == v.entries[-1]
         ]
         target = sorted(pop._census(n - 1).entries)
-        if sorted(images) != target or len(set(images)) != len(images):
-            return False, {"n": n, "failure": "hash not bijective on irreducibles"}, params
-    return True, None, params
+        yield (sorted(images) != target or len(set(images)) != len(images)) and {
+            "n": n, "failure": "hash not bijective on irreducibles"
+        }
 
 
-def check_hash_sortability_threshold(opts: VerifyOptions) -> CheckOutcome:
+@_check("hash", "hash-sortability-threshold")
+def check_hash_sortability_threshold(opts: VerifyOptions):
     """time(v) = max(time(v#), b_0 - x_r + 1) for irreducible v, where 2 x_r
     is the length of the last irreducible component of v#."""
     max_n = opts.n(STRUCTURE_MAX_N)
-    params = {"max_n": max_n}
-    for n in range(2, max_n + 1):
-        census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times.tolist()):
-            if e[0] != e[-1]:
-                continue
-            reduced = pop.hash_map(BracketVector(e, census.ctx))
-            parts = pop.decompose_irreducible(reduced)
-            x_r = len(parts[-1].entries) // 2
-            expected = max(pop.sortability_time(reduced), e[0] - x_r + 1)
-            if time_ != expected:
-                return (
-                    False,
-                    {"n": n, "vector": list(e), "time": time_, "predicted": expected},
-                    params,
-                )
-    return True, None, params
+    yield {"max_n": max_n}
+    for n, v, time_ in _census_rows(2, max_n):
+        if v.entries[0] != v.entries[-1]:
+            continue
+        reduced = pop.hash_map(v)
+        x_r = len(pop.decompose_irreducible(reduced)[-1].entries) // 2
+        expected = max(pop.sortability_time(reduced), v.entries[0] - x_r + 1)
+        yield time_ != expected and {
+            "n": n, "vector": list(v.entries), "time": time_, "predicted": expected
+        }
 
 
-def check_perm_isomorphism_covers(opts: VerifyOptions) -> CheckOutcome:
+@_check("congruence", "perm-vector-isomorphism-covers")
+def check_perm_isomorphism_covers(opts: VerifyOptions):
     """tamari_perm_bijection checks that it is an order isomorphism; run it."""
     max_n = opts.n(CONGRUENCE_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
-        if len(mapping) != series.catalan(n):
-            return False, {"n": n, "failure": "wrong domain size"}, params
-    return True, None, params
+        yield len(mapping) != series.catalan(n) and {"n": n, "failure": "wrong domain size"}
 
 
-def check_pop_commutes(opts: VerifyOptions) -> CheckOutcome:
+@_check("congruence", "pop-commutes-with-isomorphism")
+def check_pop_commutes(opts: VerifyOptions):
     max_n = opts.n(CONGRUENCE_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
         for p, v in mapping.items():
             lhs = mapping[perms.pop_tamari_perm(p)]
             rhs = pop.pop_vector(v)
-            if lhs != rhs:
-                return (
-                    False,
-                    {"n": n, "perm": str(p), "via_perms": list(lhs.entries),
-                     "via_vectors": list(rhs.entries)},
-                    params,
-                )
-    return True, None, params
+            yield lhs != rhs and {
+                "n": n, "perm": str(p), "via_perms": list(lhs.entries),
+                "via_vectors": list(rhs.entries),
+            }
 
 
-def check_pidown_confluence(opts: VerifyOptions) -> CheckOutcome:
+@_check("congruence", "pidown-confluence")
+def check_pidown_confluence(opts: VerifyOptions):
     max_n = opts.n(CONFLUENCE_MAX_N)
-    params = {"max_n": max_n, "trials_per_n": CONFLUENCE_TRIALS, "seed": opts.seed}
+    yield {"max_n": max_n, "trials_per_n": CONFLUENCE_TRIALS, "seed": opts.seed}
     rng = random.Random(opts.seed)
     for n in range(2, max_n + 1):
         for _ in range(CONFLUENCE_TRIALS):
@@ -522,205 +528,128 @@ def check_pidown_confluence(opts: VerifyOptions) -> CheckOutcome:
             p = perms.Permutation(tuple(word))
             expected = perms.pi_down(p)
             got = perms.pi_down_random(p, rng)
-            if got != expected:
-                return (
-                    False,
-                    {"n": n, "perm": str(p), "leftmost": str(expected), "random": str(got)},
-                    params,
-                )
-    return True, None, params
+            yield got != expected and {
+                "n": n, "perm": str(p), "leftmost": str(expected), "random": str(got)
+            }
 
 
-def check_pidown_projects(opts: VerifyOptions) -> CheckOutcome:
+@_check("congruence", "pidown-projects-to-312-avoiders")
+def check_pidown_projects(opts: VerifyOptions):
     """pi_down lands on a 312-avoider and fixes 312-avoiders."""
     max_n = opts.n(CONFLUENCE_MAX_N)
-    params = {"max_n": max_n}
-    import itertools
-
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         for w in itertools.permutations(range(1, n + 1)):
             p = perms.Permutation(w)
             q = perms.pi_down(p)
-            if not perms.avoids(q, "312"):
-                return False, {"n": n, "perm": str(p), "pi_down": str(q)}, params
-            if perms.avoids(p, "312") and q != p:
-                return False, {"n": n, "perm": str(p), "failure": "moved a 312-avoider"}, params
-    return True, None, params
+            yield not perms.avoids(q, "312") and {"n": n, "perm": str(p), "pi_down": str(q)}
+            yield perms.avoids(p, "312") and q != p and {
+                "n": n, "perm": str(p), "failure": "moved a 312-avoider"
+            }
 
 
-def check_ascents_count_up_covers(opts: VerifyOptions) -> CheckOutcome:
+@_check("congruence", "ascents-count-up-covers")
+def check_ascents_count_up_covers(opts: VerifyOptions):
     max_n = opts.n(CONGRUENCE_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
-        mapping = perms.tamari_perm_bijection(n)
-        for p, v in mapping.items():
+        for p, v in perms.tamari_perm_bijection(n).items():
             ascents = len(perms.perm_stats(p).ascent_positions)
-            if ascents != pop.up_cover_count(v):
-                return (
-                    False,
-                    {"n": n, "perm": str(p), "ascents": ascents,
-                     "up_covers": pop.up_cover_count(v)},
-                    params,
-                )
-    return True, None, params
+            up_covers = pop.up_cover_count(v)
+            yield ascents != up_covers and {
+                "n": n, "perm": str(p), "ascents": ascents, "up_covers": up_covers
+            }
 
 
-def check_characterization(opts: VerifyOptions) -> CheckOutcome:
+@_check("characterization", "pop-image-equals-characterization")
+def check_characterization(opts: VerifyOptions):
     max_n = opts.n(CHARACTERIZATION_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
-        image = {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n)}
+        image = _av312_pop_image(n)
         described = perms.image_by_characterization(n)
-        if image != described:
-            extra = sorted(str(p) for p in image - described)
-            missing = sorted(str(p) for p in described - image)
-            return False, {"n": n, "extra": extra[:5], "missing": missing[:5]}, params
-        if len(image) != series.motzkin(n - 1):
-            return False, {"n": n, "size": len(image), "motzkin": series.motzkin(n - 1)}, params
-    return True, None, params
+        yield image != described and {
+            "n": n,
+            "extra": sorted(str(p) for p in image - described)[:5],
+            "missing": sorted(str(p) for p in described - image)[:5],
+        }
+        motzkin = series.motzkin(n - 1)
+        yield len(image) != motzkin and {"n": n, "size": len(image), "motzkin": motzkin}
 
 
-def check_pop_image_motzkin(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-2", "pop-image-size-is-motzkin")
+def check_pop_image_motzkin(opts: VerifyOptions):
     max_n = opts.n(CENSUS_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         size = len(pop.pop_image(n))
         expected = series.motzkin(n - 1)
-        if size != expected:
-            return False, {"n": n, "size": size, "motzkin": expected}, params
-    return True, None, params
+        yield size != expected and {"n": n, "size": size, "motzkin": expected}
 
 
-def check_qpolynomial_formula(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-2", "qpolynomial-matches-formula")
+def check_qpolynomial_formula(opts: VerifyOptions):
     """Coefficient of q^(n-k) in the Tam_{n+1} polynomial is a055151(n, k)."""
     max_n = opts.n(QPOLY_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(0, max_n + 1):
         coeffs = pop.pop_polynomial(n + 1).coeffs
-        expected = {}
-        for k in range(0, n // 2 + 1):
-            val = series.a055151(n, k)
-            if val:
-                expected[n - k] = val
-        if coeffs != expected:
-            return False, {"n": n, "histogram": coeffs, "formula": expected}, params
-    return True, None, params
+        expected = series.qpolynomial_formula(n)
+        yield coeffs != expected and {"n": n, "histogram": coeffs, "formula": expected}
 
 
-def check_qpolynomial_permutations(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-2", "qpolynomial-matches-permutation-ascents")
+def check_qpolynomial_permutations(opts: VerifyOptions):
     """Ascent histogram over the permutation Pop image matches the polynomial."""
     max_n = opts.n(QPOLY_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
-        image = {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n)}
-        hist: dict[int, int] = {}
-        for p in image:
-            a = len(perms.perm_stats(p).ascent_positions)
-            hist[a] = hist.get(a, 0) + 1
-        if hist != pop.pop_polynomial(n).coeffs:
-            return (
-                False,
-                {"n": n, "ascent_histogram": hist, "qpoly": pop.pop_polynomial(n).coeffs},
-                params,
-            )
-    return True, None, params
+        hist = dict(Counter(len(perms.perm_stats(p).ascent_positions) for p in _av312_pop_image(n)))
+        qpoly = pop.pop_polynomial(n).coeffs
+        yield hist != qpoly and {"n": n, "ascent_histogram": hist, "qpoly": qpoly}
 
 
-def check_rmap_bijection(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-2", "rmap-bijection-descents-peaks")
+def check_rmap_bijection(opts: VerifyOptions):
     """r maps the Pop image in S_{n+1} onto the 231-avoiders with equal
     descent and peak counts, matching k descents to n-k up-covers."""
     max_n = opts.n(CONGRUENCE_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
-        m = n + 1
-        image = {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(m)}
+        image = _av312_pop_image(n + 1)
         mapped = {perms.r_map(p) for p in image}
-        if len(mapped) != len(image):
-            return False, {"n": n, "failure": "r not injective on the image"}, params
-        target = {perms.Permutation(w) for w in perms._equal_descents_peaks_231(m)}
-        if mapped != target:
-            return False, {"n": n, "failure": "r image mismatch"}, params
+        yield len(mapped) != len(image) and {"n": n, "failure": "r not injective on the image"}
+        target = {perms.Permutation(w) for w in perms._equal_descents_peaks_231(n + 1)}
+        yield mapped != target and {"n": n, "failure": "r image mismatch"}
         for p in image:
-            q = perms.r_map(p)
-            st = perms.perm_stats(q)
+            st = perms.perm_stats(perms.r_map(p))
             k = len(st.descent_positions)
-            if len(st.peak_positions) != k or len(perms.perm_stats(p).ascent_positions) != n - k:
-                return False, {"n": n, "perm": str(p), "failure": "descent/peak bookkeeping"}, params
-    return True, None, params
+            kept = len(st.peak_positions) == k and len(perms.perm_stats(p).ascent_positions) == n - k
+            yield not kept and {"n": n, "perm": str(p), "failure": "descent/peak bookkeeping"}
 
 
-def check_a055151_row_sums(opts: VerifyOptions) -> CheckOutcome:
+@_check("theorem-2", "a055151-row-sums-motzkin")
+def check_a055151_row_sums(opts: VerifyOptions):
     max_n = opts.n(12)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(0, max_n + 1):
         total = sum(series.a055151(n, k) for k in range(0, n // 2 + 1))
-        if total != series.motzkin(n):
-            return False, {"n": n, "row_sum": total, "motzkin": series.motzkin(n)}, params
-    return True, None, params
+        yield total != series.motzkin(n) and {"n": n, "row_sum": total, "motzkin": series.motzkin(n)}
 
 
-def check_descent_peak_formula(opts: VerifyOptions) -> CheckOutcome:
+@_check("petersen", "descent-peak-counts-match-formula")
+def check_descent_peak_formula(opts: VerifyOptions):
     max_n = opts.n(PETERSEN_MAX_N)
-    params = {"max_n": max_n}
+    yield {"max_n": max_n}
     for n in range(0, max_n + 1):
         for k in range(0, n // 2 + 1):
             counted = perms.count_231_equal_descents_peaks(n, k)
             expected = series.a055151(n, k)
-            if counted != expected:
-                return False, {"n": n, "k": k, "count": counted, "formula": expected}, params
-    return True, None, params
+            yield counted != expected and {"n": n, "k": k, "count": counted, "formula": expected}
 
 
 # ---------------------------------------------------------------------------
-# Suite registry
-
-_SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {
-    "bijection": {
-        "order-isomorphism-and-meets": check_order_isomorphism,
-    },
-    "pop-oracle": {
-        "pop-meet-oracle-equivalence": check_pop_oracle,
-        "pop-entry-lower-bound": check_pop_entry_lower_bound,
-        "down-cover-candidates-match": check_down_cover_candidates,
-    },
-    "decomposition": {
-        "decomposition-round-trip": check_decomposition_round_trip,
-        "decomposition-sortability": check_decomposition_sortability,
-        "all-elements-sort-within-n": check_all_sort_within_n,
-    },
-    "hash": {
-        "hash-validity-and-monotonicity": check_hash_validity_monotonicity,
-        "hash-bijection-on-irreducibles": check_hash_bijection,
-        "hash-sortability-threshold": check_hash_sortability_threshold,
-    },
-    "theorem-1": {
-        "census-matches-series": check_census_matches_series,
-        "irreducible-census-matches-series": check_irreducible_census_matches_series,
-        "series-recurrence-vs-rational": check_series_recurrence_vs_rational,
-        "series-geometric-identity": check_series_geometric_identity,
-        "series-irreducible-recursion": check_series_irreducible_recursion,
-    },
-    "congruence": {
-        "perm-vector-isomorphism-covers": check_perm_isomorphism_covers,
-        "pop-commutes-with-isomorphism": check_pop_commutes,
-        "pidown-confluence": check_pidown_confluence,
-        "pidown-projects-to-312-avoiders": check_pidown_projects,
-        "ascents-count-up-covers": check_ascents_count_up_covers,
-    },
-    "characterization": {
-        "pop-image-equals-characterization": check_characterization,
-    },
-    "theorem-2": {
-        "pop-image-size-is-motzkin": check_pop_image_motzkin,
-        "qpolynomial-matches-formula": check_qpolynomial_formula,
-        "qpolynomial-matches-permutation-ascents": check_qpolynomial_permutations,
-        "rmap-bijection-descents-peaks": check_rmap_bijection,
-        "a055151-row-sums-motzkin": check_a055151_row_sums,
-    },
-    "petersen": {
-        "descent-peak-counts-match-formula": check_descent_peak_formula,
-    },
-}
+# Running suites
 
 
 def suite_names() -> list[str]:

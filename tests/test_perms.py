@@ -253,6 +253,25 @@ def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
         perms._verified_bijection.cache_clear()
 
 
+@pytest.fixture
+def cold_bijection_caches():
+    caches = (perms._verified_bijection, perms._phi_words, perms._lattice_tables)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_bijection_rejects_a_map_that_is_not_onto(monkeypatch, cold_bijection_caches):
+    phi = dict(perms._phi_words(4))
+    top = (4, 3, 2, 1)
+    phi[top] = phi[(1, 2, 3, 4)]  # two words share the bottom vector; the top has none
+    monkeypatch.setattr(perms, "_phi_words", lambda n: phi)
+    with pytest.raises(RuntimeError, match="constructed map is not onto the vectors for n=4"):
+        tamari_perm_bijection(4)
+
+
 def test_enumeration_bound_raises_bound_exceeded():
     with pytest.raises(BoundExceeded):
         enumerate_av312(perms.DEFAULT_MAX_N + 1)

@@ -1,11 +1,16 @@
 """Each failure branch of the order-isomorphism check fires on a broken table,
-and oversized lattices are refused before anything is enumerated."""
+and oversized lattices are refused before anything is enumerated.  The runner
+registers every check once, ends a check at its first counterexample and
+fails a check that examined no case."""
+
+import json
 
 import pytest
 
-from tamaripop import brackets, verification
+from tamaripop import brackets, pop, verification
 from tamaripop.cli import main
 from tamaripop.paths import BoundExceeded, NuContext
+from tamaripop.verification import VerifyOptions
 
 NU = "ENENE"
 # Tables of Tam(ENENE), rows sorted by (entry sum, entries):
@@ -124,3 +129,86 @@ def test_verify_bijection_past_the_bound_exits_2_before_enumerating(capsys, monk
     assert code == 2
     assert captured.out == ""
     assert "order matrix" in captured.err
+
+
+# The runner: every check is a registered case generator
+
+
+SUITE_CHECKS = {
+    ("bijection", "order-isomorphism-and-meets"),
+    ("pop-oracle", "pop-meet-oracle-equivalence"),
+    ("pop-oracle", "pop-entry-lower-bound"),
+    ("pop-oracle", "down-cover-candidates-match"),
+    ("decomposition", "decomposition-round-trip"),
+    ("decomposition", "decomposition-sortability"),
+    ("decomposition", "all-elements-sort-within-n"),
+    ("hash", "hash-validity-and-monotonicity"),
+    ("hash", "hash-bijection-on-irreducibles"),
+    ("hash", "hash-sortability-threshold"),
+    ("theorem-1", "census-matches-series"),
+    ("theorem-1", "irreducible-census-matches-series"),
+    ("theorem-1", "series-recurrence-vs-rational"),
+    ("theorem-1", "series-geometric-identity"),
+    ("theorem-1", "series-irreducible-recursion"),
+    ("congruence", "perm-vector-isomorphism-covers"),
+    ("congruence", "pop-commutes-with-isomorphism"),
+    ("congruence", "pidown-confluence"),
+    ("congruence", "pidown-projects-to-312-avoiders"),
+    ("congruence", "ascents-count-up-covers"),
+    ("characterization", "pop-image-equals-characterization"),
+    ("theorem-2", "pop-image-size-is-motzkin"),
+    ("theorem-2", "qpolynomial-matches-formula"),
+    ("theorem-2", "qpolynomial-matches-permutation-ascents"),
+    ("theorem-2", "rmap-bijection-descents-peaks"),
+    ("theorem-2", "a055151-row-sums-motzkin"),
+    ("petersen", "descent-peak-counts-match-formula"),
+}
+
+
+def test_every_check_function_is_registered_once():
+    registered = [(suite, name) for suite, table in verification._SUITES.items() for name in table]
+    assert len(registered) == len(SUITE_CHECKS) and set(registered) == SUITE_CHECKS
+    checks = [f for table in verification._SUITES.values() for f in table.values()]
+    defined = sorted(name for name in vars(verification) if name.startswith("check_"))
+    assert sorted(f.__name__ for f in checks) == defined
+    assert all(getattr(verification, f.__name__) is f for f in checks)
+
+
+def test_checks_that_examine_no_case_fail(capsys):
+    code = main(["verify", "--suite", "all", "--max-n", "1", "--max-t", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {c["name"]: c["counterexample"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == {
+        name: {"failure": "no cases examined"}
+        for name in (
+            "hash-bijection-on-irreducibles",
+            "hash-sortability-threshold",
+            "hash-validity-and-monotonicity",
+            "pidown-confluence",
+        )
+    }
+
+
+def test_every_check_examines_a_case_at_size_two(capsys):
+    code = main(["verify", "--suite", "all", "--max-n", "2", "--max-t", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(report["checks"]) == len(SUITE_CHECKS) and report["passed"]
+
+
+def test_planted_fault_ends_the_check_at_its_first_counterexample(monkeypatch):
+    real = pop.count_t_sortable
+    sizes = []
+
+    def off_by_one_from_3(n, t, **kwargs):
+        sizes.append(n)
+        return real(n, t, **kwargs) + (n >= 3)
+
+    monkeypatch.setattr(pop, "count_t_sortable", off_by_one_from_3)
+    assert verification.check_all_sort_within_n(VerifyOptions(max_n=5)) == (
+        False,
+        {"n": 3, "t": 3, "count": 6, "catalan": 5},
+        {"max_n": 5},
+    )
+    assert sizes == [1, 2, 3]
