@@ -25,7 +25,6 @@ from .paths import (
     NuContext,
     _check_ell,
     _count_tam,
-    covers_down,
     enumerate_tam,
 )
 
@@ -214,52 +213,130 @@ def _mixed_radix_keys(columns, base: int, length: int):
     return keys
 
 
-#: Bytes of one m x m bool order matrix that _lattice_tables may build.  The
-#: bijection check holds a few such matrices at once.  2**29 admits Tam_10
-#: (16,796 elements, 0.28 GB each) and refuses Tam_11 (58,786, 3.5 GB each).
-ORDER_MATRIX_MAX_BYTES = 1 << 29
+#: Bytes of the packed order rows that _lattice_tables may build, m rows of
+#: ceil(m / 64) uint64 words for m elements.  2**26 admits Tam_10 (16,796
+#: elements, 35 MB) and refuses Tam_11 (58,786, 432 MB).
+ORDER_MATRIX_MAX_BYTES = 1 << 26
 
 
 def _order_matrix_guard(ctx: NuContext) -> None:
-    """BoundExceeded if the order matrix of Tam(nu) would pass
+    """BoundExceeded if the packed order matrix of Tam(nu) would pass
     ORDER_MATRIX_MAX_BYTES; |Tam(nu)| is counted without enumerating."""
     m = _count_tam(ctx)
-    if m * m > ORDER_MATRIX_MAX_BYTES:
+    size = m * ((m + 63) // 64) * 8
+    if size > ORDER_MATRIX_MAX_BYTES:
         raise BoundExceeded(
             f"Tam({ctx.nu}) has {m} elements; its order matrix would take "
-            f"{m * m / 1e9:.1f} GB, over the bound of {ORDER_MATRIX_MAX_BYTES / 1e9:.2f} GB"
+            f"{size / 1e9:.1f} GB, over the bound of {ORDER_MATRIX_MAX_BYTES / 1e9:.2f} GB"
         )
+
+
+def _pack_bits(bits):
+    """Bool rows (k, m) as packed uint64 rows (k, ceil(m / 64)): bit i of a
+    row is bit i % 64 of its word i // 64."""
+    import numpy as np
+
+    k, m = bits.shape
+    out = np.zeros((k, (m + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _unpack_bits(rows, m: int):
+    """Inverse of _pack_bits: the first m bits of each packed row as bools."""
+    import numpy as np
+
+    flat = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    return np.unpackbits(flat, axis=1, count=m, bitorder="little").view(bool)
+
+
+def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
+    """(upper, lower) indices into mus, all of Tam(nu) in lexicographic order
+    with N < E, of every cover: the moves of paths.covers_down, applied to
+    all paths at once on their int64 step keys (E = 1, first step most
+    significant), which ascend in that order.
+
+    For a north step at j, the shifted subpath D runs from point j to the
+    first later point whose horizontal distance is at most that of point j
+    (distances fall by one per east step and never on a north step, so that
+    point has the same distance); when the step there is east, the cover
+    moves it to position j and shifts steps j.. one place later.
+    """
+    import numpy as np
+
+    ell = ctx.ell
+    text = "".join(mu.steps for mu in mus).encode()
+    east = (np.frombuffer(text, dtype=np.uint8) == ord("E")).reshape(len(mus), ell)
+    weight = np.int64(1) << np.arange(ell - 1, -1, -1, dtype=np.int64)  # weight of step i
+    keys = east @ weight
+    x = np.cumsum(east, axis=1)
+    dist = np.empty((len(keys), ell + 1), dtype=np.int64)  # cumulative heights against _rightmost
+    dist[:, 0] = ctx._rightmost[0]
+    dist[:, 1:] = np.array(ctx._rightmost)[np.arange(1, ell + 1) - x] - x
+    upper, lower = [], []
+    for j in range(ell):
+        end = j + 1 + np.argmax(dist[:, j + 1 :] <= dist[:, j, None], axis=1)
+        rows = np.flatnonzero(~east[:, j] & (end < ell))
+        end = end[rows]
+        moved = east[rows, end]
+        rows, end = rows[moved], end[moved]
+        segment = keys[rows] & (2 * weight[j] - weight[end])  # steps j..end
+        upper.append(rows)
+        lower.append(keys[rows] - segment + weight[j] + ((segment - weight[end]) >> 1))
+    target = np.concatenate(lower)
+    pos = np.searchsorted(keys, target)
+    if (keys[np.minimum(pos, len(keys) - 1)] != target).any():
+        raise RuntimeError(f"lower cover outside Tam({ctx.nu})")
+    return np.concatenate(upper), pos
 
 
 @lru_cache(maxsize=4)
 def _lattice_tables(nu_text: str):
-    """Enumerated lattice with cover-closure order matrix and vector array.
+    """Enumerated lattice with its covers, packed order rows and vectors.
 
-    Returns (ctx, mus, vecs, V, O): the context, the paths, their vectors as
-    tuples, the same vectors as an int16 array, and the bool order matrix with
-    O[i, j] = i <= j; elements are sorted by (entry sum, entries).  Covers
-    are looked up by path, so each path is encoded once.  Raises
-    BoundExceeded before enumerating when O would be too large.
+    Returns (ctx, mus, vecs, V, down, covers): the context; the paths; their
+    vectors as tuples, from path_to_vector; the same vectors as an int16
+    array; the packed down-sets, a uint64 array of m rows of ceil(m / 64)
+    words in which bit i of row j (bit i % 64 of word i // 64) is set iff
+    element i <= element j; and the covers, an int array of (upper, lower)
+    row pairs sorted by upper row.  Elements are sorted by (entry sum,
+    entries).  The order is the reflexive-transitive closure of the path
+    covers, ORed in one entry-sum level at a time (a cover that does not
+    lower the entry sum is a RuntimeError), so it never reads the vectors'
+    componentwise order.  Raises BoundExceeded before enumerating when the
+    rows would be too large.
     """
     import numpy as np
 
     ctx = NuContext.from_text(nu_text)
     _order_matrix_guard(ctx)
+    if ctx.ell > 62:
+        raise BoundExceeded(f"paths of {ctx.ell} steps do not fit int64 step keys (at most 62)")
     mus = enumerate_tam(ctx, force=True)
+    upper, lower = _lower_covers(mus, ctx)
     m = len(mus)
     vecs = [path_to_vector(mu, ctx).entries for mu in mus]
     order_key = sorted(range(m), key=lambda i: (sum(vecs[i]), vecs[i]))
     mus = [mus[i] for i in order_key]
     vecs = [vecs[i] for i in order_key]
-    sums = [sum(v) for v in vecs]
-    index = {mu.steps: i for i, mu in enumerate(mus)}
-    down = np.zeros((m, m), dtype=bool)
-    for i, mu in enumerate(mus):
-        down[i, i] = True
-        for lower in covers_down(mu, ctx):
-            j = index[lower.steps]
-            if sums[j] >= sums[i]:
-                raise RuntimeError(f"cover does not decrease entry sum over {nu_text}")
-            down[i] |= down[j]
+    rank = np.empty(m, dtype=np.intp)
+    rank[order_key] = np.arange(m)
+    by_upper = np.argsort(rank[upper], kind="stable")
+    upper, lower = rank[upper][by_upper], rank[lower][by_upper]
     V = np.array(vecs, dtype=np.int16)
-    return ctx, mus, vecs, V, down.T  # O[i, j] = (i <= j) = down[j][i]
+    sums = V.sum(axis=1, dtype=np.int64)
+    if (sums[lower] >= sums[upper]).any():
+        raise RuntimeError(f"cover does not decrease entry sum over {nu_text}")
+    down = np.zeros((m, (m + 63) // 64), dtype=np.uint64)
+    i = np.arange(m)
+    down[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
+    levels = np.concatenate(([0], np.flatnonzero(np.diff(sums)) + 1, [m]))
+    cuts = np.searchsorted(upper, levels)
+    for lo, start, stop in zip(levels, cuts, cuts[1:]):
+        u, d = upper[start:stop], lower[start:stop]
+        if not len(u):
+            continue
+        first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+        words = (lo + 63) // 64  # rows below this level only hold bits below lo
+        down[u[first], :words] |= np.bitwise_or.reduceat(down[d, :words], first, axis=0)
+    return ctx, mus, vecs, V, down, np.stack((upper, lower), axis=1)

@@ -7,8 +7,8 @@ by repeatedly swapping an adjacent descent (c, a) that has a later witness b
 with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection,
 built recursively from the position of the value 1 and verified on the
 spot: the uint64 inversion sets of the words, taken in the row order of the
-Tamari order matrix through the map, are compared with that matrix one
-column at a time.
+Tamari order matrix through the map, are compared with that matrix's packed
+down-set rows, a block of rows at a time.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _lattice_tables, _vector_rows
+from .brackets import _pack_bits, _unpack_bits
 from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
 
@@ -399,18 +400,25 @@ def _verified_bijection(n: int, force: bool = False) -> dict[tuple[int, ...], tu
     phi = _phi_words(n)
     if sorted(phi[w] for w in words) != sorted(map(tuple, _vector_rows(ctx).tolist())):
         raise RuntimeError(f"constructed map is not onto the vectors for n={n}")
-    _, _, vecs, _, order = _lattice_tables(ctx.nu.steps)
+    _, _, vecs, _, down, _ = _lattice_tables(ctx.nu.steps)
     word_of = {phi[w]: w for w in words}
     row_words = [word_of[v] for v in vecs]
     masks = _inversion_masks(row_words)
-    for j in range(len(vecs)):
-        weak = (masks & ~masks[j]) == 0  # weak[i]: inv(row i) <= inv(row j)
-        if not np.array_equal(weak, order[:, j]):
-            i = int(np.flatnonzero(weak != order[:, j])[0])
+    m = len(vecs)
+    block = max(1, (1 << 20) // m)
+    for start in range(0, m, block):
+        # weak[k, i]: inv(row i) <= inv(row j) for j = start + k, packed like down
+        weak = (masks[None, :] & ~masks[start : start + block, None]) == 0
+        differ = _pack_bits(weak) != down[start : start + block]
+        if differ.any():
+            k = int(np.flatnonzero(differ.any(axis=1))[0])
+            j = start + k
+            tamari = _unpack_bits(down[j : j + 1], m)[0]
+            i = int(np.flatnonzero(weak[k] != tamari)[0])
             raise RuntimeError(
                 f"constructed map is not an order isomorphism for n={n}: "
-                f"{row_words[i]} <= {row_words[j]} is {bool(weak[i])} in the weak order, "
-                f"{vecs[i]} <= {vecs[j]} is {bool(order[i, j])} in Tamari"
+                f"{row_words[i]} <= {row_words[j]} is {bool(weak[k, i])} in the weak order, "
+                f"{vecs[i]} <= {vecs[j]} is {bool(tamari[i])} in Tamari"
             )
     return phi
 
@@ -420,11 +428,11 @@ def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, B
 
     The recursive construction is checked to be onto the vectors and to carry
     the weak order (inversion-set containment) exactly onto the Tamari order
-    (closure of the path-level lower covers).  The check runs column by
-    column of the Tamari order matrix: column j is compared with the words
-    whose inversion set lies inside that of the word sent to vector j.  Any
-    disagreement is a RuntimeError naming the first pair of words and vectors
-    that differ, in the first column that differs.
+    (closure of the path-level lower covers).  The check runs one packed
+    down-set row of the Tamari order at a time: row j is compared with the
+    words whose inversion set lies inside that of the word sent to vector j.
+    Any disagreement is a RuntimeError naming the first pair of words and
+    vectors that differ, in the first row that differs.
     """
     phi = _verified_bijection(n, force)
     ctx = _east_staircase_ctx(n)

@@ -193,6 +193,24 @@ def _pop_rows(rows, ctx: NuContext, np):
     return out
 
 
+def _times_to_bottom(pop_idx, bottom, max_steps: int):
+    """Steps each row takes along pop_idx to reach a bottom row.  A Pop that
+    strictly lowers the entry sum gets there within the spread of the sums,
+    so a row not there after max_steps steps is a RuntimeError, not a hang."""
+    import numpy as np
+
+    times = np.zeros(len(pop_idx), dtype=np.int32)
+    cur = np.arange(len(pop_idx))
+    for _ in range(max_steps):
+        if bottom[cur].all():
+            break
+        times += ~bottom[cur]
+        cur = pop_idx[cur]
+    if not bottom[cur].all():
+        raise RuntimeError(f"Pop orbits miss the minimum after {max_steps} steps")
+    return times
+
+
 class _Census:
     """All vectors for E(NE)^(n-1) with Pop targets and sortability times.
 
@@ -226,11 +244,7 @@ class _Census:
         bottom = sums == sum(ctx.bottom_entries())  # the minimum is the only vector of least sum
         if (sums[pop_idx] >= sums)[~bottom].any():
             raise RuntimeError("Pop must strictly decrease non-minimal vectors")
-        times = np.zeros(len(rows), dtype=np.int32)
-        cur = np.arange(len(rows))
-        while not bottom[cur].all():  # ends: every step strictly lowers the entry sum
-            times += ~bottom[cur]
-            cur = pop_idx[cur]
+        times = _times_to_bottom(pop_idx, bottom, int(sums.max() - sums.min()))
         self.rows, self.pop_idx, self.times = rows, pop_idx, times
 
     @cached_property

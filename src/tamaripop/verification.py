@@ -22,12 +22,25 @@ Hasse diagram) into integer vectors,
 together imply that P is a meet-semilattice and that
 phi(glb(u, v)) = min(phi(u), phi(v)) for every pair: writing
 w = phi^-1(min(phi u, phi v)), (i) gives w <= u and w <= v, and any common
-lower bound z has phi(z) <= min(phi u, phi v) = phi(w), hence z <= w.  The
-suite checks (i) for all pairs and (ii) for the incomparable pairs (the min
-of a comparable pair is one of the two), looking mins up by integer keys
-over the columns that are not fixed to a height.  The argument above makes
-the glb identity a consequence of (i) and (ii), so the suite computes no
-glbs from down-sets: (i) and (ii) are all it needs.
+lower bound z has phi(z) <= min(phi u, phi v) = phi(w), hence z <= w.  So
+the suite computes no glbs: it checks (i) on packed down-set rows, and (ii)
+only against the rows that lack a witness.
+
+Witnesses.  A witness for b in the vector set S is a pair c1, c2 in S, both
+different from b, with min(c1, c2) = b, checked arithmetically; the
+candidates tried are two upper covers of b from the path covers.  Lemma: if
+every b in S either has a witness or has min(x, b) in S for every x in S,
+then S is closed under min.  Proof by downward induction on the entry sum:
+a witnessed b lies strictly below c1 and c2, so
+min(x, b) = min(min(x, c1), c2) is in S by the claim for c1 and then for
+c2.  A wrong candidate only leaves its b unwitnessed, so the verdict never
+depends on the covers being right.  In a lattice every element with two
+upper covers is their meet, so the rows checked against all others are the
+meet-irreducibles and the top: C(n, 2) + 1 of them in Tam_n.  Only the pairs
+incomparable in (i)'s order are looked up (the min of a comparable pair is
+one of the two), by integer keys over the columns that are not fixed to a
+height, and the first failing pair looked up is reported, row-major over
+a < b.
 """
 
 from __future__ import annotations
@@ -165,13 +178,74 @@ def corpus_nus(max_ell: int, seed: int, n_random: int = RANDOM_NU_COUNT) -> list
     return out
 
 
-def _componentwise_leq_matrix(V):
-    """Bool matrix with [i, j] = V[i] <= V[j] in every column."""
+def _componentwise_down_rows(V):
+    """Packed down-sets of the componentwise order, in the layout of
+    brackets._lattice_tables: bit i of row j is set iff V[i] <= V[j] in
+    every column.  Per column c, at_most[k] packs {i : V[i, c] <= k}, and
+    row j ANDs at_most[V[j, c]] over the columns."""
     import numpy as np
 
-    out = np.ones((V.shape[0], V.shape[0]), dtype=bool)
-    for c in range(V.shape[1]):
-        out &= V[:, None, c] <= V[None, :, c]
+    m = len(V)
+    rows = np.full((m, (m + 63) // 64), ~np.uint64(0))
+    for col in V.T:
+        at_most = brackets._pack_bits(col[None, :] <= np.arange(int(col.max()) + 1)[:, None])
+        rows &= at_most[col]
+    return rows
+
+
+def _min_closure_failure(V, down, candidates, over: str):
+    """Among the pairs looked up, the first (a, b) with a < b, row-major,
+    whose componentwise min is not a row of V; None when V is closed under
+    componentwise min.
+
+    V holds distinct rows, down their packed componentwise down-sets and
+    candidates one pair (c1, c2) of rows per row b; over names V in the
+    BoundExceeded raised when its keys would not fit int64.  b is witnessed when
+    c1 != b, c2 != b and min(V[c1], V[c2]) == V[b]; only the unwitnessed
+    rows are checked against every row incomparable to them (the min of a
+    comparable pair is one of the pair).  See the module docstring for why
+    that decides min-closure whatever the candidates are.
+    """
+    import numpy as np
+
+    m = len(V)
+    c1, c2 = candidates.T
+    b = np.arange(m)
+    witnessed = (c1 != b) & (c2 != b) & (np.minimum(V[c1], V[c2]) == V).all(axis=1)
+    unwitnessed = np.flatnonzero(~witnessed)
+    base = int(V.max(initial=0)) + 1
+    brackets._check_key_bound(base, V.shape[1], f"the termwise-min check over {over}")
+    cols = V.T
+    sorted_keys = np.sort(brackets._mixed_radix_keys(cols, base, m))
+    first = None  # a * m + b of the first failing pair so far
+    chunk = max(1, (1 << 20) // m)
+    for start in range(0, len(unwitnessed), chunk):
+        rows = unwitnessed[start : start + chunk]
+        below = brackets._unpack_bits(down[rows], m)  # [k, x]: x <= rows[k]
+        above = (down[:, rows >> 6] >> (rows & 63).astype(np.uint64)).T & np.uint64(1)  # rows[k] <= x
+        k, x = np.nonzero(~below & (above == 0))
+        lo, hi = np.minimum(rows[k], x), np.maximum(rows[k], x)
+        mins = (np.minimum(c[lo], c[hi]) for c in cols)  # min(V_lo, V_hi), column by column
+        key = brackets._mixed_radix_keys(mins, base, len(lo))
+        pos = np.minimum(np.searchsorted(sorted_keys, key), m - 1)
+        missing = sorted_keys[pos] != key
+        if missing.any():
+            pair = int((lo * m + hi)[missing].min())
+            first = pair if first is None else min(first, pair)
+    return None if first is None else divmod(first, m)
+
+
+def _first_upper_covers(covers, m: int):
+    """Per row b, the first two rows that cover b, or b itself where b has fewer."""
+    import numpy as np
+
+    upper, lower = covers[np.argsort(covers[:, 1], kind="stable")].T
+    out = np.repeat(np.arange(m)[:, None], 2, axis=1)
+    start = np.searchsorted(lower, np.arange(m))
+    count = np.searchsorted(lower, np.arange(m), side="right") - start
+    for k in range(2):
+        has = count > k
+        out[has, k] = upper[start[has] + k]
     return out
 
 
@@ -179,7 +253,7 @@ def _check_one_bijection(nu_text: str) -> dict | None:
     """Bijection + order isomorphism + meet coherence for one base path."""
     import numpy as np
 
-    ctx, mus, vecs, V, O = brackets._lattice_tables(nu_text)
+    ctx, mus, vecs, V, down, covers = brackets._lattice_tables(nu_text)
     m = len(mus)
 
     if sorted(map(tuple, brackets._vector_rows(ctx).tolist())) != sorted(vecs):
@@ -191,19 +265,23 @@ def _check_one_bijection(nu_text: str) -> dict | None:
         if back != mu:
             return {"nu": nu_text, "failure": "vector_to_path does not invert", "path": mu.steps}
 
-    vec_leq = _componentwise_leq_matrix(V)
-    if not np.array_equal(vec_leq, O):
-        i, j = map(int, next(zip(*np.nonzero(vec_leq != O))))
+    vec_down = _componentwise_down_rows(V)
+    differ = vec_down ^ down  # bit i of row j: the orders disagree on i <= j
+    if differ.any():
+        # the first pair row-major, least i then least j, lies in the first word that differs
+        word = int(np.flatnonzero(differ.any(axis=0))[0])
+        bit, j = map(int, np.argwhere(brackets._unpack_bits(differ[:, word : word + 1], 64).T)[0])
+        i = 64 * word + bit
+        componentwise = bool(brackets._unpack_bits(vec_down[j : j + 1], m)[0, i])
         return {
             "nu": nu_text,
             "failure": "order disagreement",
             "pair": [list(vecs[i]), list(vecs[j])],
-            "componentwise": bool(vec_leq[i, j]),
-            "cover_closure": bool(O[i, j]),
+            "componentwise": componentwise,
+            "cover_closure": not componentwise,
         }
 
-    # componentwise-min closure via int64 keys over the free columns: the
-    # fixed columns must hold their heights, so they add nothing to a key
+    # the fixed columns must hold their heights, so they add nothing to a min
     fixed = list(ctx.fixed_positions)
     off = V[:, fixed] != np.arange(ctx.n_nu + 1)
     if off.any():
@@ -214,28 +292,14 @@ def _check_one_bijection(nu_text: str) -> dict | None:
             "element": V[i].tolist(),
             "column": fixed[k],
         }
-    free_cols = np.delete(V, fixed, axis=1).T
-    base = ctx.n_nu + 1
-    brackets._check_key_bound(base, len(free_cols), f"the termwise-min check over {nu_text}")
-    sorted_keys = np.sort(brackets._mixed_radix_keys(free_cols, base, m))
-    # a comparable pair's min is one of the pair, so only incomparable pairs
-    # (a < b, row-major: the first failure is the one an all-pairs scan finds)
-    incomparable = ~(vec_leq | vec_leq.T)
-    rows = max(1, (1 << 20) // m)
-    for start in range(0, m, rows):
-        a, b = np.nonzero(np.triu(incomparable[start : start + rows], start + 1))
-        a += start
-        mins = (np.minimum(c[a], c[b]) for c in free_cols)  # min(V_a, V_b), column by column
-        key = brackets._mixed_radix_keys(mins, base, len(a))
-        pos = np.minimum(np.searchsorted(sorted_keys, key), m - 1)
-        found = sorted_keys[pos] == key
-        if not found.all():
-            bad = int(np.argmin(found))
-            return {
-                "nu": nu_text,
-                "failure": "termwise min left the vector set",
-                "pair": [V[a[bad]].tolist(), V[b[bad]].tolist()],
-            }
+    candidates = _first_upper_covers(covers, m)
+    pair = _min_closure_failure(np.delete(V, fixed, axis=1), down, candidates, nu_text)
+    if pair is not None:
+        return {
+            "nu": nu_text,
+            "failure": "termwise min left the vector set",
+            "pair": [V[pair[0]].tolist(), V[pair[1]].tolist()],
+        }
     return None
 
 

@@ -44,16 +44,22 @@ def _inversions(w):
     return {(w[j], w[i]) for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j]}
 
 
+def _bit(down, i, j):
+    """Entry (i, j) of the order matrix, i <= j: bit i of packed row j."""
+    return bool(int(down[j, i // 64]) >> (i % 64) & 1)
+
+
 def bijection_fault(a=7, b=3):
-    """Flip entry (a, b) of the n = 5 Tamari order matrix: the bijection check
-    must raise a RuntimeError naming exactly that pair of words and vectors."""
+    """Flip entry (a, b) of the n = 5 Tamari order matrix, bit a of packed
+    row b: the bijection check must raise a RuntimeError naming exactly that
+    pair of words and vectors."""
     real = perms._lattice_tables
 
     def flipped(nu_text):
-        ctx, mus, vecs, V, order = real(nu_text)
-        order = order.copy()
-        order[a, b] = not order[a, b]
-        return ctx, mus, vecs, V, order
+        ctx, mus, vecs, V, down, covers = real(nu_text)
+        down = down.copy()
+        down[b, a // 64] ^= down.dtype.type(1 << (a % 64))
+        return ctx, mus, vecs, V, down, covers
 
     perms._lattice_tables = flipped
     perms._verified_bijection.cache_clear()
@@ -66,12 +72,12 @@ def bijection_fault(a=7, b=3):
     finally:
         perms._lattice_tables = real
         perms._verified_bijection.cache_clear()
-    _, _, vecs, _, order = real(perms._east_staircase_ctx(5).nu.steps)
+    _, _, vecs, _, down, _ = real(perms._east_staircase_ctx(5).nu.steps)
     word_of = {v: w for w, v in perms._phi_words(5).items()}
     u, w = word_of[vecs[a]], word_of[vecs[b]]
     weak = _inversions(u) <= _inversions(w)
-    if weak != bool(order[a, b]):
-        return f"{u} <= {w} is {weak} in the weak order but {bool(order[a, b])} in Tamari"
+    if weak != _bit(down, a, b):
+        return f"{u} <= {w} is {weak} in the weak order but {_bit(down, a, b)} in Tamari"
     expected = (
         f"constructed map is not an order isomorphism for n=5: {u} <= {w} is {weak} in the "
         f"weak order, {vecs[a]} <= {vecs[b]} is {not weak} in Tamari"

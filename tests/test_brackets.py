@@ -1,13 +1,18 @@
 """Vector encoding of the lattice: validity, round trips, order, meets."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamaripop.brackets import (
     BracketVector,
+    _lattice_tables,
+    _lower_covers,
+    _unpack_bits,
     enumerate_vectors,
     is_valid,
     leq,
@@ -148,3 +153,45 @@ def test_vector_length_checked():
     ctx = NuContext.from_text("ENENE")
     with pytest.raises(ValueError):
         BracketVector((0, 0), ctx)
+
+
+def _assert_tables_match_scalar_covers(text):
+    """The array cover edges are paths.covers_down of every element, and the
+    packed rows are the dense reflexive-transitive closure of those covers."""
+    ctx, mus, _, _, down, covers = _lattice_tables(text)
+    index = {mu.steps: i for i, mu in enumerate(mus)}
+    lower = [[index[c.steps] for c in covers_down(mu, ctx)] for mu in mus]
+    assert set(map(tuple, covers.tolist())) == {(i, j) for i, js in enumerate(lower) for j in js}
+    below = np.zeros((len(mus), len(mus)), dtype=bool)
+    done = set()
+
+    def close(i):
+        for j in lower[i]:
+            if j not in done:
+                close(j)
+            below[i] |= below[j]
+        below[i, i] = True
+        done.add(i)
+
+    for i in range(len(mus)):
+        close(i)
+    assert (_unpack_bits(down, len(mus)) == below).all()
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_array_covers_and_closure_match_the_scalar_route_on_every_short_word(ell):
+    for bits in itertools.product("NE", repeat=ell):
+        _assert_tables_match_scalar_covers("".join(bits))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text("NE", min_size=9, max_size=14))
+def test_array_covers_and_closure_match_the_scalar_route_on_random_nu(text):
+    _assert_tables_match_scalar_covers(text)
+
+
+def test_array_cover_that_leaves_the_paths_is_an_error():
+    ctx = NuContext.from_text("ENENE")
+    mus = [mu for mu in enumerate_tam(ctx) if mu.steps != "ENENE"]  # drop the bottom
+    with pytest.raises(RuntimeError, match="lower cover outside"):
+        _lower_covers(mus, ctx)

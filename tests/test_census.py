@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from fault_scenarios import CENSUS_FAULTS, census_fault
 
@@ -98,6 +99,14 @@ def test_census_refuses_keys_past_int64_before_enumerating(monkeypatch):
     monkeypatch.setattr(pop, "_vector_rows", no_enumeration)
     with pytest.raises(BoundExceeded, match="int64"):
         pop._census(16, force=True)
+
+
+def test_sortability_times_refuse_a_cyclic_pop_instead_of_hanging():
+    # rows 0 and 1 pop onto each other and never reach the minimum, row 2
+    pop_idx, bottom = np.array([1, 0, 2]), np.array([False, False, True])
+    with pytest.raises(RuntimeError, match="miss the minimum after 5 steps"):
+        pop._times_to_bottom(pop_idx, bottom, 5)
+    assert pop._times_to_bottom(np.array([1, 2, 2]), bottom, 2).tolist() == [2, 1, 0]
 
 
 @pytest.mark.parametrize("t", [0, -1])

@@ -3,9 +3,13 @@ and oversized lattices are refused before anything is enumerated.  The runner
 registers every check once, ends a check at its first counterexample and
 fails a check that examined no case."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamaripop import brackets, pop, verification
 from tamaripop.cli import main
@@ -19,14 +23,17 @@ NU = "ENENE"
 
 
 def _check_with(monkeypatch, edit, consistent_order=False):
-    """Run the check on copies of the tables changed by edit(V, O); with
-    consistent_order, O is recomputed as the componentwise order of the new V."""
-    ctx, mus, vecs, V, O = brackets._lattice_tables(NU)
-    V, O = V.copy(), O.copy()
+    """Run the check on copies of the tables changed by edit(V, O), where O is
+    the unpacked order matrix, O[i, j] = i <= j; with consistent_order, O is
+    recomputed as the componentwise order of the new V.  O goes back to the
+    tables packed, and the cover edges stay those of the real lattice."""
+    ctx, mus, vecs, V, down, covers = brackets._lattice_tables(NU)
+    V, O = V.copy(), brackets._unpack_bits(down, len(mus)).T.copy()
     edit(V, O)
     if consistent_order:
         O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
-    monkeypatch.setattr(brackets, "_lattice_tables", lambda text: (ctx, mus, vecs, V, O))
+    down = brackets._pack_bits(O.T)
+    monkeypatch.setattr(brackets, "_lattice_tables", lambda text: (ctx, mus, vecs, V, down, covers))
     return verification._check_one_bijection(NU)
 
 
@@ -42,6 +49,19 @@ def test_removed_order_edge_is_an_order_disagreement(monkeypatch):
         "nu": NU,
         "failure": "order disagreement",
         "pair": [[0, 0, 1, 1, 2, 2], [2, 0, 2, 1, 2, 2]],
+        "componentwise": True,
+        "cover_closure": False,
+    }
+
+
+def test_first_order_disagreement_is_reported_row_major(monkeypatch):
+    def drop(V, O):
+        O[0, 3] = O[0, 4] = O[1, 4] = False
+
+    assert _check_with(monkeypatch, drop) == {
+        "nu": NU,
+        "failure": "order disagreement",
+        "pair": [[0, 0, 1, 1, 2, 2], [2, 0, 1, 1, 2, 2]],
         "componentwise": True,
         "cover_closure": False,
     }
@@ -75,8 +95,9 @@ def test_componentwise_kernel_matches_scalar_leq(text):
     ctx = NuContext.from_text(text)
     vecs = brackets.enumerate_vectors(ctx)
     V = brackets._vector_rows(ctx).astype("int16")
-    expected = [[brackets.leq(u, v) for v in vecs] for u in vecs]
-    assert verification._componentwise_leq_matrix(V).tolist() == expected
+    expected = [[brackets.leq(u, v) for u in vecs] for v in vecs]  # row v: the u <= v
+    rows = verification._componentwise_down_rows(V)
+    assert brackets._unpack_bits(rows, len(vecs)).tolist() == expected
 
 
 def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
@@ -87,7 +108,7 @@ def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
 
 
 def test_vector_to_path_that_does_not_invert(monkeypatch):
-    ctx, mus, vecs, _, _ = brackets._lattice_tables(NU)
+    ctx, mus, vecs, *_ = brackets._lattice_tables(NU)
     real = brackets.vector_to_path
 
     def broken(vec):
@@ -101,10 +122,51 @@ def test_vector_to_path_that_does_not_invert(monkeypatch):
     }
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_min_closure_against_unwitnessed_rows_decides_like_all_pairs(data):
+    # the min-closure of a few vectors with up to two of its elements dropped,
+    # so that many rows have witnesses; the witness candidates of each row are
+    # a real witness or arbitrary rows
+    width = data.draw(st.integers(2, 4))
+    vectors = data.draw(st.sets(st.tuples(*[st.integers(0, 3)] * width), min_size=1, max_size=8))
+    while (mins := {tuple(map(min, u, v)) for u in vectors for v in vectors}) - vectors:
+        vectors |= mins
+    dropped = data.draw(st.sets(st.sampled_from(sorted(vectors)), max_size=2))
+    vectors = vectors - dropped or vectors
+    rows = sorted(vectors)
+    m = len(rows)
+    pairs_by_min = {}
+    for x, y in itertools.product(range(m), repeat=2):
+        pairs_by_min.setdefault(tuple(map(min, rows[x], rows[y])), []).append((x, y))
+    candidates = []
+    for b in range(m):
+        witnesses = [pair for pair in pairs_by_min[rows[b]] if b not in pair]
+        if witnesses and data.draw(st.booleans()):
+            candidates.append(data.draw(st.sampled_from(witnesses)))
+        else:
+            row = st.integers(0, m - 1) | st.just(b)  # b itself is never a witness
+            candidates.append(data.draw(st.tuples(row, row)))
+    closed = set(pairs_by_min) <= vectors
+    V = np.array(rows, dtype=np.int16)
+    down = verification._componentwise_down_rows(V)
+    pair = verification._min_closure_failure(V, down, np.array(candidates), "random vectors")
+    assert (pair is None) == closed
+    if pair is not None:
+        a, b = pair
+        assert a < b and tuple(np.minimum(V[a], V[b]).tolist()) not in vectors
+
+
 def test_min_keys_that_would_overflow_int64_are_refused():
-    # E^64 N: 65 elements, but keys of 64 free columns in base 2
+    # E^64 N: 65 elements, but 65 steps, past the 62 bits of the int64 step keys
     with pytest.raises(BoundExceeded, match="int64"):
         verification._check_one_bijection("E" * 64 + "N")
+
+
+def test_min_keys_of_the_free_columns_past_int64_are_refused():
+    # N^20 E^20: one element, but keys of 20 free columns in base 21
+    with pytest.raises(BoundExceeded, match="int64"):
+        verification._check_one_bijection("N" * 20 + "E" * 20)
 
 
 @pytest.mark.parametrize("text", ["E" + "NE" * 9, "NE" * 10, "E" * 7 + "N" * 7])
