@@ -53,6 +53,15 @@ class BracketVector:
                 f"got {len(self.entries)}"
             )
 
+    @classmethod
+    def checked(cls, entries: Sequence[int], ctx: NuContext) -> "BracketVector":
+        """A vector from untrusted entries: ValueError unless is_valid.  Hot
+        paths build raw BracketVectors from entries they know are valid."""
+        entries = tuple(entries)
+        if not is_valid(entries, ctx):
+            raise ValueError("not a valid vector for this base path")
+        return cls(entries, ctx)
+
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.entries)) + ")"
 
@@ -115,11 +124,13 @@ def path_to_vector(mu: LatticePath, ctx: NuContext) -> BracketVector:
 
 
 def vector_to_path(vec: BracketVector) -> LatticePath:
-    """Unique path whose associated vector is vec.
+    """Unique path whose associated vector is vec, which must be valid.
 
     The entry multiset of an associated vector is exactly the multiset of
     point heights of its path, so occurrence counts determine the path:
-    count[k]-1 east steps at height k, separated by north steps.
+    count[k]-1 east steps at height k, separated by north steps.  Validity
+    is assumed, not checked: the invalid (2,0,2,1,0,2) over ENENE decodes
+    into ENNEE all the same.  BracketVector.checked refuses such input.
     """
     ctx = vec.ctx
     counts = [0] * (ctx.n_nu + 1)

@@ -45,10 +45,7 @@ def _cmd_pop(args) -> int:
         return 0
     ctx = _context_from_args(args)
     entries = tuple(int(x) for x in args.vector.split(","))
-    if not brackets.is_valid(entries, ctx):
-        print("error: not a valid vector for this base path", file=sys.stderr)
-        return 2
-    traj = pop.trajectory(BracketVector(entries, ctx))
+    traj = pop.trajectory(BracketVector.checked(entries, ctx))  # ValueError: exit 2
     if args.trace:
         for state in traj.states:
             print("state: " + ",".join(map(str, state.entries)), file=sys.stderr)

@@ -17,9 +17,11 @@ is one row of the int8 matrix from brackets._vector_rows (the enumeration
 behind enumerate_vectors too), Pop is the eta formula applied to all rows
 with a descent at i, one index i at a time, images are mapped to rows by
 integer keys and a sorted search, and sortability times follow the
-Pop-target array.  The scalar functions above serve single vectors and are
-the test oracle for the census; the irreducible-decomposition recursion is
-only a check.
+Pop-target array.  The q-polynomial counts the up-covers of the image rows
+from their entry multiplicities, all rows at once.  The scalar functions
+above serve single vectors and are the test oracle for the census
+(up_cover_count, through the path covers, for the q-polynomial); the
+irreducible-decomposition recursion is only a check.
 """
 
 from __future__ import annotations
@@ -267,15 +269,20 @@ def count_t_sortable(n: int, t: int, *, force: bool = False) -> int:
     return int((_census(n, force).times <= t).sum())
 
 
-def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:
-    """Distinct Pop images over all vectors for E(NE)^(n-1)."""
+def _image_rows(n: int, force: bool):
+    """The census context and the distinct Pop images as census rows."""
     import numpy as np
 
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     census = _census(n, force)
-    image_rows = census.rows[np.unique(census.pop_idx)].tolist()
-    return {BracketVector(tuple(e), census.ctx) for e in image_rows}
+    return census.ctx, census.rows[np.unique(census.pop_idx)]
+
+
+def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:
+    """Distinct Pop images over all vectors for E(NE)^(n-1)."""
+    ctx, rows = _image_rows(n, force)
+    return {BracketVector(tuple(e), ctx) for e in rows.tolist()}
 
 
 def up_cover_count(vec: BracketVector) -> int:
@@ -308,13 +315,32 @@ class PopPolynomial:
         return " + ".join(terms)
 
 
+def _up_cover_counts(rows, n_nu: int):
+    """up_cover_count of every row of a matrix of valid vectors: the number
+    of heights k < n_nu that occur at least twice in the row."""
+    import numpy as np
+
+    width = n_nu + 1
+    flat = rows.astype(np.intp) + width * np.arange(len(rows))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=width * len(rows)).reshape(len(rows), width)
+    return (counts[:, :-1] >= 2).sum(axis=1)
+
+
 def pop_polynomial(n: int, *, force: bool = False) -> PopPolynomial:
-    """Histogram of up-cover counts over the Pop image of Tam_n, as q-exponents."""
-    coeffs: dict[int, int] = {}
-    for v in pop_image(n, force=force):
-        e = up_cover_count(v)
-        coeffs[e] = coeffs.get(e, 0) + 1
-    return PopPolynomial(coeffs)
+    """Histogram of up-cover counts over the Pop image of Tam_n, as q-exponents.
+
+    Counted on the census image rows, with no path built: the entries of a
+    valid vector are the heights of its path's points, so height k carries
+    count_k - 1 east steps, and covers_up makes exactly one cover per valley
+    (an east step followed by a north step).  A valley at height k exists
+    iff count_k >= 2 and k < n_nu, the top height having no north step after
+    it.  up_cover_count is the scalar oracle.
+    """
+    import numpy as np
+
+    ctx, rows = _image_rows(n, force)
+    exps, counts = np.unique(_up_cover_counts(rows, ctx.n_nu), return_counts=True)
+    return PopPolynomial(dict(zip(exps.tolist(), counts.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ Every check is a case generator registered by `_check(suite, name)`.  It
 first yields its params, the parameter ranges it actually runs at, and then
 one verdict per case it examines: a small counterexample dict when the case
 fails, a falsy value when it holds.  The decorator turns the generator into
-a function returning (passed, counterexample, params).  The first
-counterexample ends the check, and a check that yields no verdict at all
-fails with {"failure": "no cases examined"}: a check that examined nothing
-has shown nothing.  Checks are pure and deterministic for a fixed seed; a
-suite runs its checks in sorted name order so the assembled report is
-reproducible byte for byte (wall times are kept on the result objects and in
-stderr diagnostics, never in the stdout JSON).
+a function returning (passed, counterexample, params) and counts the
+verdicts.  The first counterexample ends the check, and a check that yields
+no verdict at all fails with {"failure": "no cases examined"}: a check that
+examined nothing has shown nothing.  Checks are pure and deterministic for a
+fixed seed; a suite runs its checks in sorted name order so the assembled
+report is reproducible byte for byte (wall times and case counts are kept on
+the result objects and in stderr diagnostics, never in the stdout JSON).
 
 The centerpiece equivalence used by the bijection suite: for a bijection
 phi from a finite poset P (order = reflexive-transitive closure of the
@@ -115,6 +115,7 @@ class CheckResult:
     params: dict
     counterexample: dict | None
     seconds: float
+    cases: int
 
 
 @dataclass
@@ -313,20 +314,28 @@ _SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {}
 
 def _check(suite: str, name: str):
     """Register a case generator as check `name` of `suite`, run as a
-    function of VerifyOptions that returns (passed, counterexample, params)."""
+    function of VerifyOptions that returns (passed, counterexample, params).
+    Its `counted` attribute returns that outcome with the number of verdicts
+    examined."""
 
     def register(cases: Callable[[VerifyOptions], Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
-        @functools.wraps(cases)
-        def check(opts: VerifyOptions) -> CheckOutcome:
+        def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
             verdicts = cases(opts)
             params = next(verdicts)
             outcome = False, {"failure": "no cases examined"}, params
+            examined = 0
             for bad in verdicts:
+                examined += 1
                 if bad:
-                    return False, bad, params
+                    return (False, bad, params), examined
                 outcome = True, None, params
-            return outcome
+            return outcome, examined
 
+        @functools.wraps(cases)
+        def check(opts: VerifyOptions) -> CheckOutcome:
+            return counted(opts)[0]
+
+        check.counted = counted
         _SUITES.setdefault(suite, {})[name] = check
         return check
 
@@ -734,14 +743,14 @@ def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
     for name in sorted(checks):
         start = time.perf_counter()
         try:
-            passed, counterexample, params = checks[name](opts)
+            (passed, counterexample, params), cases = checks[name].counted(opts)
         except paths.BoundExceeded:  # a refused size is a usage error, not a failure
             raise
         except Exception as exc:  # a crash is a failed check, not a crashed run
-            passed, counterexample, params = False, {"error": repr(exc)}, {}
+            (passed, counterexample, params), cases = (False, {"error": repr(exc)}, {}), 0
         elapsed = time.perf_counter() - start
-        report.checks.append(CheckResult(name, passed, params, counterexample, elapsed))
+        report.checks.append(CheckResult(name, passed, params, counterexample, elapsed, cases))
         if log is not None:
             status = "pass" if passed else "FAIL"
-            print(f"{name}: {status} ({elapsed:.2f}s)", file=log)
+            print(f"{name}: {status} ({elapsed:.2f}s, {cases} cases)", file=log)
     return report

@@ -155,6 +155,16 @@ def test_vector_length_checked():
         BracketVector((0, 0), ctx)
 
 
+def test_checked_vector_refuses_what_vector_to_path_would_decode():
+    ctx = NuContext.from_text("ENENE")
+    entries = (2, 0, 2, 1, 0, 2)  # entry 4 is 0 below height 2
+    assert not is_valid(entries, ctx)
+    assert vector_to_path(BracketVector(entries, ctx)).steps == "ENNEE"
+    with pytest.raises(ValueError, match="not a valid vector"):
+        BracketVector.checked(entries, ctx)
+    assert BracketVector.checked([2, 0, 2, 1, 2, 2], ctx) == BracketVector((2, 0, 2, 1, 2, 2), ctx)
+
+
 def _assert_tables_match_scalar_covers(text):
     """The array cover edges are paths.covers_down of every element, and the
     packed rows are the dense reflexive-transitive closure of those covers."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,13 @@ def test_pop_invalid_vector(capsys):
     code, _, err = run(capsys, "pop", "--n", "3", "--vector", "1,1,1,1,1,1")
     assert code == 2
     assert "valid" in err
+
+
+def test_pop_refuses_a_vector_that_vector_to_path_would_decode(capsys):
+    code, out, err = run(capsys, "pop", "--nu", "ENENE", "--vector", "2,0,2,1,0,2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: not a valid vector for this base path\n"
 
 
 def test_pop_perm_mode(capsys):
@@ -138,6 +146,30 @@ def test_verify_suite_passes(capsys):
     # timing stays off stdout so reruns are byte-identical
     assert "seconds" not in out
     assert "(" in err
+
+
+THEOREM_2_AT_4 = (
+    '{"checks": [{"name": "a055151-row-sums-motzkin", "params": {"max_n": 4}, "status": "pass"}, '
+    '{"name": "pop-image-size-is-motzkin", "params": {"max_n": 4}, "status": "pass"}, '
+    '{"name": "qpolynomial-matches-formula", "params": {"max_n": 4}, "status": "pass"}, '
+    '{"name": "qpolynomial-matches-permutation-ascents", "params": {"max_n": 4}, "status": "pass"}, '
+    '{"name": "rmap-bijection-descents-peaks", "params": {"max_n": 4}, "status": "pass"}], '
+    '"options": {"max_n": 4, "max_t": null, "seed": 0}, "passed": true, "suite": "theorem-2"}\n'
+)
+
+
+def test_verify_counts_cases_on_stderr_only(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theorem-2", "--max-n", "4")
+    assert code == 0
+    assert out == THEOREM_2_AT_4
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    counts = {}
+    for line in err.splitlines():
+        match = re.fullmatch(r"(\S+): pass \(\d+\.\d\ds, (\d+) cases\)", line)
+        assert match, line
+        counts[match[1]] = int(match[2])
+    assert sorted(counts) == names
+    assert all(c > 0 for c in counts.values())
 
 
 def test_verify_unknown_suite(capsys):

@@ -240,17 +240,43 @@ def test_bijection_identity_goes_to_bottom():
     assert v.entries == v.ctx.heights
 
 
+def _inversions(word):
+    return {(a, b) for a, b in itertools.combinations(sorted(word), 2) if word.index(b) < word.index(a)}
+
+
 def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
     phi = dict(perms._phi_words(4))
     bottom, top = (1, 2, 3, 4), (4, 3, 2, 1)
     phi[bottom], phi[top] = phi[top], phi[bottom]
+    # scalar scan for the pair the message must name: rows in table order,
+    # the first row j that disagrees anywhere, then the least i within it
+    vecs = perms._lattice_tables("E" + "NE" * 3)[2]
+    word_of = {v: w for w, v in phi.items()}
+    words = [word_of[v] for v in vecs]
+
+    def weak(i, j):
+        return _inversions(words[i]) <= _inversions(words[j])
+
+    def disagree(i, j):
+        return weak(i, j) != all(a <= b for a, b in zip(vecs[i], vecs[j]))
+
+    j = next(j for j in range(len(vecs)) if any(disagree(i, j) for i in range(len(vecs))))
+    differing = [i for i in range(len(vecs)) if disagree(i, j)]
+    assert len(differing) > 1  # so the least i is not the only one
+    i = differing[0]
+    expected = (
+        f"constructed map is not an order isomorphism for n=4: "
+        f"{words[i]} <= {words[j]} is {weak(i, j)} in the weak order, "
+        f"{vecs[i]} <= {vecs[j]} is {not weak(i, j)} in Tamari"
+    )
     monkeypatch.setattr(perms, "_phi_words", lambda n: phi)
     perms._verified_bijection.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match="not an order isomorphism"):
+        with pytest.raises(RuntimeError) as exc:
             tamari_perm_bijection(4)
     finally:
         perms._verified_bijection.cache_clear()
+    assert str(exc.value) == expected
 
 
 @pytest.fixture

@@ -1,12 +1,22 @@
 """The pop operator: entrywise formula, meet-of-covers oracle, census, image."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamaripop.brackets import BracketVector, enumerate_vectors, path_to_vector, vector_to_path
+from tamaripop.brackets import (
+    BracketVector,
+    _vector_rows,
+    enumerate_vectors,
+    path_to_vector,
+    vector_to_path,
+)
 from tamaripop.paths import NuContext, east_staircase, enumerate_tam, parse_path
 from tamaripop.pop import (
+    _up_cover_counts,
     concat_irreducible,
     count_t_sortable,
     decompose_irreducible,
@@ -120,6 +130,39 @@ def test_pop_polynomial_small():
     assert poly.coeffs == {
         m - k: a055151(m, k) for k in range(m // 2 + 1) if a055151(m, k)
     }
+
+
+def _assert_array_up_cover_counts_match_scalar(ctx):
+    rows = _vector_rows(ctx)
+    expected = [up_cover_count(BracketVector(tuple(e), ctx)) for e in rows.tolist()]
+    assert _up_cover_counts(rows, ctx.n_nu).tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_array_up_cover_counts_match_the_scalar_count_on_every_vector(n):
+    _assert_array_up_cover_counts_match_scalar(NuContext.from_path(east_staircase(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text("NE", min_size=1, max_size=12))
+def test_array_up_cover_counts_match_the_scalar_count_on_random_nu(text):
+    _assert_array_up_cover_counts_match_scalar(NuContext.from_text(text))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pop_polynomial_is_the_scalar_histogram_over_the_image(n):
+    image = pop_image(n)
+    ctx = next(iter(image)).ctx
+    rows = np.array(sorted(v.entries for v in image))
+    counts = _up_cover_counts(rows, ctx.n_nu).tolist()
+    assert counts == [up_cover_count(BracketVector(e, ctx)) for e in map(tuple, rows.tolist())]
+    assert pop_polynomial(n).coeffs == dict(Counter(counts))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_pop_polynomial_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        pop_polynomial(n)
 
 
 def test_up_cover_count_matches_cover_sets():
