@@ -261,6 +261,58 @@ def _unpack_bits(rows, m: int):
     return np.unpackbits(flat, axis=1, count=m, bitorder="little").view(bool)
 
 
+def _componentwise_down_rows(X):
+    """Packed down-sets of the componentwise order on the rows of the integer
+    matrix X, in the layout of _lattice_tables, yielded as (start, rows) for
+    blocks of 256 KB of rows: bit i of row j is set iff X[i] <= X[j] in every
+    column.  Per column c, at_most[c][k] packs {i : X[i, c] <= k}, and row j
+    ANDs at_most[c][X[j, c]] over the columns, so that a block and the words
+    gathered for it stay in cache.  Bits past m stay clear, even with no
+    columns."""
+    import numpy as np
+
+    m = len(X)
+    at_most = [_pack_bits(col[None, :] <= np.arange(int(col.max()) + 1)[:, None]) for col in X.T]
+    ones = _pack_bits(np.ones((1, m), dtype=bool))
+    block = max(1, (1 << 15) // ones.shape[1])
+    for start in range(0, m, block):
+        part = X[start : start + block]
+        rows = np.repeat(ones, len(part), axis=0)
+        for table, col in zip(at_most, part.T):
+            rows &= table[col]
+        yield start, rows
+
+
+def _first_order_difference(X, down):
+    """None if the componentwise order on the rows of X is the order of the
+    packed down-set rows down, else the pair (i, j) on which they disagree
+    about X[i] <= X[j], least i first, then least j.  Each block of
+    _componentwise_down_rows is compared as it is made, so no second packed
+    matrix is held."""
+    import numpy as np
+
+    first = None
+    for start, rows in _componentwise_down_rows(X):
+        differ = rows ^ down[start : start + len(rows)]
+        words = np.flatnonzero(differ.any(axis=0))
+        if len(words):
+            bits = _unpack_bits(differ[:, words[0], None], 64)
+            bit, k = map(int, np.argwhere(bits.T)[0])
+            pair = (64 * int(words[0]) + bit, start + k)
+            first = pair if first is None else min(first, pair)
+    return first
+
+
+def _incomparable(down, rows):
+    """Bool (len(rows), m): [k, x] is set iff element x and element rows[k]
+    are incomparable in the order of the packed down-set rows down."""
+    import numpy as np
+
+    below = _unpack_bits(down[rows], len(down))  # [k, x]: x <= rows[k]
+    above = (down[:, rows >> 6] >> (rows & 63).astype(np.uint64)).T & np.uint64(1)  # rows[k] <= x
+    return ~below & (above == 0)
+
+
 def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     """(upper, lower) indices into mus, all of Tam(nu) in lexicographic order
     with N < E, of every cover: the moves of paths.covers_down, applied to

@@ -15,7 +15,6 @@ covers of a path is linear in its length per candidate valley.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -32,7 +31,6 @@ __all__ = [
     "enumerate_tam",
     "horizontal_distance",
     "lies_weakly_above",
-    "max_ell",
     "parse_path",
     "staircase",
 ]
@@ -43,25 +41,16 @@ Step = Literal["N", "E"]
 #: length 26 and 742900 elements, a practical desk limit.
 DEFAULT_MAX_ELL = 26
 
-_ENV_MAX_ELL = "TAMARIPOP_MAX_ELL"
-
 
 class BoundExceeded(ValueError):
     """An enumeration request exceeded the configured safety bound."""
 
 
-def max_ell() -> int:
-    """Current global path-length bound (TAMARIPOP_MAX_ELL overrides)."""
-    raw = os.environ.get(_ENV_MAX_ELL)
-    return int(raw) if raw else DEFAULT_MAX_ELL
-
-
 def _check_ell(ell: int, force: bool) -> None:
-    bound = max_ell()
-    if not force and ell > bound:
+    if not force and ell > DEFAULT_MAX_ELL:
         raise BoundExceeded(
-            f"path length {ell} exceeds the enumeration bound {bound}; "
-            f"use force=True (--force) or set {_ENV_MAX_ELL} to override"
+            f"path length {ell} exceeds the enumeration bound {DEFAULT_MAX_ELL}; "
+            "use force=True (--force) to override"
         )
 
 
@@ -117,13 +106,6 @@ class LatticePath:
             pts.append((x, y))
         return tuple(pts)
 
-    def sort_key(self) -> str:
-        """Key realizing the canonical order: lexicographic with N < E."""
-        return self.steps.translate(_CANONICAL)
-
-
-_CANONICAL = str.maketrans("NE", "01")
-
 
 def parse_path(text: str) -> LatticePath:
     """Parse an N/E word such as "NENE" into a LatticePath."""
@@ -174,10 +156,6 @@ class NuContext:
     @classmethod
     def from_text(cls, text: str) -> "NuContext":
         return _context_from_text(text)
-
-    def rightmost_x(self, y: int) -> int:
-        """Largest abscissa of nu at height y."""
-        return self._rightmost[y]
 
     def bottom_entries(self) -> tuple[int, ...]:
         """Entries of the minimal bracket vector, which is heights itself."""

@@ -6,9 +6,11 @@ projection pi_down to the minimal element of the sylvester class, computed
 by repeatedly swapping an adjacent descent (c, a) that has a later witness b
 with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection,
 built recursively from the position of the value 1 and verified on the
-spot: the uint64 inversion sets of the words, taken in the row order of the
-Tamari order matrix through the map, are compared with that matrix's packed
-down-set rows, a block of rows at a time.
+spot.  u <= w in the weak order iff inv(u) is a subset of inv(w), so the
+weak order is the componentwise order on 0/1 inversion-indicator rows: the
+indicators of the words, taken in the row order of the Tamari order matrix
+through the map, go through brackets._first_order_difference, the kernel
+that also checks the bracket vectors, and must give that matrix exactly.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _lattice_tables, _vector_rows
-from .brackets import _pack_bits, _unpack_bits
+from .brackets import _first_order_difference, _order_matrix_guard
 from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
 
@@ -373,29 +375,21 @@ def _phi_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
-def _inversion_masks(words):
-    """Inversion sets of words on 1..n (n <= 11) as a uint64 array: bit k is
-    set when the k-th value pair a < b, in itertools.combinations order,
-    appears as b before a."""
+def _inversion_indicators(words):
+    """Inversion sets of words on 1..n as an int8 matrix (len(words), C(n, 2)):
+    column k is 1 when the k-th value pair a < b, in itertools.combinations
+    order, appears as b before a."""
     import numpy as np
 
     pos = np.argsort(np.array(words, dtype=np.int8), axis=1)  # pos[r, v-1]: where v sits
-    masks = np.zeros(len(pos), dtype=np.uint64)
-    for k, (a, b) in enumerate(itertools.combinations(range(pos.shape[1]), 2)):
-        masks |= (pos[:, b] < pos[:, a]).astype(np.uint64) << np.uint64(k)
-    return masks
+    a, b = np.triu_indices(pos.shape[1], 1)
+    return (pos[:, b] < pos[:, a]).astype(np.int8)
 
 
 @lru_cache(maxsize=None)
-def _verified_bijection(n: int, force: bool = False) -> dict[tuple[int, ...], tuple[int, ...]]:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_n(n, force)
-    if n * (n - 1) // 2 > 64:
-        raise BoundExceeded(f"n={n} has more than 64 value pairs; inversion masks are uint64")
-    import numpy as np
-
+def _verified_bijection(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     ctx = _east_staircase_ctx(n)
+    _order_matrix_guard(ctx)
     words = _av312_words(n)
     phi = _phi_words(n)
     if sorted(phi[w] for w in words) != sorted(map(tuple, _vector_rows(ctx).tolist())):
@@ -403,23 +397,16 @@ def _verified_bijection(n: int, force: bool = False) -> dict[tuple[int, ...], tu
     _, _, vecs, _, down, _ = _lattice_tables(ctx.nu.steps)
     word_of = {phi[w]: w for w in words}
     row_words = [word_of[v] for v in vecs]
-    masks = _inversion_masks(row_words)
-    m = len(vecs)
-    block = max(1, (1 << 20) // m)
-    for start in range(0, m, block):
-        # weak[k, i]: inv(row i) <= inv(row j) for j = start + k, packed like down
-        weak = (masks[None, :] & ~masks[start : start + block, None]) == 0
-        differ = _pack_bits(weak) != down[start : start + block]
-        if differ.any():
-            k = int(np.flatnonzero(differ.any(axis=1))[0])
-            j = start + k
-            tamari = _unpack_bits(down[j : j + 1], m)[0]
-            i = int(np.flatnonzero(weak[k] != tamari)[0])
-            raise RuntimeError(
-                f"constructed map is not an order isomorphism for n={n}: "
-                f"{row_words[i]} <= {row_words[j]} is {bool(weak[k, i])} in the weak order, "
-                f"{vecs[i]} <= {vecs[j]} is {bool(tamari[i])} in Tamari"
-            )
+    inversions = _inversion_indicators(row_words)
+    pair = _first_order_difference(inversions, down)
+    if pair is not None:
+        i, j = pair
+        weak = bool((inversions[i] <= inversions[j]).all())
+        raise RuntimeError(
+            f"constructed map is not an order isomorphism for n={n}: "
+            f"{row_words[i]} <= {row_words[j]} is {weak} in the weak order, "
+            f"{vecs[i]} <= {vecs[j]} is {not weak} in Tamari"
+        )
     return phi
 
 
@@ -428,12 +415,19 @@ def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, B
 
     The recursive construction is checked to be onto the vectors and to carry
     the weak order (inversion-set containment) exactly onto the Tamari order
-    (closure of the path-level lower covers).  The check runs one packed
-    down-set row of the Tamari order at a time: row j is compared with the
-    words whose inversion set lies inside that of the word sent to vector j.
-    Any disagreement is a RuntimeError naming the first pair of words and
-    vectors that differ, in the first row that differs.
+    (closure of the path-level lower covers).  The weak order is the
+    componentwise order of the words' inversion-indicator rows, packed a
+    block of rows at a time by brackets._componentwise_down_rows (the kernel
+    that also checks the bracket vectors) and compared with the Tamari order
+    matrix block by block.  A
+    disagreement is a RuntimeError naming both words and both vectors of the
+    differing pair (i, j) of table rows with the least i, then the least j.
+    Past the order-matrix bound (n >= 11, forced or not) it raises
+    BoundExceeded before enumerating a word.
     """
-    phi = _verified_bijection(n, force)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n, force)
+    phi = _verified_bijection(n)
     ctx = _east_staircase_ctx(n)
     return {Permutation(w): BracketVector(v, ctx) for w, v in phi.items()}

@@ -220,11 +220,10 @@ class _Census:
     pop_idx[r] the row of Pop(rows[r]) and times[r] its sortability time.
     """
 
-    def __init__(self, n: int, force: bool):
+    def __init__(self, n: int):
         import numpy as np
 
         ctx = _east_staircase_ctx(n)
-        _check_ell(ctx.ell, force)
         free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
         radix = ctx.n_nu + 1
         _check_key_bound(radix, len(free), f"the census for n={n}")
@@ -255,9 +254,16 @@ class _Census:
         return list(map(tuple, self.rows.tolist()))
 
 
-@lru_cache(maxsize=None)
 def _census(n: int, force: bool = False) -> _Census:
-    return _Census(n, force)
+    """The census of Tam_n, refused past the path-length bound unless forced;
+    checked in front of the cache, so forced and unforced calls share a build."""
+    _check_ell(_east_staircase_ctx(n).ell, force)
+    return _build_census(n)
+
+
+@lru_cache(maxsize=None)
+def _build_census(n: int) -> _Census:
+    return _Census(n)
 
 
 def count_t_sortable(n: int, t: int, *, force: bool = False) -> int:
@@ -303,16 +309,6 @@ class PopPolynomial:
 
     def total(self) -> int:
         return sum(self.coeffs.values())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            base = "1" if e == 0 else ("q" if e == 1 else f"q^{e}")
-            terms.append(base if c == 1 and e > 0 else (str(c) if e == 0 else f"{c}*{base}"))
-        return " + ".join(terms)
 
 
 def _up_cover_counts(rows, n_nu: int):

@@ -86,10 +86,6 @@ class IntSeries:
         return cls(tuple(c))
 
     @classmethod
-    def zero(cls, order: int) -> "IntSeries":
-        return cls.from_coeffs([], order)
-
-    @classmethod
     def one(cls, order: int) -> "IntSeries":
         return cls.from_coeffs([1], order)
 

@@ -23,7 +23,10 @@ together imply that P is a meet-semilattice and that
 phi(glb(u, v)) = min(phi(u), phi(v)) for every pair: writing
 w = phi^-1(min(phi u, phi v)), (i) gives w <= u and w <= v, and any common
 lower bound z has phi(z) <= min(phi u, phi v) = phi(w), hence z <= w.  So
-the suite computes no glbs: it checks (i) on packed down-set rows, and (ii)
+the suite computes no glbs.  It checks (i) with brackets._first_order_difference,
+which compares the vectors' packed componentwise down-sets, a block of rows
+at a time, with the cover-closure rows of brackets._lattice_tables; perms runs
+the same kernel on inversion indicators for the weak order.  It checks (ii)
 only against the rows that lack a witness.
 
 Witnesses.  A witness for b in the vector set S is a pair c1, c2 in S, both
@@ -179,21 +182,6 @@ def corpus_nus(max_ell: int, seed: int, n_random: int = RANDOM_NU_COUNT) -> list
     return out
 
 
-def _componentwise_down_rows(V):
-    """Packed down-sets of the componentwise order, in the layout of
-    brackets._lattice_tables: bit i of row j is set iff V[i] <= V[j] in
-    every column.  Per column c, at_most[k] packs {i : V[i, c] <= k}, and
-    row j ANDs at_most[V[j, c]] over the columns."""
-    import numpy as np
-
-    m = len(V)
-    rows = np.full((m, (m + 63) // 64), ~np.uint64(0))
-    for col in V.T:
-        at_most = brackets._pack_bits(col[None, :] <= np.arange(int(col.max()) + 1)[:, None])
-        rows &= at_most[col]
-    return rows
-
-
 def _min_closure_failure(V, down, candidates, over: str):
     """Among the pairs looked up, the first (a, b) with a < b, row-major,
     whose componentwise min is not a row of V; None when V is closed under
@@ -222,9 +210,7 @@ def _min_closure_failure(V, down, candidates, over: str):
     chunk = max(1, (1 << 20) // m)
     for start in range(0, len(unwitnessed), chunk):
         rows = unwitnessed[start : start + chunk]
-        below = brackets._unpack_bits(down[rows], m)  # [k, x]: x <= rows[k]
-        above = (down[:, rows >> 6] >> (rows & 63).astype(np.uint64)).T & np.uint64(1)  # rows[k] <= x
-        k, x = np.nonzero(~below & (above == 0))
+        k, x = np.nonzero(brackets._incomparable(down, rows))
         lo, hi = np.minimum(rows[k], x), np.maximum(rows[k], x)
         mins = (np.minimum(c[lo], c[hi]) for c in cols)  # min(V_lo, V_hi), column by column
         key = brackets._mixed_radix_keys(mins, base, len(lo))
@@ -266,14 +252,10 @@ def _check_one_bijection(nu_text: str) -> dict | None:
         if back != mu:
             return {"nu": nu_text, "failure": "vector_to_path does not invert", "path": mu.steps}
 
-    vec_down = _componentwise_down_rows(V)
-    differ = vec_down ^ down  # bit i of row j: the orders disagree on i <= j
-    if differ.any():
-        # the first pair row-major, least i then least j, lies in the first word that differs
-        word = int(np.flatnonzero(differ.any(axis=0))[0])
-        bit, j = map(int, np.argwhere(brackets._unpack_bits(differ[:, word : word + 1], 64).T)[0])
-        i = 64 * word + bit
-        componentwise = bool(brackets._unpack_bits(vec_down[j : j + 1], m)[0, i])
+    pair = brackets._first_order_difference(V, down)
+    if pair is not None:
+        i, j = pair
+        componentwise = bool((V[i] <= V[j]).all())
         return {
             "nu": nu_text,
             "failure": "order disagreement",

@@ -29,14 +29,14 @@ CENSUS_FAULTS = [(_identity_pop, "strictly decrease"), (_off_lattice_pop, "not a
 def census_fault(fault, message):
     """Count with Pop replaced by fault: a RuntimeError naming message, not a count."""
     pop._pop_rows = fault
-    pop._census.cache_clear()
+    pop._build_census.cache_clear()
     try:
         count = pop.count_t_sortable(5, 2)
     except RuntimeError as exc:
         return None if message in str(exc) else f"expected {message!r}, got {exc}"
     finally:
         pop._pop_rows = _array_pop
-        pop._census.cache_clear()
+        pop._build_census.cache_clear()
     return f"counted {count} instead of raising {message!r}"
 
 

@@ -66,7 +66,7 @@ def test_vector_rows_widen_past_int8_heights():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_array_census_matches_scalar_route(n):
-    census = pop._Census(n, force=False)
+    census = pop._Census(n)
     ctx = census.ctx
     assert census.entries == list(_iter_entry_tuples(ctx))
     for e, target, time_ in zip(census.entries, census.pop_idx.tolist(), census.times.tolist()):
@@ -99,6 +99,17 @@ def test_census_refuses_keys_past_int64_before_enumerating(monkeypatch):
     monkeypatch.setattr(pop, "_vector_rows", no_enumeration)
     with pytest.raises(BoundExceeded, match="int64"):
         pop._census(16, force=True)
+
+
+def test_forced_and_unforced_calls_share_one_census():
+    pop._build_census.cache_clear()
+    try:
+        pop.count_t_sortable(6, 1)
+        pop.count_t_sortable(6, 2, force=True)
+        pop.pop_image(6, force=True)
+        assert pop._build_census.cache_info().misses == 1
+    finally:
+        pop._build_census.cache_clear()
 
 
 def test_sortability_times_refuse_a_cyclic_pop_instead_of_hanging():

@@ -139,9 +139,3 @@ def test_enumeration_bound():
     # force bypasses the guard
     ctx = NuContext.from_path(LatticePath("NE" * 14))
     assert len(enumerate_tam(ctx, force=True)) > 0
-
-
-def test_bound_env_override(monkeypatch):
-    monkeypatch.setenv("TAMARIPOP_MAX_ELL", "4")
-    with pytest.raises(BoundExceeded):
-        enumerate_tam(NuContext.from_text("NENENE"))

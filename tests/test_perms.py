@@ -3,12 +3,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from fault_scenarios import bijection_fault
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamaripop import perms
+from tamaripop import brackets, perms
 from tamaripop.paths import BoundExceeded
 from tamaripop.perms import (
     Permutation,
@@ -209,11 +210,17 @@ def test_inversion_masks_give_the_weak_order(n):
             below[w] = {w}.union(*(down_set(c.word) for c in covers))
         return below[w]
 
+    # the inversion masks are the 0/1 indicator rows, through the shared
+    # componentwise kernel: n = 1 has no columns, and no n here fills its
+    # last 64-bit word
     words = list(itertools.permutations(range(1, n + 1)))
-    masks = perms._inversion_masks(words)
+    indicators = perms._inversion_indicators(words)
+    rows = np.concatenate([block for _, block in brackets._componentwise_down_rows(indicators)])
+    leq = brackets._unpack_bits(rows, len(words))
     for j, w in enumerate(words):
-        contained = (masks & ~masks[j]) == 0
-        assert {u for u, c in zip(words, contained) if c} == down_set(w)
+        assert {u for u, c in zip(words, leq[j]) if c} == down_set(w)
+    padding = brackets._unpack_bits(rows, 64 * rows.shape[1])[:, len(words) :]
+    assert not padding.any()
 
 
 def test_bijection_fault_names_a_pair_that_differs():
@@ -249,7 +256,7 @@ def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
     bottom, top = (1, 2, 3, 4), (4, 3, 2, 1)
     phi[bottom], phi[top] = phi[top], phi[bottom]
     # scalar scan for the pair the message must name: rows in table order,
-    # the first row j that disagrees anywhere, then the least i within it
+    # the least row i that disagrees with any row, then the least j for it
     vecs = perms._lattice_tables("E" + "NE" * 3)[2]
     word_of = {v: w for w, v in phi.items()}
     words = [word_of[v] for v in vecs]
@@ -260,10 +267,10 @@ def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
     def disagree(i, j):
         return weak(i, j) != all(a <= b for a, b in zip(vecs[i], vecs[j]))
 
-    j = next(j for j in range(len(vecs)) if any(disagree(i, j) for i in range(len(vecs))))
-    differing = [i for i in range(len(vecs)) if disagree(i, j)]
-    assert len(differing) > 1  # so the least i is not the only one
-    i = differing[0]
+    i = next(i for i in range(len(vecs)) if any(disagree(i, j) for j in range(len(vecs))))
+    differing = [j for j in range(len(vecs)) if disagree(i, j)]
+    assert len(differing) > 1  # so the least j is not the only one
+    j = differing[0]
     expected = (
         f"constructed map is not an order isomorphism for n=4: "
         f"{words[i]} <= {words[j]} is {weak(i, j)} in the weak order, "
@@ -303,7 +310,22 @@ def test_enumeration_bound_raises_bound_exceeded():
         enumerate_av312(perms.DEFAULT_MAX_N + 1)
 
 
-def test_bijection_refuses_n_past_uint64_inversion_masks():
-    # C(12, 2) = 66 value pairs; refused before the 208,012 words are built
-    with pytest.raises(BoundExceeded):
-        tamari_perm_bijection(12, force=True)
+def test_bijection_refuses_n_past_the_order_matrix_bound_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the order-matrix bound")
+
+    for name in ("_av312_words", "_phi_words", "_vector_rows", "_lattice_tables"):
+        monkeypatch.setattr(perms, name, no_enumeration)
+    # Tam_11 has 58,786 elements and Tam_12 208,012: both order matrices are too large
+    for n in (11, 12):
+        with pytest.raises(BoundExceeded, match="order matrix"):
+            tamari_perm_bijection(n, force=True)
+
+
+def test_forced_and_unforced_calls_share_one_bijection():
+    perms._verified_bijection.cache_clear()
+    try:
+        assert tamari_perm_bijection(5) == tamari_perm_bijection(5, force=True)
+        assert perms._verified_bijection.cache_info().misses == 1
+    finally:
+        perms._verified_bijection.cache_clear()

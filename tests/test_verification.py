@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamaripop import brackets, pop, verification
+from tamaripop import brackets, paths, pop, verification
 from tamaripop.cli import main
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.verification import VerifyOptions
@@ -96,8 +96,19 @@ def test_componentwise_kernel_matches_scalar_leq(text):
     vecs = brackets.enumerate_vectors(ctx)
     V = brackets._vector_rows(ctx).astype("int16")
     expected = [[brackets.leq(u, v) for u in vecs] for v in vecs]  # row v: the u <= v
-    rows = verification._componentwise_down_rows(V)
+    rows = np.concatenate([block for _, block in brackets._componentwise_down_rows(V)])
     assert brackets._unpack_bits(rows, len(vecs)).tolist() == expected
+
+
+def test_first_order_difference_takes_the_least_i_across_blocks():
+    # 2,000 rows of 32 words make blocks of 1,024 rows, so the least i (5, in
+    # row 1,500) lies in a later block than a difference with a larger i (row 3)
+    X = np.random.default_rng(0).integers(0, 3, size=(2000, 4))
+    down = np.concatenate([block for _, block in brackets._componentwise_down_rows(X)])
+    assert brackets._first_order_difference(X, down) is None
+    for i, j in ((700, 3), (5, 1800), (5, 1500)):
+        down[j, i // 64] ^= np.uint64(1) << np.uint64(i % 64)
+    assert brackets._first_order_difference(X, down) == (5, 1500)
 
 
 def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
@@ -149,7 +160,7 @@ def test_min_closure_against_unwitnessed_rows_decides_like_all_pairs(data):
             candidates.append(data.draw(st.tuples(row, row)))
     closed = set(pairs_by_min) <= vectors
     V = np.array(rows, dtype=np.int16)
-    down = verification._componentwise_down_rows(V)
+    down = np.concatenate([block for _, block in brackets._componentwise_down_rows(V)])
     pair = verification._min_closure_failure(V, down, np.array(candidates), "random vectors")
     assert (pair is None) == closed
     if pair is not None:
@@ -191,6 +202,36 @@ def test_verify_bijection_past_the_bound_exits_2_before_enumerating(capsys, monk
     assert code == 2
     assert captured.out == ""
     assert "order matrix" in captured.err
+
+
+# Every check that reads the census of Tam_n, n <= max_n
+CENSUS_CHECKS = [
+    verification.check_irreducible_census_matches_series,
+    verification.check_decomposition_round_trip,
+    verification.check_decomposition_sortability,
+    verification.check_all_sort_within_n,
+    verification.check_hash_validity_monotonicity,
+    verification.check_hash_bijection,
+    verification.check_hash_sortability_threshold,
+]
+
+
+@pytest.mark.parametrize("check", CENSUS_CHECKS, ids=lambda check: check.__name__)
+def test_census_checks_refuse_n_past_the_path_length_bound(monkeypatch, check):
+    # ell = 2n - 1: with the bound lowered to 5, Tam_3 is built and Tam_4 refused,
+    # whether or not an earlier call left Tam_4 in the census cache
+    monkeypatch.setattr(paths, "DEFAULT_MAX_ELL", 5)
+    with pytest.raises(BoundExceeded, match="path length 7"):
+        check.counted(VerifyOptions(max_n=4, max_t=1))
+
+
+def test_verify_hash_past_the_path_length_bound_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(paths, "DEFAULT_MAX_ELL", 5)
+    code = main(["verify", "--suite", "hash", "--max-n", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "path length 7" in captured.err
 
 
 # The runner: every check is a registered case generator
