@@ -16,7 +16,6 @@ exhaustively by the test suite rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .paths import (
@@ -353,25 +352,24 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     return np.concatenate(upper), pos
 
 
-@lru_cache(maxsize=4)
-def _lattice_tables(nu_text: str):
+def _lattice_tables(ctx: NuContext):
     """Enumerated lattice with its covers, packed order rows and vectors.
 
-    Returns (ctx, mus, vecs, V, down, covers): the context; the paths; their
-    vectors as tuples, from path_to_vector; the same vectors as an int16
-    array; the packed down-sets, a uint64 array of m rows of ceil(m / 64)
-    words in which bit i of row j (bit i % 64 of word i // 64) is set iff
-    element i <= element j; and the covers, an int array of (upper, lower)
-    row pairs sorted by upper row.  Elements are sorted by (entry sum,
-    entries).  The order is the reflexive-transitive closure of the path
-    covers, ORed in one entry-sum level at a time (a cover that does not
-    lower the entry sum is a RuntimeError), so it never reads the vectors'
-    componentwise order.  Raises BoundExceeded before enumerating when the
+    Returns (mus, vecs, V, down, covers): the paths; their vectors as
+    tuples, from path_to_vector; the same vectors as an int16 array; the
+    packed down-sets, a uint64 array of m rows of ceil(m / 64) words in
+    which bit i of row j (bit i % 64 of word i // 64) is set iff element
+    i <= element j; and the covers, an int array of (upper, lower) row pairs
+    sorted by upper row.  Elements are sorted by (entry sum, entries).  The
+    order is the reflexive-transitive closure of the path covers, ORed in
+    one entry-sum level at a time (a cover that does not lower the entry sum
+    is a RuntimeError), so it never reads the vectors' componentwise order.
+    Both bijection checks compare their map with these rows, and each builds
+    them once, uncached.  Raises BoundExceeded before enumerating when the
     rows would be too large.
     """
     import numpy as np
 
-    ctx = NuContext.from_text(nu_text)
     _order_matrix_guard(ctx)
     if ctx.ell > 62:
         raise BoundExceeded(f"paths of {ctx.ell} steps do not fit int64 step keys (at most 62)")
@@ -389,7 +387,7 @@ def _lattice_tables(nu_text: str):
     V = np.array(vecs, dtype=np.int16)
     sums = V.sum(axis=1, dtype=np.int64)
     if (sums[lower] >= sums[upper]).any():
-        raise RuntimeError(f"cover does not decrease entry sum over {nu_text}")
+        raise RuntimeError(f"cover does not decrease entry sum over {ctx.nu}")
     down = np.zeros((m, (m + 63) // 64), dtype=np.uint64)
     i = np.arange(m)
     down[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
@@ -402,4 +400,4 @@ def _lattice_tables(nu_text: str):
         first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
         words = (lo + 63) // 64  # rows below this level only hold bits below lo
         down[u[first], :words] |= np.bitwise_or.reduceat(down[d, :words], first, axis=0)
-    return ctx, mus, vecs, V, down, np.stack((upper, lower), axis=1)
+    return mus, vecs, V, down, np.stack((upper, lower), axis=1)

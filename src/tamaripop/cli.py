@@ -14,7 +14,7 @@ import sys
 
 from . import brackets, perms, pop, series, verification
 from .brackets import BracketVector
-from .paths import BoundExceeded, NuContext, east_staircase, enumerate_tam
+from .paths import NuContext, east_staircase, enumerate_tam
 
 __all__ = ["main"]
 
@@ -60,8 +60,8 @@ def _cmd_pop(args) -> int:
 
 
 def _cmd_sortable(args) -> int:
-    h = series.h_series(args.t, args.n)  # rejects t < 1 before the census is built
-    count = pop.count_t_sortable(args.n, args.t, force=args.force)
+    count = pop.count_t_sortable(args.n, args.t, force=args.force)  # rejects n, t < 1 first
+    h = series.h_series(args.t, args.n)
     _emit(
         {
             "n": args.n,
@@ -75,6 +75,8 @@ def _cmd_sortable(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.terms < 0:
+        raise ValueError(f"need --terms >= 0, got {args.terms}")
     h = series.h_series(args.t, args.terms)
     _emit([str(h[n]) for n in range(args.terms + 1)])
     return 0
@@ -161,10 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("pop needs either --perm or both --vector and a base path")
     try:
         return args.func(args)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # BoundExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,13 +4,16 @@ The pop-stack map reverses every maximal descending run.  On the sublattice
 of 312-avoiding permutations, Pop is the pop-stack map followed by the
 projection pi_down to the minimal element of the sylvester class, computed
 by repeatedly swapping an adjacent descent (c, a) that has a later witness b
-with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection,
-built recursively from the position of the value 1 and verified on the
-spot.  u <= w in the weak order iff inv(u) is a subset of inv(w), so the
-weak order is the componentwise order on 0/1 inversion-indicator rows: the
-indicators of the words, taken in the row order of the Tamari order matrix
-through the map, go through brackets._first_order_difference, the kernel
-that also checks the bracket vectors, and must give that matrix exactly.
+with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection:
+_phi_words, one recursion on the position of the value 1, builds the
+312-avoiding words (its sorted keys) with their vectors, and is checked on
+the spot against one brackets._lattice_tables build, to be onto its vectors
+and to carry the weak order onto its order matrix.  u <= w in the weak order
+iff inv(u) is a subset of inv(w), so the weak order is the componentwise
+order on 0/1 inversion-indicator rows: the indicators of the words, taken in
+the table's row order through the map, go through
+brackets._first_order_difference, the kernel that also checks the bracket
+vectors, and must give that matrix exactly.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -21,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _lattice_tables, _vector_rows
+from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _lattice_tables
 from .brackets import _first_order_difference, _order_matrix_guard
 from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
@@ -210,17 +214,9 @@ def avoids(p: Permutation, pattern: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _av312_words(n: int) -> tuple[tuple[int, ...], ...]:
-    """All 312-avoiding words on 1..n: left of the value 1 is a 312-avoiding
-    word on 2..k, right of it one on k+1..n."""
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(1, n + 1):
-        for left in _av312_words(k - 1):
-            prefix = tuple(x + 1 for x in left) + (1,)
-            for right in _av312_words(n - k):
-                out.append(prefix + tuple(x + k for x in right))
-    return tuple(sorted(out))
+    """All 312-avoiding words on 1..n, lexicographically: the domain of
+    _phi_words, the one recursion that builds them."""
+    return tuple(sorted(_phi_words(n)))
 
 
 def enumerate_av312(n: int, *, force: bool = False) -> list[Permutation]:
@@ -237,26 +233,23 @@ def _swap_candidates(w: list[int]) -> list[int]:
     return out
 
 
+def _clear_corners(p: Permutation, choose: Callable[[list[int]], int]) -> Permutation:
+    """Swap at the candidate position that choose picks until none is left."""
+    w = list(p.word)
+    while cands := _swap_candidates(w):
+        i = choose(cands)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    return Permutation(tuple(w))
+
+
 def pi_down(p: Permutation) -> Permutation:
     """Minimal element of the sylvester class: clear 31bar2 corners, leftmost first."""
-    w = list(p.word)
-    while True:
-        cands = _swap_candidates(w)
-        if not cands:
-            return Permutation(tuple(w))
-        i = cands[0]
-        w[i], w[i + 1] = w[i + 1], w[i]
+    return _clear_corners(p, min)
 
 
 def pi_down_random(p: Permutation, rng: random.Random) -> Permutation:
     """Same map with a randomly chosen applicable swap at each step."""
-    w = list(p.word)
-    while True:
-        cands = _swap_candidates(w)
-        if not cands:
-            return Permutation(tuple(w))
-        i = rng.choice(cands)
-        w[i], w[i + 1] = w[i + 1], w[i]
+    return _clear_corners(p, rng.choice)
 
 
 def pop_tamari_perm(p: Permutation) -> Permutation:
@@ -388,14 +381,15 @@ def _inversion_indicators(words):
 
 @lru_cache(maxsize=None)
 def _verified_bijection(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """_phi_words(n), checked against one _lattice_tables build: onto its
+    vectors, and carrying the weak order onto its order matrix."""
     ctx = _east_staircase_ctx(n)
     _order_matrix_guard(ctx)
-    words = _av312_words(n)
     phi = _phi_words(n)
-    if sorted(phi[w] for w in words) != sorted(map(tuple, _vector_rows(ctx).tolist())):
+    _, vecs, _, down, _ = _lattice_tables(ctx)
+    if sorted(phi.values()) != sorted(vecs):
         raise RuntimeError(f"constructed map is not onto the vectors for n={n}")
-    _, _, vecs, _, down, _ = _lattice_tables(ctx.nu.steps)
-    word_of = {phi[w]: w for w in words}
+    word_of = {v: w for w, v in phi.items()}
     row_words = [word_of[v] for v in vecs]
     inversions = _inversion_indicators(row_words)
     pair = _first_order_difference(inversions, down)
@@ -413,15 +407,16 @@ def _verified_bijection(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, BracketVector]:
     """Verified order isomorphism from 312-avoiders onto vectors for E(NE)^(n-1).
 
-    The recursive construction is checked to be onto the vectors and to carry
-    the weak order (inversion-set containment) exactly onto the Tamari order
-    (closure of the path-level lower covers).  The weak order is the
-    componentwise order of the words' inversion-indicator rows, packed a
-    block of rows at a time by brackets._componentwise_down_rows (the kernel
-    that also checks the bracket vectors) and compared with the Tamari order
-    matrix block by block.  A
-    disagreement is a RuntimeError naming both words and both vectors of the
-    differing pair (i, j) of table rows with the least i, then the least j.
+    The recursive construction is compared with one brackets._lattice_tables
+    build: it must be onto the table's vectors (else a RuntimeError "not
+    onto") and carry the weak order (inversion-set containment) exactly onto
+    the table's Tamari order (closure of the path-level lower covers).  The
+    weak order is the componentwise order of the words' inversion-indicator
+    rows, packed a block of rows at a time by brackets._componentwise_down_rows
+    (the kernel that also checks the bracket vectors) and compared with the
+    Tamari order matrix block by block.  A disagreement is a RuntimeError
+    naming both words and both vectors of the differing pair (i, j) of table
+    rows with the least i, then the least j.
     Past the order-matrix bound (n >= 11, forced or not) it raises
     BoundExceeded before enumerating a word.
     """

@@ -169,8 +169,10 @@ def _east_staircase_ctx(n: int) -> NuContext:
     return NuContext.from_text(east_staircase(n).steps)
 
 
-def _pop_rows(rows, ctx: NuContext, np):
+def _pop_rows(rows, ctx: NuContext):
     """Pop of every row at once: the eta formula of _eta_at, one index at a time."""
+    import numpy as np
+
     heights, fixed = ctx.heights, ctx.fixed_positions
     out = rows.copy(order="K")
     for i in range(ctx.ell):
@@ -236,7 +238,7 @@ class _Census:
         row_keys = keys(rows)
         if (np.diff(row_keys) <= 0).any():
             raise RuntimeError(f"census rows for n={n} are not strictly increasing")
-        image = _pop_rows(rows, ctx, np)
+        image = _pop_rows(rows, ctx)
         pop_idx = np.minimum(np.searchsorted(row_keys, keys(image)), len(rows) - 1)
         if not np.array_equal(rows[pop_idx], image):
             r = int(np.argmax((rows[pop_idx] != image).any(axis=1)))

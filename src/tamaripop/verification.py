@@ -158,7 +158,7 @@ class VerificationReport:
 # Corpora
 
 
-def corpus_nus(max_ell: int, seed: int, n_random: int = RANDOM_NU_COUNT) -> list[LatticePath]:
+def corpus_nus(max_ell: int, seed: int) -> list[LatticePath]:
     """Structured families plus seeded random base paths, deduplicated."""
     texts: list[str] = []
     n = 1
@@ -170,7 +170,7 @@ def corpus_nus(max_ell: int, seed: int, n_random: int = RANDOM_NU_COUNT) -> list
         texts.append("E" + "NE" * (n - 1))
         n += 1
     rng = random.Random(seed)
-    for _ in range(n_random):
+    for _ in range(RANDOM_NU_COUNT):
         ell = rng.randint(1, max_ell)
         texts.append("".join(rng.choice("NE") for _ in range(ell)))
     seen = set()
@@ -240,7 +240,8 @@ def _check_one_bijection(nu_text: str) -> dict | None:
     """Bijection + order isomorphism + meet coherence for one base path."""
     import numpy as np
 
-    ctx, mus, vecs, V, down, covers = brackets._lattice_tables(nu_text)
+    ctx = NuContext.from_text(nu_text)
+    mus, vecs, V, down, covers = brackets._lattice_tables(ctx)
     m = len(mus)
 
     if sorted(map(tuple, brackets._vector_rows(ctx).tolist())) != sorted(vecs):

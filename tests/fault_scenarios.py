@@ -13,12 +13,12 @@ from tamaripop import perms, pop
 _array_pop = pop._pop_rows
 
 
-def _identity_pop(rows, ctx, np):
+def _identity_pop(rows, ctx):
     return rows.copy()
 
 
-def _off_lattice_pop(rows, ctx, np):
-    out = _array_pop(rows, ctx, np)
+def _off_lattice_pop(rows, ctx):
+    out = _array_pop(rows, ctx)
     out[-1, 1] += 1  # the fixed entry of height 0 becomes 1: no census row
     return out
 
@@ -55,11 +55,10 @@ def bijection_fault(a=7, b=3):
     pair of words and vectors."""
     real = perms._lattice_tables
 
-    def flipped(nu_text):
-        ctx, mus, vecs, V, down, covers = real(nu_text)
-        down = down.copy()
+    def flipped(ctx):
+        mus, vecs, V, down, covers = real(ctx)
         down[b, a // 64] ^= down.dtype.type(1 << (a % 64))
-        return ctx, mus, vecs, V, down, covers
+        return mus, vecs, V, down, covers
 
     perms._lattice_tables = flipped
     perms._verified_bijection.cache_clear()
@@ -72,7 +71,7 @@ def bijection_fault(a=7, b=3):
     finally:
         perms._lattice_tables = real
         perms._verified_bijection.cache_clear()
-    _, _, vecs, _, down, _ = real(perms._east_staircase_ctx(5).nu.steps)
+    _, vecs, _, down, _ = real(perms._east_staircase_ctx(5))
     word_of = {v: w for w, v in perms._phi_words(5).items()}
     u, w = word_of[vecs[a]], word_of[vecs[b]]
     weak = _inversions(u) <= _inversions(w)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tamaripop import pop
+from tamaripop import pop, series
 from tamaripop.cli import main
 
 
@@ -119,6 +119,21 @@ def test_sortable_past_int64_census_keys_exits_2_before_enumerating(capsys, monk
     assert code == 2
     assert out == ""
     assert "int64" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("sortable", "--n", "-1", "--t", "1"), ("series", "--t", "1", "--terms", "-1")]
+)
+def test_negative_size_is_refused_by_value_before_anything_is_built(capsys, monkeypatch, argv):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("built a census or series for a negative size")
+
+    monkeypatch.setattr(pop, "_census", nothing_built)
+    monkeypatch.setattr(series, "h_series", nothing_built)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "got -1" in err
 
 
 def test_series_output_is_decimal_strings(capsys):

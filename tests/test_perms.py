@@ -77,6 +77,12 @@ def test_av312_counts_are_catalan(n):
     assert all(avoids(p, "312") for p in words)
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_av312_is_the_lexicographic_filter_of_s_n(n):
+    every = (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
+    assert enumerate_av312(n) == [p for p in every if avoids(p, "312")]
+
+
 def test_weak_order_covers_down():
     covers = {q.word for q in weak_order_covers_down(P("2143"))}
     assert covers == {(1, 2, 4, 3), (2, 1, 3, 4)}
@@ -257,7 +263,7 @@ def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
     phi[bottom], phi[top] = phi[top], phi[bottom]
     # scalar scan for the pair the message must name: rows in table order,
     # the least row i that disagrees with any row, then the least j for it
-    vecs = perms._lattice_tables("E" + "NE" * 3)[2]
+    vecs = perms._lattice_tables(perms._east_staircase_ctx(4))[1]
     word_of = {v: w for w, v in phi.items()}
     words = [word_of[v] for v in vecs]
 
@@ -288,7 +294,7 @@ def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
 
 @pytest.fixture
 def cold_bijection_caches():
-    caches = (perms._verified_bijection, perms._phi_words, perms._lattice_tables)
+    caches = (perms._verified_bijection, perms._phi_words)
     for f in caches:
         f.cache_clear()
     yield
@@ -305,6 +311,32 @@ def test_bijection_rejects_a_map_that_is_not_onto(monkeypatch, cold_bijection_ca
         tamari_perm_bijection(4)
 
 
+def test_bijection_is_onto_the_table_it_compares(monkeypatch, cold_bijection_caches):
+    real = perms._lattice_tables
+
+    def altered(ctx):
+        mus, vecs, V, down, covers = real(ctx)
+        vecs[-1] = vecs[0]  # the top's vector becomes a second bottom
+        return mus, vecs, V, down, covers
+
+    monkeypatch.setattr(perms, "_lattice_tables", altered)
+    with pytest.raises(RuntimeError, match="constructed map is not onto the vectors for n=4"):
+        tamari_perm_bijection(4)
+
+
+def test_bijection_builds_one_table_and_no_vector_rows(monkeypatch, cold_bijection_caches):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated the vectors a second way")
+
+    for module in (brackets, perms):
+        monkeypatch.setattr(module, "_vector_rows", no_enumeration, raising=False)
+    built = []
+    real = perms._lattice_tables
+    monkeypatch.setattr(perms, "_lattice_tables", lambda ctx: built.append(ctx) or real(ctx))
+    assert len(tamari_perm_bijection(6)) == catalan(6)
+    assert built == [perms._east_staircase_ctx(6)]
+
+
 def test_enumeration_bound_raises_bound_exceeded():
     with pytest.raises(BoundExceeded):
         enumerate_av312(perms.DEFAULT_MAX_N + 1)
@@ -314,7 +346,7 @@ def test_bijection_refuses_n_past_the_order_matrix_bound_before_enumerating(monk
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated past the order-matrix bound")
 
-    for name in ("_av312_words", "_phi_words", "_vector_rows", "_lattice_tables"):
+    for name in ("_av312_words", "_phi_words", "_lattice_tables"):
         monkeypatch.setattr(perms, name, no_enumeration)
     # Tam_11 has 58,786 elements and Tam_12 208,012: both order matrices are too large
     for n in (11, 12):

@@ -23,17 +23,18 @@ NU = "ENENE"
 
 
 def _check_with(monkeypatch, edit, consistent_order=False):
-    """Run the check on copies of the tables changed by edit(V, O), where O is
-    the unpacked order matrix, O[i, j] = i <= j; with consistent_order, O is
-    recomputed as the componentwise order of the new V.  O goes back to the
-    tables packed, and the cover edges stay those of the real lattice."""
-    ctx, mus, vecs, V, down, covers = brackets._lattice_tables(NU)
-    V, O = V.copy(), brackets._unpack_bits(down, len(mus)).T.copy()
+    """Run the check on a fresh build of the tables changed by edit(V, O),
+    where O is the unpacked order matrix, O[i, j] = i <= j; with
+    consistent_order, O is recomputed as the componentwise order of the new
+    V.  O goes back to the tables packed, and the cover edges stay those of
+    the real lattice."""
+    mus, vecs, V, down, covers = brackets._lattice_tables(NuContext.from_text(NU))
+    O = brackets._unpack_bits(down, len(mus)).T
     edit(V, O)
     if consistent_order:
         O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
     down = brackets._pack_bits(O.T)
-    monkeypatch.setattr(brackets, "_lattice_tables", lambda text: (ctx, mus, vecs, V, down, covers))
+    monkeypatch.setattr(brackets, "_lattice_tables", lambda ctx: (mus, vecs, V, down, covers))
     return verification._check_one_bijection(NU)
 
 
@@ -119,7 +120,7 @@ def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
 
 
 def test_vector_to_path_that_does_not_invert(monkeypatch):
-    ctx, mus, vecs, *_ = brackets._lattice_tables(NU)
+    mus, vecs, *_ = brackets._lattice_tables(NuContext.from_text(NU))
     real = brackets.vector_to_path
 
     def broken(vec):
@@ -192,7 +193,7 @@ def _no_enumeration(*args, **kwargs):
 def test_lattice_tables_refuse_tam_11_before_enumerating(monkeypatch):
     monkeypatch.setattr(brackets, "enumerate_tam", _no_enumeration)
     with pytest.raises(BoundExceeded, match="58786 elements"):
-        brackets._lattice_tables("E" + "NE" * 10)
+        brackets._lattice_tables(NuContext.from_text("E" + "NE" * 10))
 
 
 def test_verify_bijection_past_the_bound_exits_2_before_enumerating(capsys, monkeypatch):
