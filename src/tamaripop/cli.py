@@ -3,7 +3,8 @@
 All machine-readable output is JSON on stdout (one document per run, keys
 sorted); human diagnostics and timings go to stderr.  Exit codes: 0 on
 success, 1 when a verification suite reports a failure, 2 for usage errors
-including exceeded size bounds (pass --force to lift them).
+including exceeded size bounds (enum, sortable and image take --force to
+lift them) and a verify bound that no selected check reads.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def _check_ell(ell: int, force: bool) -> None:
     if not force and ell > DEFAULT_MAX_ELL:
         raise BoundExceeded(
             f"path length {ell} exceeds the enumeration bound {DEFAULT_MAX_ELL}; "
-            "use force=True (--force) to override"
+            "pass force=True (--force for enum, sortable and image) to override"
         )
 
 

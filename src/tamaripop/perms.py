@@ -62,7 +62,7 @@ def _check_n(n: int, force: bool) -> None:
     if not force and n > DEFAULT_MAX_N:
         raise BoundExceeded(
             f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N}; "
-            "use force=True (--force) to override"
+            "pass force=True to override"
         )
 
 
@@ -191,21 +191,11 @@ def _avoids_231(w: tuple[int, ...]) -> bool:
     return True
 
 
-def _avoids_31bar2(w: tuple[int, ...]) -> bool:
-    # no adjacent descent (w[i-1], w[i]) with a later witness strictly between
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            for j in range(i + 1, len(w)):
-                if w[i] < w[j] < w[i - 1]:
-                    return False
-    return True
-
-
-_PATTERN_CHECKS = {"312": _avoids_312, "231": _avoids_231, "31bar2": _avoids_31bar2}
+_PATTERN_CHECKS = {"312": _avoids_312, "231": _avoids_231}
 
 
 def avoids(p: Permutation, pattern: str) -> bool:
-    """Pattern avoidance for the patterns used here: 312, 231, 31bar2."""
+    """Pattern avoidance for the patterns used here: 312 and 231."""
     try:
         return _PATTERN_CHECKS[pattern](p.word)
     except KeyError:

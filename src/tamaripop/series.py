@@ -133,9 +133,11 @@ def reciprocal_one_minus(s: IntSeries) -> IntSeries:
     return IntSeries(tuple(out))
 
 
-def _check_t(t: int) -> None:
+def _check_args(t: int, order: int) -> None:
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
 
 
 def h_series(t: int, order: int) -> IntSeries:
@@ -143,7 +145,7 @@ def h_series(t: int, order: int) -> IntSeries:
 
     h(1) = 1 and h(n) = 2 h(n-1) + sum_{j=2}^{t} C_{j-1} h(n-j).
     """
-    _check_t(t)
+    _check_args(t, order)
     h = [0] * (order + 1)
     if order >= 1:
         h[1] = 1
@@ -157,7 +159,7 @@ def h_series(t: int, order: int) -> IntSeries:
 
 def h_series_rational(t: int, order: int) -> IntSeries:
     """Same series obtained as z / (1 - 2z - sum_{j=2}^t C_{j-1} z^j)."""
-    _check_t(t)
+    _check_args(t, order)
     denom_tail = [0, 2] + [catalan(j - 1) for j in range(2, t + 1)]
     s = IntSeries.from_coeffs(denom_tail, order)
     return IntSeries.z(order) * reciprocal_one_minus(s)
@@ -168,7 +170,7 @@ def g_series(t: int, order: int) -> IntSeries:
 
     g(1) = 1 and g(n) = sum_{j=1}^{min(t, n-1)} C_{j-1} g(n-j) for n >= 2.
     """
-    _check_t(t)
+    _check_args(t, order)
     g = [0] * (order + 1)
     if order >= 1:
         g[1] = 1
@@ -179,6 +181,6 @@ def g_series(t: int, order: int) -> IntSeries:
 
 def g_series_rational(t: int, order: int) -> IntSeries:
     """Same series obtained as z / (1 - sum_{n=1}^t C_{n-1} z^n)."""
-    _check_t(t)
+    _check_args(t, order)
     s = IntSeries.from_coeffs([0] + [catalan(n - 1) for n in range(1, t + 1)], order)
     return IntSeries.z(order) * reciprocal_one_minus(s)

@@ -1,16 +1,25 @@
 """Named verification suites behind both the CLI and the acceptance tests.
 
-Every check is a case generator registered by `_check(suite, name)`.  It
-first yields its params, the parameter ranges it actually runs at, and then
-one verdict per case it examines: a small counterexample dict when the case
-fails, a falsy value when it holds.  The decorator turns the generator into
-a function returning (passed, counterexample, params) and counts the
-verdicts.  The first counterexample ends the check, and a check that yields
-no verdict at all fails with {"failure": "no cases examined"}: a check that
-examined nothing has shown nothing.  Checks are pure and deterministic for a
-fixed seed; a suite runs its checks in sorted name order so the assembled
-report is reproducible byte for byte (wall times and case counts are kept on
-the result objects and in stderr diagnostics, never in the stdout JSON).
+Every check is a case generator registered by
+`_check(suite, name, **params)`, which declares each parameter the check
+runs at with its default, for example `max_n=11, max_t=5` or
+`order=SERIES_ORDER`.  The decorator alone resolves them: `max_n` and
+`max_ell` take VerifyOptions.max_n when it is set, `max_t` takes max_t,
+`seed` takes seed, and every other parameter is fixed.  It passes the
+resolved values to the generator as arguments and reports exactly those
+values as the check's params, so the report cannot disagree with the run.
+Because the registry knows which options each check reads, run_suite
+refuses a max_n or max_t that no selected check reads before any check runs.
+The generator yields one verdict per case it examines: a small
+counterexample dict when the case fails, a falsy value when it holds.  The
+decorator turns it into a function of VerifyOptions returning
+(passed, counterexample, params) and counts the verdicts.  The first
+counterexample ends the check, and a check that yields no verdict at all
+fails with {"failure": "no cases examined"}: a check that examined nothing
+has shown nothing.  Checks are pure and deterministic for a fixed seed; a
+suite runs its checks in sorted name order so the assembled report is
+reproducible byte for byte (wall times and case counts are kept on the
+result objects and in stderr diagnostics, never in the stdout JSON).
 
 The centerpiece equivalence used by the bijection suite: for a bijection
 phi from a finite poset P (order = reflexive-transitive closure of the
@@ -58,7 +67,7 @@ from typing import Callable, Iterator
 
 from . import brackets, paths, perms, pop, series
 from .brackets import BracketVector
-from .paths import LatticePath, NuContext
+from .paths import NuContext
 
 __all__ = [
     "CheckResult",
@@ -68,22 +77,16 @@ __all__ = [
     "suite_names",
 ]
 
-# Default bounds for the individual checks.
-BIJECTION_MAX_ELL = 14
+# Default bounds shared by several checks; a bound only one check reads is
+# written in its registration.
 ORACLE_MAX_ELL = 12
 STRUCTURE_MAX_N = 8
-STRUCTURE_MAX_T = 4
-HASH_BIJECTION_MAX_N = 9
 SERIES_MAX_T = 6
 SERIES_ORDER = 25
 CENSUS_MAX_N = 11
-CENSUS_MAX_T = 5
 QPOLY_MAX_N = 9
 CONGRUENCE_MAX_N = 8
 CONFLUENCE_MAX_N = 7
-CONFLUENCE_TRIALS = 1000
-CHARACTERIZATION_MAX_N = 9
-PETERSEN_MAX_N = 8
 RANDOM_NU_COUNT = 50
 
 
@@ -103,12 +106,6 @@ class VerifyOptions:
         for name, value in (("max_n", self.max_n), ("max_t", self.max_t)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-
-    def n(self, default: int) -> int:
-        return self.max_n if self.max_n is not None else default
-
-    def t(self, default: int) -> int:
-        return self.max_t if self.max_t is not None else default
 
 
 @dataclass
@@ -158,28 +155,15 @@ class VerificationReport:
 # Corpora
 
 
-def corpus_nus(max_ell: int, seed: int) -> list[LatticePath]:
-    """Structured families plus seeded random base paths, deduplicated."""
-    texts: list[str] = []
-    n = 1
-    while 2 * n <= max_ell:
-        texts.append("NE" * n)
-        n += 1
-    n = 1
-    while 2 * n - 1 <= max_ell:
-        texts.append("E" + "NE" * (n - 1))
-        n += 1
+def corpus_nus(max_ell: int, random_paths: int, seed: int) -> list[str]:
+    """Structured families plus seeded random base paths, as deduplicated step texts."""
+    texts = ["NE" * n for n in range(1, max_ell // 2 + 1)]
+    texts += ["E" + "NE" * n for n in range((max_ell + 1) // 2)]
     rng = random.Random(seed)
-    for _ in range(RANDOM_NU_COUNT):
+    for _ in range(random_paths):
         ell = rng.randint(1, max_ell)
         texts.append("".join(rng.choice("NE") for _ in range(ell)))
-    seen = set()
-    out = []
-    for t in texts:
-        if t not in seen:
-            seen.add(t)
-            out.append(paths.parse_path(t))
-    return out
+    return list(dict.fromkeys(texts))
 
 
 def _min_closure_failure(V, down, candidates, over: str):
@@ -294,20 +278,27 @@ CheckOutcome = tuple[bool, dict | None, dict]
 
 _SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {}
 
+# The VerifyOptions field each bound parameter takes when that field is set
+_OPTION_OF = {"max_n": "max_n", "max_ell": "max_n", "max_t": "max_t", "seed": "seed"}
 
-def _check(suite: str, name: str):
-    """Register a case generator as check `name` of `suite`, run as a
-    function of VerifyOptions that returns (passed, counterexample, params).
-    Its `counted` attribute returns that outcome with the number of verdicts
+
+def _check(suite: str, name: str, **declared):
+    """Register a case generator as check `name` of `suite`, declared with
+    every parameter it runs at and its default (see the module docstring).
+    The check's `options` attribute names the options it reads, and its
+    `counted` attribute returns the outcome with the number of verdicts
     examined."""
+    options = frozenset(_OPTION_OF[key] for key in declared if key in _OPTION_OF)
 
-    def register(cases: Callable[[VerifyOptions], Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
+    def register(cases: Callable[..., Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
         def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
-            verdicts = cases(opts)
-            params = next(verdicts)
+            params = {}
+            for key, default in declared.items():
+                value = getattr(opts, _OPTION_OF[key]) if key in _OPTION_OF else None
+                params[key] = default if value is None else value
             outcome = False, {"failure": "no cases examined"}, params
             examined = 0
-            for bad in verdicts:
+            for bad in cases(**params):
                 examined += 1
                 if bad:
                     return (False, bad, params), examined
@@ -319,6 +310,7 @@ def _check(suite: str, name: str):
             return counted(opts)[0]
 
         check.counted = counted
+        check.options = options
         _SUITES.setdefault(suite, {})[name] = check
         return check
 
@@ -333,76 +325,84 @@ def _census_rows(first_n: int, max_n: int):
             yield n, BracketVector(e, census.ctx), time_
 
 
+def _oracle_corpus(max_ell: int, random_paths: int, seed: int) -> Iterator[NuContext]:
+    """The pop-oracle corpus; max_ell past the path-length bound is refused
+    before any lattice is enumerated."""
+    paths._check_ell(max_ell, force=False)
+    for nu in corpus_nus(max_ell, random_paths, seed):
+        yield NuContext.from_text(nu)
+
+
+def _oracle_paths(max_ell: int, random_paths: int, seed: int):
+    """(nu, ctx, mu) for every element mu of Tam(nu), nu in the pop-oracle corpus."""
+    for ctx in _oracle_corpus(max_ell, random_paths, seed):
+        for mu in paths.enumerate_tam(ctx):
+            yield ctx.nu.steps, ctx, mu
+
+
 def _av312_pop_image(n: int) -> set:
     """The Pop image of the 312-avoiding permutations of size n."""
     return {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n)}
 
 
-@_check("bijection", "order-isomorphism-and-meets")
-def check_order_isomorphism(opts: VerifyOptions):
-    max_ell = opts.n(BIJECTION_MAX_ELL)
-    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
-    corpus = corpus_nus(max_ell, opts.seed)
+@_check("bijection", "order-isomorphism-and-meets", max_ell=14, random_paths=RANDOM_NU_COUNT, seed=0)
+def check_order_isomorphism(max_ell, random_paths, seed):
+    corpus = corpus_nus(max_ell, random_paths, seed)
     for nu in corpus:  # refuse an oversized lattice before building any table
-        brackets._order_matrix_guard(NuContext.from_text(nu.steps))
+        brackets._order_matrix_guard(NuContext.from_text(nu))
     for nu in corpus:
-        yield _check_one_bijection(nu.steps)
+        yield _check_one_bijection(nu)
 
 
-@_check("pop-oracle", "pop-meet-oracle-equivalence")
-def check_pop_oracle(opts: VerifyOptions):
-    max_ell = opts.n(ORACLE_MAX_ELL)
-    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
-    for nu in corpus_nus(max_ell, opts.seed):
-        ctx = NuContext.from_text(nu.steps)
-        for mu in paths.enumerate_tam(ctx, force=True):
-            via_covers = pop.pop_generic(mu, ctx)
-            via_vector = brackets.vector_to_path(pop.pop_vector(brackets.path_to_vector(mu, ctx)))
-            yield via_covers != via_vector and {
-                "nu": nu.steps, "path": mu.steps, "meet_of_covers": via_covers.steps,
-                "entrywise_formula": via_vector.steps,
-            }
+@_check(
+    "pop-oracle", "pop-meet-oracle-equivalence",
+    max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+)
+def check_pop_oracle(max_ell, random_paths, seed):
+    for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
+        via_covers = pop.pop_generic(mu, ctx)
+        via_vector = brackets.vector_to_path(pop.pop_vector(brackets.path_to_vector(mu, ctx)))
+        yield via_covers != via_vector and {
+            "nu": nu, "path": mu.steps, "meet_of_covers": via_covers.steps,
+            "entrywise_formula": via_vector.steps,
+        }
 
 
-@_check("pop-oracle", "pop-entry-lower-bound")
-def check_pop_entry_lower_bound(opts: VerifyOptions):
-    max_ell = opts.n(ORACLE_MAX_ELL)
-    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
-    for nu in corpus_nus(max_ell, opts.seed):
-        ctx = NuContext.from_text(nu.steps)
+@_check(
+    "pop-oracle", "pop-entry-lower-bound",
+    max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+)
+def check_pop_entry_lower_bound(max_ell, random_paths, seed):
+    for ctx in _oracle_corpus(max_ell, random_paths, seed):
         fixed = ctx.fixed_positions
         free = [i for i in range(fixed[-1]) if i not in fixed]
-        for v in brackets.enumerate_vectors(ctx, force=True):
+        for v in brackets.enumerate_vectors(ctx):
             popped = pop.pop_vector(v).entries
             low = [i for i in free if popped[i] < v.entries[i + 1]]
-            yield low and {"nu": nu.steps, "vector": list(v.entries), "index": low[0]}
+            yield low and {"nu": ctx.nu.steps, "vector": list(v.entries), "index": low[0]}
 
 
-@_check("pop-oracle", "down-cover-candidates-match")
-def check_down_cover_candidates(opts: VerifyOptions):
-    max_ell = opts.n(ORACLE_MAX_ELL)
-    yield {"max_ell": max_ell, "random_paths": RANDOM_NU_COUNT, "seed": opts.seed}
-    for nu in corpus_nus(max_ell, opts.seed):
-        ctx = NuContext.from_text(nu.steps)
-        for mu in paths.enumerate_tam(ctx, force=True):
-            v = brackets.path_to_vector(mu, ctx)
-            from_paths = {
-                brackets.path_to_vector(lower, ctx).entries
-                for lower in paths.covers_down(mu, ctx)
-            }
-            from_entries = {c.entries for c in pop.down_cover_candidates(v)}
-            yield from_paths != from_entries and {
-                "nu": nu.steps, "path": mu.steps,
-                "covers_down": sorted(map(list, from_paths)),
-                "candidates": sorted(map(list, from_entries)),
-            }
+@_check(
+    "pop-oracle", "down-cover-candidates-match",
+    max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+)
+def check_down_cover_candidates(max_ell, random_paths, seed):
+    for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
+        v = brackets.path_to_vector(mu, ctx)
+        from_paths = {
+            brackets.path_to_vector(lower, ctx).entries
+            for lower in paths.covers_down(mu, ctx)
+        }
+        from_entries = {c.entries for c in pop.down_cover_candidates(v)}
+        yield from_paths != from_entries and {
+            "nu": nu, "path": mu.steps,
+            "covers_down": sorted(map(list, from_paths)),
+            "candidates": sorted(map(list, from_entries)),
+        }
 
 
-@_check("theorem-1", "census-matches-series")
-def check_census_matches_series(opts: VerifyOptions):
-    max_n = opts.n(CENSUS_MAX_N)
-    max_t = opts.t(CENSUS_MAX_T)
-    yield {"max_n": max_n, "max_t": max_t}
+@_check("theorem-1", "census-matches-series", max_n=CENSUS_MAX_N, max_t=5)
+def check_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         h = series.h_series(t, max_n)
         for n in range(1, max_n + 1):
@@ -410,65 +410,51 @@ def check_census_matches_series(opts: VerifyOptions):
             yield counted != h[n] and {"n": n, "t": t, "census": counted, "series": h[n]}
 
 
-@_check("theorem-1", "irreducible-census-matches-series")
-def check_irreducible_census_matches_series(opts: VerifyOptions):
-    max_n = opts.n(STRUCTURE_MAX_N)
-    max_t = opts.t(STRUCTURE_MAX_T)
-    yield {"max_n": max_n, "max_t": max_t}
+@_check("theorem-1", "irreducible-census-matches-series", max_n=STRUCTURE_MAX_N, max_t=4)
+def check_irreducible_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
         for n in range(1, max_n + 1):
-            census = pop._census(n)
             counted = sum(
-                1
-                for e, time_ in zip(census.entries, census.times.tolist())
-                if e[0] == e[-1] and time_ <= t
+                v.entries[0] == v.entries[-1] and time_ <= t for _, v, time_ in _census_rows(n, n)
             )
             yield counted != g[n] and {"n": n, "t": t, "census": counted, "series": g[n]}
 
 
-@_check("theorem-1", "series-recurrence-vs-rational")
-def check_series_recurrence_vs_rational(opts: VerifyOptions):
-    max_t = opts.t(SERIES_MAX_T)
-    yield {"max_t": max_t, "order": SERIES_ORDER}
+@_check("theorem-1", "series-recurrence-vs-rational", max_t=SERIES_MAX_T, order=SERIES_ORDER)
+def check_series_recurrence_vs_rational(max_t, order):
     for t in range(1, max_t + 1):
-        h_differs = series.h_series(t, SERIES_ORDER) != series.h_series_rational(t, SERIES_ORDER)
-        yield h_differs and {"t": t, "series": "h"}
-        g_differs = series.g_series(t, SERIES_ORDER) != series.g_series_rational(t, SERIES_ORDER)
-        yield g_differs and {"t": t, "series": "g"}
+        yield series.h_series(t, order) != series.h_series_rational(t, order) and {
+            "t": t, "series": "h"
+        }
+        yield series.g_series(t, order) != series.g_series_rational(t, order) and {
+            "t": t, "series": "g"
+        }
 
 
-@_check("theorem-1", "series-geometric-identity")
-def check_series_geometric_identity(opts: VerifyOptions):
+@_check("theorem-1", "series-geometric-identity", max_t=SERIES_MAX_T, order=SERIES_ORDER)
+def check_series_geometric_identity(max_t, order):
     """1 + H_t = 1 / (1 - G_t)."""
-    max_t = opts.t(SERIES_MAX_T)
-    yield {"max_t": max_t, "order": SERIES_ORDER}
-    one = series.IntSeries.one(SERIES_ORDER)
+    one = series.IntSeries.one(order)
     for t in range(1, max_t + 1):
-        lhs = one + series.h_series(t, SERIES_ORDER)
-        rhs = series.reciprocal_one_minus(series.g_series(t, SERIES_ORDER))
+        lhs = one + series.h_series(t, order)
+        rhs = series.reciprocal_one_minus(series.g_series(t, order))
         yield lhs != rhs and {"t": t}
 
 
-@_check("theorem-1", "series-irreducible-recursion")
-def check_series_irreducible_recursion(opts: VerifyOptions):
+@_check("theorem-1", "series-irreducible-recursion", max_t=SERIES_MAX_T, order=SERIES_ORDER)
+def check_series_irreducible_recursion(max_t, order):
     """G_t = z * ((1 + sum_{n<t} C_n z^n) G_t + 1)."""
-    max_t = opts.t(SERIES_MAX_T)
-    yield {"max_t": max_t, "order": SERIES_ORDER}
-    one = series.IntSeries.one(SERIES_ORDER)
-    z = series.IntSeries.z(SERIES_ORDER)
+    one = series.IntSeries.one(order)
+    z = series.IntSeries.z(order)
     for t in range(1, max_t + 1):
-        g = series.g_series(t, SERIES_ORDER)
-        h_small = series.IntSeries.from_coeffs(
-            [0] + [series.catalan(n) for n in range(1, t)], SERIES_ORDER
-        )
+        g = series.g_series(t, order)
+        h_small = series.IntSeries.from_coeffs([0] + [series.catalan(n) for n in range(1, t)], order)
         yield g != z * ((one + h_small) * g + one) and {"t": t}
 
 
-@_check("decomposition", "decomposition-round-trip")
-def check_decomposition_round_trip(opts: VerifyOptions):
-    max_n = opts.n(STRUCTURE_MAX_N)
-    yield {"max_n": max_n}
+@_check("decomposition", "decomposition-round-trip", max_n=STRUCTURE_MAX_N)
+def check_decomposition_round_trip(max_n):
     for n, v, _ in _census_rows(1, max_n):
         parts = pop.decompose_irreducible(v)
         case = {"n": n, "vector": list(v.entries)}
@@ -478,11 +464,9 @@ def check_decomposition_round_trip(opts: VerifyOptions):
         yield pop.concat_irreducible(parts).entries != v.entries and {**case, "failure": "round trip"}
 
 
-@_check("decomposition", "decomposition-sortability")
-def check_decomposition_sortability(opts: VerifyOptions):
+@_check("decomposition", "decomposition-sortability", max_n=STRUCTURE_MAX_N)
+def check_decomposition_sortability(max_n):
     """Sortability time equals the max over irreducible components."""
-    max_n = opts.n(STRUCTURE_MAX_N)
-    yield {"max_n": max_n}
     for n, v, time_ in _census_rows(1, max_n):
         expected = max(pop.sortability_time(p) for p in pop.decompose_irreducible(v))
         yield time_ != expected and {
@@ -490,21 +474,17 @@ def check_decomposition_sortability(opts: VerifyOptions):
         }
 
 
-@_check("decomposition", "all-elements-sort-within-n")
-def check_all_sort_within_n(opts: VerifyOptions):
+@_check("decomposition", "all-elements-sort-within-n", max_n=STRUCTURE_MAX_N)
+def check_all_sort_within_n(max_n):
     """Everything in Tam_n is n-sortable."""
-    max_n = opts.n(STRUCTURE_MAX_N)
-    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         total = series.catalan(n)
         counted = pop.count_t_sortable(n, n)
         yield counted != total and {"n": n, "t": n, "count": counted, "catalan": total}
 
 
-@_check("hash", "hash-validity-and-monotonicity")
-def check_hash_validity_monotonicity(opts: VerifyOptions):
-    max_n = opts.n(STRUCTURE_MAX_N)
-    yield {"max_n": max_n}
+@_check("hash", "hash-validity-and-monotonicity", max_n=STRUCTURE_MAX_N)
+def check_hash_validity_monotonicity(max_n):
     for n, v, time_ in _census_rows(2, max_n):
         reduced = pop.hash_map(v)
         case = {"n": n, "vector": list(v.entries)}
@@ -516,10 +496,8 @@ def check_hash_validity_monotonicity(opts: VerifyOptions):
         }
 
 
-@_check("hash", "hash-bijection-on-irreducibles")
-def check_hash_bijection(opts: VerifyOptions):
-    max_n = opts.n(HASH_BIJECTION_MAX_N)
-    yield {"max_n": max_n}
+@_check("hash", "hash-bijection-on-irreducibles", max_n=9)
+def check_hash_bijection(max_n):
     for n in range(2, max_n + 1):
         images = [
             pop.hash_map(v).entries for _, v, _ in _census_rows(n, n) if v.entries[0] == v.entries[-1]
@@ -530,12 +508,10 @@ def check_hash_bijection(opts: VerifyOptions):
         }
 
 
-@_check("hash", "hash-sortability-threshold")
-def check_hash_sortability_threshold(opts: VerifyOptions):
+@_check("hash", "hash-sortability-threshold", max_n=STRUCTURE_MAX_N)
+def check_hash_sortability_threshold(max_n):
     """time(v) = max(time(v#), b_0 - x_r + 1) for irreducible v, where 2 x_r
     is the length of the last irreducible component of v#."""
-    max_n = opts.n(STRUCTURE_MAX_N)
-    yield {"max_n": max_n}
     for n, v, time_ in _census_rows(2, max_n):
         if v.entries[0] != v.entries[-1]:
             continue
@@ -547,20 +523,16 @@ def check_hash_sortability_threshold(opts: VerifyOptions):
         }
 
 
-@_check("congruence", "perm-vector-isomorphism-covers")
-def check_perm_isomorphism_covers(opts: VerifyOptions):
+@_check("congruence", "perm-vector-isomorphism-covers", max_n=CONGRUENCE_MAX_N)
+def check_perm_isomorphism_covers(max_n):
     """tamari_perm_bijection checks that it is an order isomorphism; run it."""
-    max_n = opts.n(CONGRUENCE_MAX_N)
-    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
         yield len(mapping) != series.catalan(n) and {"n": n, "failure": "wrong domain size"}
 
 
-@_check("congruence", "pop-commutes-with-isomorphism")
-def check_pop_commutes(opts: VerifyOptions):
-    max_n = opts.n(CONGRUENCE_MAX_N)
-    yield {"max_n": max_n}
+@_check("congruence", "pop-commutes-with-isomorphism", max_n=CONGRUENCE_MAX_N)
+def check_pop_commutes(max_n):
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
         for p, v in mapping.items():
@@ -572,13 +544,11 @@ def check_pop_commutes(opts: VerifyOptions):
             }
 
 
-@_check("congruence", "pidown-confluence")
-def check_pidown_confluence(opts: VerifyOptions):
-    max_n = opts.n(CONFLUENCE_MAX_N)
-    yield {"max_n": max_n, "trials_per_n": CONFLUENCE_TRIALS, "seed": opts.seed}
-    rng = random.Random(opts.seed)
+@_check("congruence", "pidown-confluence", max_n=CONFLUENCE_MAX_N, trials_per_n=1000, seed=0)
+def check_pidown_confluence(max_n, trials_per_n, seed):
+    rng = random.Random(seed)
     for n in range(2, max_n + 1):
-        for _ in range(CONFLUENCE_TRIALS):
+        for _ in range(trials_per_n):
             word = list(range(1, n + 1))
             rng.shuffle(word)
             p = perms.Permutation(tuple(word))
@@ -589,11 +559,9 @@ def check_pidown_confluence(opts: VerifyOptions):
             }
 
 
-@_check("congruence", "pidown-projects-to-312-avoiders")
-def check_pidown_projects(opts: VerifyOptions):
+@_check("congruence", "pidown-projects-to-312-avoiders", max_n=CONFLUENCE_MAX_N)
+def check_pidown_projects(max_n):
     """pi_down lands on a 312-avoider and fixes 312-avoiders."""
-    max_n = opts.n(CONFLUENCE_MAX_N)
-    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         for w in itertools.permutations(range(1, n + 1)):
             p = perms.Permutation(w)
@@ -604,10 +572,8 @@ def check_pidown_projects(opts: VerifyOptions):
             }
 
 
-@_check("congruence", "ascents-count-up-covers")
-def check_ascents_count_up_covers(opts: VerifyOptions):
-    max_n = opts.n(CONGRUENCE_MAX_N)
-    yield {"max_n": max_n}
+@_check("congruence", "ascents-count-up-covers", max_n=CONGRUENCE_MAX_N)
+def check_ascents_count_up_covers(max_n):
     for n in range(1, max_n + 1):
         for p, v in perms.tamari_perm_bijection(n).items():
             ascents = len(perms.perm_stats(p).ascent_positions)
@@ -617,10 +583,8 @@ def check_ascents_count_up_covers(opts: VerifyOptions):
             }
 
 
-@_check("characterization", "pop-image-equals-characterization")
-def check_characterization(opts: VerifyOptions):
-    max_n = opts.n(CHARACTERIZATION_MAX_N)
-    yield {"max_n": max_n}
+@_check("characterization", "pop-image-equals-characterization", max_n=9)
+def check_characterization(max_n):
     for n in range(1, max_n + 1):
         image = _av312_pop_image(n)
         described = perms.image_by_characterization(n)
@@ -633,44 +597,36 @@ def check_characterization(opts: VerifyOptions):
         yield len(image) != motzkin and {"n": n, "size": len(image), "motzkin": motzkin}
 
 
-@_check("theorem-2", "pop-image-size-is-motzkin")
-def check_pop_image_motzkin(opts: VerifyOptions):
-    max_n = opts.n(CENSUS_MAX_N)
-    yield {"max_n": max_n}
+@_check("theorem-2", "pop-image-size-is-motzkin", max_n=CENSUS_MAX_N)
+def check_pop_image_motzkin(max_n):
     for n in range(1, max_n + 1):
         size = len(pop.pop_image(n))
         expected = series.motzkin(n - 1)
         yield size != expected and {"n": n, "size": size, "motzkin": expected}
 
 
-@_check("theorem-2", "qpolynomial-matches-formula")
-def check_qpolynomial_formula(opts: VerifyOptions):
+@_check("theorem-2", "qpolynomial-matches-formula", max_n=QPOLY_MAX_N)
+def check_qpolynomial_formula(max_n):
     """Coefficient of q^(n-k) in the Tam_{n+1} polynomial is a055151(n, k)."""
-    max_n = opts.n(QPOLY_MAX_N)
-    yield {"max_n": max_n}
     for n in range(0, max_n + 1):
         coeffs = pop.pop_polynomial(n + 1).coeffs
         expected = series.qpolynomial_formula(n)
         yield coeffs != expected and {"n": n, "histogram": coeffs, "formula": expected}
 
 
-@_check("theorem-2", "qpolynomial-matches-permutation-ascents")
-def check_qpolynomial_permutations(opts: VerifyOptions):
+@_check("theorem-2", "qpolynomial-matches-permutation-ascents", max_n=QPOLY_MAX_N)
+def check_qpolynomial_permutations(max_n):
     """Ascent histogram over the permutation Pop image matches the polynomial."""
-    max_n = opts.n(QPOLY_MAX_N)
-    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         hist = dict(Counter(len(perms.perm_stats(p).ascent_positions) for p in _av312_pop_image(n)))
         qpoly = pop.pop_polynomial(n).coeffs
         yield hist != qpoly and {"n": n, "ascent_histogram": hist, "qpoly": qpoly}
 
 
-@_check("theorem-2", "rmap-bijection-descents-peaks")
-def check_rmap_bijection(opts: VerifyOptions):
+@_check("theorem-2", "rmap-bijection-descents-peaks", max_n=CONGRUENCE_MAX_N)
+def check_rmap_bijection(max_n):
     """r maps the Pop image in S_{n+1} onto the 231-avoiders with equal
     descent and peak counts, matching k descents to n-k up-covers."""
-    max_n = opts.n(CONGRUENCE_MAX_N)
-    yield {"max_n": max_n}
     for n in range(1, max_n + 1):
         image = _av312_pop_image(n + 1)
         mapped = {perms.r_map(p) for p in image}
@@ -684,19 +640,15 @@ def check_rmap_bijection(opts: VerifyOptions):
             yield not kept and {"n": n, "perm": str(p), "failure": "descent/peak bookkeeping"}
 
 
-@_check("theorem-2", "a055151-row-sums-motzkin")
-def check_a055151_row_sums(opts: VerifyOptions):
-    max_n = opts.n(12)
-    yield {"max_n": max_n}
+@_check("theorem-2", "a055151-row-sums-motzkin", max_n=12)
+def check_a055151_row_sums(max_n):
     for n in range(0, max_n + 1):
         total = sum(series.a055151(n, k) for k in range(0, n // 2 + 1))
         yield total != series.motzkin(n) and {"n": n, "row_sum": total, "motzkin": series.motzkin(n)}
 
 
-@_check("petersen", "descent-peak-counts-match-formula")
-def check_descent_peak_formula(opts: VerifyOptions):
-    max_n = opts.n(PETERSEN_MAX_N)
-    yield {"max_n": max_n}
+@_check("petersen", "descent-peak-counts-match-formula", max_n=8)
+def check_descent_peak_formula(max_n):
     for n in range(0, max_n + 1):
         for k in range(0, n // 2 + 1):
             counted = perms.count_231_equal_descents_peaks(n, k)
@@ -713,7 +665,11 @@ def suite_names() -> list[str]:
 
 
 def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
-    """Run a named suite (or "all"); checks execute in sorted name order."""
+    """Run a named suite (or "all"); checks execute in sorted name order.
+
+    A max_n or max_t that no check of the suite reads is refused with
+    ValueError before any check runs; seed always has a value, so it is not.
+    """
     if suite == "all":
         checks: dict[str, Callable[[VerifyOptions], CheckOutcome]] = {}
         for table in _SUITES.values():
@@ -722,6 +678,11 @@ def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
         checks = dict(_SUITES[suite])
     else:
         raise KeyError(f"unknown suite {suite!r}; choose from {suite_names()}")
+    read = set().union(*(check.options for check in checks.values()))
+    for option in ("max_n", "max_t"):
+        value = getattr(opts, option)
+        if value is not None and option not in read:
+            raise ValueError(f"{option}={value} bounds no check in suite {suite!r}")
     report = VerificationReport(suite=suite, options=opts)
     for name in sorted(checks):
         start = time.perf_counter()

@@ -173,6 +173,23 @@ THEOREM_2_AT_4 = (
 )
 
 
+POP_ORACLE_AT_4_SEED_3 = (
+    '{"checks": [{"name": "down-cover-candidates-match", '
+    '"params": {"max_ell": 4, "random_paths": 50, "seed": 3}, "status": "pass"}, '
+    '{"name": "pop-entry-lower-bound", '
+    '"params": {"max_ell": 4, "random_paths": 50, "seed": 3}, "status": "pass"}, '
+    '{"name": "pop-meet-oracle-equivalence", '
+    '"params": {"max_ell": 4, "random_paths": 50, "seed": 3}, "status": "pass"}], '
+    '"options": {"max_n": 4, "max_t": null, "seed": 3}, "passed": true, "suite": "pop-oracle"}\n'
+)
+
+
+def test_verify_reports_the_seed_and_fixed_params_it_ran_with(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "pop-oracle", "--max-n", "4", "--seed", "3")
+    assert code == 0
+    assert out == POP_ORACLE_AT_4_SEED_3
+
+
 def test_verify_counts_cases_on_stderr_only(capsys):
     code, out, err = run(capsys, "verify", "--suite", "theorem-2", "--max-n", "4")
     assert code == 0
@@ -201,6 +218,20 @@ def test_verify_rejects_empty_bounds(capsys, flag, value):
     assert out == ""
     assert "at least 1" in err
     assert "pass" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "bijection", "--max-n", "4", "--max-t", "3"),
+        ("--suite", "petersen", "--max-t", "2"),
+    ],
+)
+def test_verify_refuses_a_bound_that_no_selected_check_reads(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: max_t=\d bounds no check in suite '\w+'\n", err)
 
 
 def test_verify_stdout_deterministic(capsys):

@@ -124,3 +124,11 @@ def test_irreducible_recursion_identity(t):
     g = g_series(t, 25)
     truncated = IntSeries.from_coeffs([0] + [catalan(n) for n in range(1, t)], 25)
     assert g == z * ((one + truncated) * g + one)
+
+
+@pytest.mark.parametrize("build", [h_series, g_series, h_series_rational, g_series_rational])
+def test_series_refuse_a_negative_order_by_name(build):
+    with pytest.raises(ValueError, match="^need order >= 0, got -1$"):
+        build(1, -1)
+    with pytest.raises(ValueError, match="^need t >= 1, got 0$"):
+        build(0, -1)

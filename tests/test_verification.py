@@ -235,6 +235,24 @@ def test_verify_hash_past_the_path_length_bound_exits_2(capsys, monkeypatch):
     assert "path length 7" in captured.err
 
 
+def test_pop_oracle_refuses_ell_past_the_path_length_bound_before_enumerating(capsys, monkeypatch):
+    # the corpus at max_ell = 6 holds (NE)^3, one step past the lowered bound
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a pop-oracle lattice past the path-length bound")
+
+    monkeypatch.setattr(paths, "DEFAULT_MAX_ELL", 5)
+    monkeypatch.setattr(paths, "enumerate_tam", no_enumeration)
+    monkeypatch.setattr(brackets, "enumerate_vectors", no_enumeration)
+    code = main(["verify", "--suite", "pop-oracle", "--max-n", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: path length 6 exceeds the enumeration bound 5; "
+        "pass force=True (--force for enum, sortable and image) to override\n"
+    )
+
+
 # The runner: every check is a registered case generator
 
 
@@ -299,6 +317,11 @@ def test_every_check_examines_a_case_at_size_two(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert len(report["checks"]) == len(SUITE_CHECKS) and report["passed"]
+    # every check reports a size or step bound, and each one it reports is the option's
+    from_options = {"max_n": 2, "max_ell": 2, "max_t": 1}
+    for check in report["checks"]:
+        bounds = {key: check["params"][key] for key in from_options if key in check["params"]}
+        assert bounds and all(bounds[key] == from_options[key] for key in bounds), check
 
 
 def test_planted_fault_ends_the_check_at_its_first_counterexample(monkeypatch):
