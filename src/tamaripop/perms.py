@@ -13,7 +13,10 @@ iff inv(u) is a subset of inv(w), so the weak order is the componentwise
 order on 0/1 inversion-indicator rows: the indicators of the words, taken in
 the table's row order through the map, go through
 brackets._first_order_difference, the kernel that also checks the bracket
-vectors, and must give that matrix exactly.
+vectors, and must give that matrix exactly.  The 231-avoiders with as many
+descents as peaks, which Petersen counts by a055151, are found among the
+reverse-complements of the same 312-avoiding words, so every enumeration
+here runs through _phi_words; no function scans all of S_n.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -21,14 +24,12 @@ Permutations are words on 1..n; text form is a digit string for n <= 9
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .brackets import ORDER_MATRIX_MAX_BYTES, BracketVector, _lattice_tables
+from .brackets import BracketVector, _lattice_tables
 from .brackets import _first_order_difference, _order_matrix_guard
 from .paths import BoundExceeded
 from .pop import _east_staircase_ctx
@@ -52,16 +53,26 @@ __all__ = [
     "weak_order_covers_down",
 ]
 
-#: Default cap for S_n-wide enumeration (9! = 362880 words).
+#: Default cap on n for the 312-avoider recursion _phi_words (C_9 = 4,862 words).
 DEFAULT_MAX_N = 9
 
+#: Cap on n that holds even when forced: _phi_words(13) builds C_13 = 742,900
+#: words in about 0.5 GB, and each further n takes about four times more.
+FORCED_MAX_N = 13
 
-def _check_n(n: int, force: bool) -> None:
+
+def _check_n(n: int, force: bool, shift: int = 0) -> None:
+    """Refuse n < 0, and an n that needs _phi_words(n + shift) past the caps;
+    the messages name n and the caps as bounds on n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if not force and n > DEFAULT_MAX_N:
+    if n + shift > FORCED_MAX_N:
         raise BoundExceeded(
-            f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N}; "
+            f"n={n} exceeds the bound {FORCED_MAX_N - shift}, which holds even when forced"
+        )
+    if not force and n + shift > DEFAULT_MAX_N:
+        raise BoundExceeded(
+            f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N - shift}; "
             "pass force=True to override"
         )
 
@@ -273,63 +284,29 @@ def r_map(p: Permutation) -> Permutation:
 
 
 def count_231_equal_descents_peaks(n: int, k: int, *, force: bool = False) -> int:
-    """Brute-force count of 231-avoiding words in S_{n+1} with k descents and k peaks."""
-    if k < 0:
-        return 0
-    _check_n(n + 1, force)
-    return _scan_231_equal_descents_peaks(n + 1)[1].count(k)
+    """Exhaustive count of the 231-avoiding words in S_{n+1} with k descents
+    and k peaks, over every word that _equal_descents_peaks_231 keeps."""
+    _check_n(n, force, shift=1)
+    return sum(_descents(w) == k for w in _equal_descents_peaks_231(n + 1))
 
 
-def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
-    """The 231-avoiders in S_m with as many descents as peaks, lexicographically."""
-    return _scan_231_equal_descents_peaks(m)[0]
+def _descents(w: tuple[int, ...]) -> int:
+    return sum(a > b for a, b in zip(w, w[1:]))
 
 
-#: Bytes per word of S_m that the scan holds besides the word itself: the
-#: int8 descent and peak counts and three bool column temporaries.
-_SCAN_ROW_OVERHEAD = 5
+def _peaks(w: tuple[int, ...]) -> int:
+    return sum(a < b > c for a, b, c in zip(w, w[1:], w[2:]))
 
 
 @lru_cache(maxsize=None)
-def _scan_231_equal_descents_peaks(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Scan all of S_m for the 231-avoiders with as many descents as peaks.
+def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
+    """The 231-avoiders in S_m with as many descents as peaks, lexicographically.
 
-    S_m is one m! x m int8 matrix in lexicographic order; descents and peaks
-    are counted column by column, and 231 containment (w[k] < w[i] < w[j]
-    at positions i < j < k) is tested over every position triple of the
-    rows that remain.  Returns those words in order and the descent count
-    of each.  Callers check m against the enumeration bound first; this
-    raises BoundExceeded before enumerating when the scan would hold more
-    than ORDER_MATRIX_MAX_BYTES (S_10 fits, S_11 does not).
+    Reverse-complement w -> (m+1 - w[m-1-i])_i sends the pattern 312 to 231,
+    so the 231-avoiders are the reverse-complements of _av312_words(m).
     """
-    rows = math.factorial(m)
-    need = rows * (m + _SCAN_ROW_OVERHEAD)
-    if need > ORDER_MATRIX_MAX_BYTES:
-        raise BoundExceeded(
-            f"the scan of S_{m} would hold {need / 1e9:.1f} GB, "
-            f"over the bound of {ORDER_MATRIX_MAX_BYTES / 1e9:.2f} GB"
-        )
-    import numpy as np
-
-    words = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(1, m + 1))),
-        dtype=np.int8,
-        count=rows * m,
-    ).reshape(rows, m)
-    descents = np.zeros(rows, dtype=np.int8)
-    peaks = np.zeros(rows, dtype=np.int8)
-    rise = np.zeros(rows, dtype=bool)  # w[i-1] < w[i]
-    for i in range(m - 1):
-        fall = words[:, i] > words[:, i + 1]
-        descents += fall
-        peaks += rise & fall
-        rise = ~fall
-    keep = descents == peaks
-    words, descents = words[keep], descents[keep]
-    has_231 = np.zeros(len(words), dtype=bool)
-    for i, j, k in itertools.combinations(range(m), 3):
-        has_231 |= (words[:, k] < words[:, i]) & (words[:, i] < words[:, j])
-    return tuple(map(tuple, words[~has_231].tolist())), tuple(descents[~has_231].tolist())
+    words = sorted(tuple(m + 1 - x for x in reversed(w)) for w in _av312_words(m))
+    return tuple(w for w in words if _descents(w) == _peaks(w))
 
 
 # ---------------------------------------------------------------------------

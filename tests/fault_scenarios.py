@@ -2,13 +2,13 @@
 
 Each scenario returns None if the fault was refused as expected, else what
 went wrong; no assert statements, so `python -O tests/fault_scenarios.py
-census` (or `bijection`) checks the same and exits 1 on a miss.
+census` (or `bijection`, or `petersen`) checks the same and exits 1 on a miss.
 """
 
 import itertools
 import sys
 
-from tamaripop import perms, pop
+from tamaripop import perms, pop, verification
 
 _array_pop = pop._pop_rows
 
@@ -84,7 +84,37 @@ def bijection_fault(a=7, b=3):
     return None if message == expected else f"expected {expected!r}, got {message!r}"
 
 
+def petersen_fault():
+    """Drop the identity word from every _phi_words(n): the 231 count reads
+    the same recursion, so the Petersen check must fail, first at k = 0."""
+    real = perms._phi_words
+    real(9)  # cache n <= 9, so the real recursion never calls the fault
+    built_from_phi = (perms._av312_words, perms._equal_descents_peaks_231)
+
+    def missing_identity(n):
+        return {w: v for w, v in real(n).items() if w != tuple(range(1, n + 1))}
+
+    perms._phi_words = missing_identity
+    for cache in built_from_phi:
+        cache.cache_clear()
+    try:
+        passed, counterexample, _ = verification.check_descent_peak_formula(
+            verification.VerifyOptions()
+        )
+    finally:
+        perms._phi_words = real
+        for cache in built_from_phi:
+            cache.cache_clear()
+    expected = {"n": 0, "k": 0, "count": 0, "formula": 1}
+    if passed:
+        return "a recursion missing a word passed the Petersen check"
+    return None if counterexample == expected else f"expected {expected}, got {counterexample}"
+
+
 if __name__ == "__main__":
-    if sys.argv[1] == "census":
-        sys.exit(next(filter(None, (census_fault(*case) for case in CENSUS_FAULTS)), None))
-    sys.exit(bijection_fault())
+    scenarios = {
+        "census": lambda: next(filter(None, (census_fault(*case) for case in CENSUS_FAULTS)), None),
+        "bijection": bijection_fault,
+        "petersen": petersen_fault,
+    }
+    sys.exit(scenarios[sys.argv[1]]())

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from fault_scenarios import bijection_fault
+from fault_scenarios import bijection_fault, petersen_fault
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,25 +185,57 @@ def test_scan_matches_scalar_definition(m):
         if descents(w) == peaks(w) and perms._avoids_231(w)
     )
     assert perms._equal_descents_peaks_231(m) == expected
-    assert perms._scan_231_equal_descents_peaks(m)[1] == tuple(map(descents, expected))
+    for k in range(m):
+        assert count_231_equal_descents_peaks(m - 1, k) == sum(descents(w) == k for w in expected)
 
 
 class _Enumerated(Exception):
     pass
 
 
-def test_scan_refuses_s12_before_enumerating(monkeypatch):
-    def no_enumeration(*args):
+@pytest.mark.parametrize(
+    "enumerate_at",  # each enumerates the 312-avoiders on 1..m
+    [
+        lambda m: enumerate_av312(m, force=True),
+        lambda m: image_by_characterization(m, force=True),
+        lambda m: count_231_equal_descents_peaks(m - 1, 0, force=True),
+    ],
+    ids=["enumerate_av312", "image_by_characterization", "count_231"],
+)
+def test_forced_recursion_stops_at_13_before_enumerating(monkeypatch, enumerate_at):
+    def no_enumeration(n):
         raise _Enumerated
 
-    monkeypatch.setattr(perms.itertools, "permutations", no_enumeration)
-    with pytest.raises(BoundExceeded, match="S_12"):
-        count_231_equal_descents_peaks(11, 0, force=True)
-    with pytest.raises(BoundExceeded, match="S_11"):
-        perms._equal_descents_peaks_231(11)
-    # S_10 passes the bound and reaches the enumeration
+    monkeypatch.setattr(perms, "_phi_words", no_enumeration)
+    with pytest.raises(BoundExceeded, match="holds even when forced"):
+        enumerate_at(perms.FORCED_MAX_N + 1)
+    # m = 13 passes the bound and reaches the recursion
     with pytest.raises(_Enumerated):
-        perms._equal_descents_peaks_231(10)
+        enumerate_at(perms.FORCED_MAX_N)
+
+
+@pytest.mark.parametrize(
+    "n, k, force, error, message",
+    [
+        (-5, -1, False, ValueError, "need n >= 0, got -5$"),
+        (-2, 0, False, ValueError, "need n >= 0, got -2$"),
+        (-1, 0, True, ValueError, "need n >= 0, got -1$"),
+        (9, 0, False, BoundExceeded, "^n=9 exceeds the enumeration bound 8;"),
+        (13, -1, True, BoundExceeded, "^n=13 exceeds the bound 12,"),
+    ],
+)
+def test_count_231_refusals_name_the_n_passed(n, k, force, error, message):
+    with pytest.raises(error, match=message):
+        count_231_equal_descents_peaks(n, k, force=force)
+
+
+def test_petersen_check_fails_on_a_recursion_missing_a_word():
+    assert petersen_fault() is None
+
+
+def test_petersen_fault_fails_under_python_optimize():
+    proc = _run_optimized(SCENARIOS, "petersen")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("n", range(1, 7))

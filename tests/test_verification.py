@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamaripop import brackets, paths, pop, verification
+from tamaripop import brackets, paths, perms, pop, verification
 from tamaripop.cli import main
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.verification import VerifyOptions
@@ -339,3 +339,13 @@ def test_planted_fault_ends_the_check_at_its_first_counterexample(monkeypatch):
         {"max_n": 5},
     )
     assert sizes == [1, 2, 3]
+
+
+def test_rmap_check_compares_r_with_the_231_enumeration(monkeypatch):
+    # r without the complement: the image of S_2's Pop image {12} becomes {21}
+    monkeypatch.setattr(perms, "r_map", lambda p: perms.Permutation(p.word[::-1]))
+    assert verification.check_rmap_bijection(VerifyOptions(max_n=3)) == (
+        False,
+        {"n": 1, "failure": "r image mismatch"},
+        {"max_n": 3},
+    )
