@@ -205,8 +205,9 @@ def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVec
 
 
 def _check_key_bound(base: int, width: int, what: str) -> None:
-    """BoundExceeded unless keys of width digits in base fit in int64."""
-    if base**width > 2**63:
+    """BoundExceeded unless keys of width digits in base fit in int64; a
+    width of 64 or more in base >= 2 is refused without computing the power."""
+    if base >= 2 and (width >= 64 or base**width > 2**63):
         raise BoundExceeded(f"{what} needs {base}^{width} keys, more than int64 holds")
 
 
@@ -366,13 +367,12 @@ def _lattice_tables(ctx: NuContext):
     is a RuntimeError), so it never reads the vectors' componentwise order.
     Both bijection checks compare their map with these rows, and each builds
     them once, uncached.  Raises BoundExceeded before enumerating when the
-    rows would be too large.
+    rows would be too large or the step keys would pass int64.
     """
     import numpy as np
 
     _order_matrix_guard(ctx)
-    if ctx.ell > 62:
-        raise BoundExceeded(f"paths of {ctx.ell} steps do not fit int64 step keys (at most 62)")
+    _check_key_bound(2, ctx.ell + 1, f"a path of {ctx.ell} steps")
     mus = enumerate_tam(ctx, force=True)
     upper, lower = _lower_covers(mus, ctx)
     m = len(mus)

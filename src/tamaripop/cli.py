@@ -15,7 +15,7 @@ import sys
 
 from . import brackets, perms, pop, series, verification
 from .brackets import BracketVector
-from .paths import NuContext, east_staircase, enumerate_tam
+from .paths import NuContext, _check_ell, east_staircase, enumerate_tam
 
 __all__ = ["main"]
 
@@ -31,6 +31,8 @@ def _context_from_args(args) -> NuContext:
 
 
 def _cmd_enum(args) -> int:
+    if args.n is not None:
+        _check_ell(2 * args.n - 1, args.force)  # before E(NE)^(n-1) is built
     ctx = _context_from_args(args)
     for mu in enumerate_tam(ctx, force=args.force):
         vec = brackets.path_to_vector(mu, ctx)
@@ -44,8 +46,11 @@ def _cmd_pop(args) -> int:
         result = perms.pop_tamari_perm(p)
         _emit({"perm": list(p.word), "pop": list(result.word)})
         return 0
+    words = args.vector.split(",")
+    if args.nu is None and args.n >= 1 and len(words) != 2 * args.n:  # before building nu
+        raise ValueError(f"expected {2 * args.n} entries, got {len(words)}")
     ctx = _context_from_args(args)
-    entries = tuple(int(x) for x in args.vector.split(","))
+    entries = tuple(map(int, words))
     traj = pop.trajectory(BracketVector.checked(entries, ctx))  # ValueError: exit 2
     if args.trace:
         for state in traj.states:
@@ -162,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "pop" and args.perm is None:
         if args.vector is None or (args.n is None and args.nu is None):
             parser.error("pop needs either --perm or both --vector and a base path")
+    elif args.command == "pop":
+        if (args.vector, args.n, args.nu, args.trace) != (None, None, None, False):
+            parser.error("pop --perm takes none of --vector, --n, --nu and --trace")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:  # BoundExceeded is a ValueError

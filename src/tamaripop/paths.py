@@ -8,9 +8,10 @@ mu' = X D E Y, where D starts with a north step, and the endpoints of D have
 the same horizontal distance to nu with no intermediate point sharing it.
 
 The horizontal distance of a point p is the number of east steps that can be
-appended to p before leaving the region weakly above nu.  It is computed in
-O(1) from a table of rightmost abscissas per height, so enumerating the
-covers of a path is linear in its length per candidate valley.
+appended to p before leaving the region weakly above nu.  One walk,
+_distances, gives it for every point of a path, negative below nu, so it also
+decides membership; both cover directions take D from a north step j to the
+first later point with the distance of point j.
 """
 
 from __future__ import annotations
@@ -184,20 +185,7 @@ def horizontal_distance(ctx: NuContext, point: tuple[int, int]) -> int:
 
 def lies_weakly_above(mu: LatticePath, ctx: NuContext) -> bool:
     """Whether mu stays weakly above nu.  Endpoints must agree."""
-    if mu.endpoint != ctx.nu.endpoint:
-        raise ValueError(
-            f"endpoint mismatch: {mu} ends at {mu.endpoint}, "
-            f"{ctx.nu} ends at {ctx.nu.endpoint}"
-        )
-    x = y = 0
-    for s in mu.steps:
-        if s == "N":
-            y += 1
-        else:
-            x += 1
-            if x > ctx._rightmost[y]:
-                return False
-    return True
+    return min(_distances(mu, ctx)) >= 0
 
 
 def enumerate_tam(ctx: NuContext, *, force: bool = False) -> list[LatticePath]:
@@ -234,16 +222,19 @@ def _count_tam(ctx: NuContext) -> int:
     return ways[-1]
 
 
-def _require_member(mu: LatticePath, ctx: NuContext) -> None:
-    if not lies_weakly_above(mu, ctx):
-        raise ValueError(f"{mu} is not weakly above {ctx.nu}")
-
-
 def _distances(mu: LatticePath, ctx: NuContext) -> list[int]:
+    """Horizontal distance of every point of mu, negative below nu: the one
+    walk of a path against nu.  ValueError unless mu ends where nu does."""
+    steps = mu.steps
+    if len(steps) != ctx.ell or steps.count("N") != ctx.n_nu:
+        raise ValueError(
+            f"endpoint mismatch: {mu} ends at {mu.endpoint}, "
+            f"{ctx.nu} ends at {ctx.nu.endpoint}"
+        )
     rightmost = ctx._rightmost
     x = y = 0
     d = [rightmost[0]]
-    for s in mu.steps:
+    for s in steps:
         if s == "N":
             y += 1
         else:
@@ -252,42 +243,41 @@ def _distances(mu: LatticePath, ctx: NuContext) -> list[int]:
     return d
 
 
+def _member_distances(mu: LatticePath, ctx: NuContext) -> list[int]:
+    """_distances of mu; ValueError unless mu is in Tam(nu)."""
+    dist = _distances(mu, ctx)
+    if min(dist) < 0:
+        raise ValueError(f"{mu} is not weakly above {ctx.nu}")
+    return dist
+
+
 def covers_up(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
     """All paths covering mu in Tam(nu).
 
-    One candidate per valley: for each east step followed by a north step,
-    the subpath D starts just after the east step and ends at the first
-    later point with the same horizontal distance as D's start; the cover
-    swaps that east step past D.
+    For each north step j preceded by an east step, D runs from point j to
+    the first later point m with the same horizontal distance; the cover
+    moves that east step from just before D to just after it.
     """
-    _require_member(mu, ctx)
     steps = mu.steps
-    dist = _distances(mu, ctx)
-    ell = mu.ell
+    dist = _member_distances(mu, ctx)
     out: set[LatticePath] = set()
-    for j in range(ell - 1):
-        if steps[j] == "E" and steps[j + 1] == "N":
-            d = dist[j + 1]
-            m = next(i for i in range(j + 2, ell + 1) if dist[i] == d)
-            out.add(LatticePath(steps[:j] + steps[j + 1 : m] + "E" + steps[m:]))
+    for j, s in enumerate(steps):
+        if s == "N" and j > 0 and steps[j - 1] == "E":
+            m = dist.index(dist[j], j + 1)
+            out.add(LatticePath(steps[: j - 1] + steps[j:m] + "E" + steps[m:]))
     return out
 
 
 def covers_down(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
     """All paths covered by mu in Tam(nu) (inverse of covers_up).
 
-    For each north step, the shifted subpath D starts at the point before
-    it and ends at the first later point with the same horizontal distance;
-    the inverse move requires D to be followed by an east step, which is
-    pulled in front of D.
+    For each north step j followed, after D, by an east step, D runs from
+    point j to the first later point m with the same horizontal distance;
+    the cover moves that east step from just after D to just before it.
     """
     steps = mu.steps
     ell = len(steps)
-    if ell != ctx.ell or steps.count("N") != ctx.n_nu:
-        _require_member(mu, ctx)  # raises the endpoint mismatch
-    dist = _distances(mu, ctx)
-    if min(dist) < 0:
-        raise ValueError(f"{mu} is not weakly above {ctx.nu}")
+    dist = _member_distances(mu, ctx)
     out: set[LatticePath] = set()
     for j, s in enumerate(steps):
         if s != "N":

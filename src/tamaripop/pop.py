@@ -228,7 +228,6 @@ class _Census:
         ctx = _east_staircase_ctx(n)
         free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
         radix = ctx.n_nu + 1
-        _check_key_bound(radix, len(free), f"the census for n={n}")
         self.ctx = ctx
         rows = _vector_rows(ctx)
 
@@ -257,9 +256,11 @@ class _Census:
 
 
 def _census(n: int, force: bool = False) -> _Census:
-    """The census of Tam_n, refused past the path-length bound unless forced;
-    checked in front of the cache, so forced and unforced calls share a build."""
-    _check_ell(_east_staircase_ctx(n).ell, force)
+    """The census of Tam_n, refused from n alone in front of the cache: past
+    the path-length bound 2n - 1 unless forced, and past int64 keys (n free
+    columns in radix n) even then.  Forced and unforced calls share a build."""
+    _check_ell(2 * n - 1, force)
+    _check_key_bound(n, n, f"the census for n={n}")
     return _build_census(n)
 
 

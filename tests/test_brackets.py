@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tamaripop.brackets import (
     BracketVector,
+    _check_key_bound,
     _lattice_tables,
     _lower_covers,
     _unpack_bits,
@@ -21,9 +23,11 @@ from tamaripop.brackets import (
     vector_to_path,
 )
 from tamaripop.paths import (
+    BoundExceeded,
     LatticePath,
     NuContext,
     covers_down,
+    covers_up,
     east_staircase,
     enumerate_tam,
     lies_weakly_above,
@@ -98,14 +102,18 @@ def test_non_members_are_rejected_on_random_nu(data):
     text = data.draw(st.text("NE", min_size=1, max_size=10))
     ctx = NuContext.from_text(text)
     mu = LatticePath("".join(data.draw(st.permutations(text))))
-    for f in (path_to_vector, covers_down):
-        if lies_weakly_above(mu, ctx):
+    member = lies_weakly_above(mu, ctx)
+    for f in (path_to_vector, covers_down, covers_up):
+        if member:
             f(mu, ctx)
         else:
-            with pytest.raises(ValueError, match="not weakly above"):
+            with pytest.raises(ValueError, match=f"^{mu} is not weakly above {text}$"):
                 f(mu, ctx)
-        with pytest.raises(ValueError, match="endpoint mismatch"):
-            f(LatticePath(text + "N"), ctx)
+    longer = LatticePath(text + "N")
+    mismatch = f"{longer} ends at {longer.endpoint}, {text} ends at {ctx.nu.endpoint}"
+    for f in (lies_weakly_above, path_to_vector, covers_down, covers_up):
+        with pytest.raises(ValueError, match=f"^endpoint mismatch: {re.escape(mismatch)}$"):
+            f(longer, ctx)
 
 
 def test_leq_matches_cover_order():
@@ -206,3 +214,22 @@ def test_array_cover_that_leaves_the_paths_is_an_error():
     mus = [mu for mu in enumerate_tam(ctx) if mu.steps != "ENENE"]  # drop the bottom
     with pytest.raises(RuntimeError, match="lower cover outside"):
         _lower_covers(mus, ctx)
+
+
+def test_lattice_tables_admit_62_steps_and_refuse_63():
+    # E^61 N has 62 steps and 62 elements; E^62 N's 63-step keys pass int64
+    assert len(_lattice_tables(NuContext.from_text("E" * 61 + "N"))[0]) == 62
+    with pytest.raises(BoundExceeded, match="63 steps .* int64"):
+        _lattice_tables(NuContext.from_text("E" * 62 + "N"))
+
+
+@pytest.mark.parametrize("base, width", [(2, 63), (1, 100), (0, 100)])
+def test_key_bound_admits_keys_that_fit_int64(base, width):
+    _check_key_bound(base, width, "keys")
+
+
+@pytest.mark.parametrize("base, width", [(2, 64), (2_000_000, 2_000_000)])
+def test_key_bound_refuses_keys_past_int64(base, width):
+    message = f"keys needs {base}^{width} keys, more than int64 holds"
+    with pytest.raises(BoundExceeded, match=f"^{re.escape(message)}$"):
+        _check_key_bound(base, width, "keys")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tamaripop import pop, series
+from tamaripop import cli, pop, series
 from tamaripop.cli import main
 
 
@@ -134,6 +134,47 @@ def test_negative_size_is_refused_by_value_before_anything_is_built(capsys, monk
     assert code == 2
     assert out == ""
     assert "got -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sortable", "--n", "100000000000", "--t", "2"), "path length 199999999999 exceeds"),
+        (("image", "--n", "100000000000"), "path length 199999999999 exceeds"),
+        (("enum", "--n", "100000000000"), "path length 199999999999 exceeds"),
+        (("pop", "--n", "100000000000", "--vector", "0,0"), "expected 200000000000 entries, got 2"),
+        (("sortable", "--n", "2000000", "--t", "2", "--force"), "needs 2000000^2000000 keys"),
+    ],
+)
+def test_oversized_n_is_refused_before_the_base_path_is_built(capsys, monkeypatch, argv, message):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("built E(NE)^(n-1) for an oversized n")
+
+    monkeypatch.setattr(pop, "_east_staircase_ctx", nothing_built)
+    monkeypatch.setattr(cli, "east_staircase", nothing_built)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--perm", "21", "--n", "3"),
+        ("--perm", "21", "--trace"),
+        ("--perm", "21", "--nu", "NE"),
+        ("--perm", "21", "--n", "3", "--vector", "9,9", "--trace"),
+        ("--n", "3", "--vector", "2,0,1,1,2,2", "--perm", "12"),
+    ],
+)
+def test_pop_perm_refuses_the_vector_mode_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["pop", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--perm takes none of --vector, --n, --nu and --trace" in captured.err
 
 
 def test_series_output_is_decimal_strings(capsys):
