@@ -23,6 +23,7 @@ from .paths import (
     LatticePath,
     NuContext,
     _check_ell,
+    _check_endpoint,
     _count_tam,
     enumerate_tam,
 )
@@ -97,18 +98,13 @@ def path_to_vector(mu: LatticePath, ctx: NuContext) -> BracketVector:
     leftwards from fixed_positions[k], skipping those of lower heights; a
     path that dips below nu runs out of slots.
     """
-    steps = mu.steps
-    if len(steps) != ctx.ell or steps.count("N") != ctx.n_nu:
-        raise ValueError(
-            f"endpoint mismatch: {mu} ends at {mu.endpoint}, "
-            f"{ctx.nu} ends at {ctx.nu.endpoint}"
-        )
+    _check_endpoint(mu, ctx)
     fixed = ctx.fixed_positions
     slots: list[int | None] = [None] * (ctx.ell + 1)
     k = 0
     j = fixed[0]
     slots[j] = 0
-    for s in steps:
+    for s in mu.steps:
         if s == "N":
             k += 1
             j = fixed[k]  # lower heights fill only slots up to fixed[k - 1]

@@ -222,19 +222,23 @@ def _count_tam(ctx: NuContext) -> int:
     return ways[-1]
 
 
-def _distances(mu: LatticePath, ctx: NuContext) -> list[int]:
-    """Horizontal distance of every point of mu, negative below nu: the one
-    walk of a path against nu.  ValueError unless mu ends where nu does."""
-    steps = mu.steps
-    if len(steps) != ctx.ell or steps.count("N") != ctx.n_nu:
+def _check_endpoint(mu: LatticePath, ctx: NuContext) -> None:
+    """ValueError unless mu ends where nu does."""
+    if len(mu.steps) != ctx.ell or mu.steps.count("N") != ctx.n_nu:
         raise ValueError(
             f"endpoint mismatch: {mu} ends at {mu.endpoint}, "
             f"{ctx.nu} ends at {ctx.nu.endpoint}"
         )
+
+
+def _distances(mu: LatticePath, ctx: NuContext) -> list[int]:
+    """Horizontal distance of every point of mu, negative below nu: the one
+    walk of a path against nu.  ValueError unless mu ends where nu does."""
+    _check_endpoint(mu, ctx)
     rightmost = ctx._rightmost
     x = y = 0
     d = [rightmost[0]]
-    for s in steps:
+    for s in mu.steps:
         if s == "N":
             y += 1
         else:

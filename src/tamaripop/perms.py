@@ -16,7 +16,9 @@ brackets._first_order_difference, the kernel that also checks the bracket
 vectors, and must give that matrix exactly.  The 231-avoiders with as many
 descents as peaks, which Petersen counts by a055151, are found among the
 reverse-complements of the same 312-avoiding words, so every enumeration
-here runs through _phi_words; no function scans all of S_n.
+here runs through _phi_words; no function scans all of S_n.  One bound,
+MAX_N = 13, holds for all of them: a size that needs _phi_words past 13
+raises BoundExceeded before the recursion runs.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -53,28 +55,19 @@ __all__ = [
     "weak_order_covers_down",
 ]
 
-#: Default cap on n for the 312-avoider recursion _phi_words (C_9 = 4,862 words).
-DEFAULT_MAX_N = 9
-
-#: Cap on n that holds even when forced: _phi_words(13) builds C_13 = 742,900
-#: words in about 0.5 GB, and each further n takes about four times more.
-FORCED_MAX_N = 13
+#: Cap on n for the 312-avoider recursion _phi_words: C_13 = 742,900 words, as
+#: many as the 26-step path bound admits, in about 0.5 GB; each further n takes
+#: about four times more.
+MAX_N = 13
 
 
-def _check_n(n: int, force: bool, shift: int = 0) -> None:
-    """Refuse n < 0, and an n that needs _phi_words(n + shift) past the caps;
-    the messages name n and the caps as bounds on n."""
+def _check_n(n: int, shift: int = 0) -> None:
+    """Refuse n < 0, and an n that needs _phi_words(n + shift) past MAX_N;
+    the message names n and the cap as a bound on n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n + shift > FORCED_MAX_N:
-        raise BoundExceeded(
-            f"n={n} exceeds the bound {FORCED_MAX_N - shift}, which holds even when forced"
-        )
-    if not force and n + shift > DEFAULT_MAX_N:
-        raise BoundExceeded(
-            f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N - shift}; "
-            "pass force=True to override"
-        )
+    if n + shift > MAX_N:
+        raise BoundExceeded(f"n={n} exceeds the enumeration bound {MAX_N - shift}")
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,9 @@ def _av312_words(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_phi_words(n)))
 
 
-def enumerate_av312(n: int, *, force: bool = False) -> list[Permutation]:
+def enumerate_av312(n: int) -> list[Permutation]:
     """All 312-avoiding permutations of 1..n, lexicographically."""
-    _check_n(n, force)
+    _check_n(n)
     return [Permutation(w) for w in _av312_words(n)]
 
 
@@ -260,11 +253,11 @@ def pop_tamari_perm(p: Permutation) -> Permutation:
     return pi_down(pop_stack(p))
 
 
-def image_by_characterization(n: int, *, force: bool = False) -> set[Permutation]:
+def image_by_characterization(n: int) -> set[Permutation]:
     """312-avoiders ending in n with no double descent w[i] > w[i+1] > w[i+2]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_n(n, force)
+    _check_n(n)
     out = set()
     for w in _av312_words(n):
         if w[-1] != n:
@@ -283,10 +276,10 @@ def r_map(p: Permutation) -> Permutation:
     return Permutation(tuple(m + 1 - w[m - 1 - i] for i in range(m)))
 
 
-def count_231_equal_descents_peaks(n: int, k: int, *, force: bool = False) -> int:
+def count_231_equal_descents_peaks(n: int, k: int) -> int:
     """Exhaustive count of the 231-avoiding words in S_{n+1} with k descents
     and k peaks, over every word that _equal_descents_peaks_231 keeps."""
-    _check_n(n, force, shift=1)
+    _check_n(n, shift=1)
     return sum(_descents(w) == k for w in _equal_descents_peaks_231(n + 1))
 
 
@@ -371,7 +364,7 @@ def _verified_bijection(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return phi
 
 
-def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, BracketVector]:
+def tamari_perm_bijection(n: int) -> dict[Permutation, BracketVector]:
     """Verified order isomorphism from 312-avoiders onto vectors for E(NE)^(n-1).
 
     The recursive construction is compared with one brackets._lattice_tables
@@ -384,12 +377,12 @@ def tamari_perm_bijection(n: int, *, force: bool = False) -> dict[Permutation, B
     Tamari order matrix block by block.  A disagreement is a RuntimeError
     naming both words and both vectors of the differing pair (i, j) of table
     rows with the least i, then the least j.
-    Past the order-matrix bound (n >= 11, forced or not) it raises
-    BoundExceeded before enumerating a word.
+    Past the order-matrix bound (n >= 11) it raises BoundExceeded before
+    enumerating a word.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_n(n, force)
+    _check_n(n)
     phi = _verified_bijection(n)
     ctx = _east_staircase_ctx(n)
     return {Permutation(w): BracketVector(v, ctx) for w, v in phi.items()}

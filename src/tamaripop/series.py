@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .paths import BoundExceeded
+
 __all__ = [
     "IntSeries",
     "a055151",
@@ -133,11 +135,25 @@ def reciprocal_one_minus(s: IntSeries) -> IntSeries:
     return IntSeries(tuple(out))
 
 
+#: Cap on the truncation order: h_t(n) <= C_n < 4^n, and 4^7000 has 4,215
+#: digits, so every coefficient up to it prints in Python's default 4,300
+#: digit limit for integer strings, whatever t is.
+MAX_ORDER = 7000
+
+
 def _check_args(t: int, order: int) -> None:
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
+    if order > MAX_ORDER:
+        raise BoundExceeded(f"order {order} exceeds the bound {MAX_ORDER}")
+
+
+def _catalans(t: int, order: int) -> list[int]:
+    """C_0 .. C_{k-1} for k = min(t, order): every Catalan number the
+    t-series read below z^(order + 1), each computed once."""
+    return [catalan(j) for j in range(min(t, order))]
 
 
 def h_series(t: int, order: int) -> IntSeries:
@@ -146,13 +162,14 @@ def h_series(t: int, order: int) -> IntSeries:
     h(1) = 1 and h(n) = 2 h(n-1) + sum_{j=2}^{t} C_{j-1} h(n-j).
     """
     _check_args(t, order)
+    cat = _catalans(t, order)
     h = [0] * (order + 1)
     if order >= 1:
         h[1] = 1
     for n in range(2, order + 1):
         acc = 2 * h[n - 1]
         for j in range(2, min(t, n) + 1):
-            acc += catalan(j - 1) * h[n - j]
+            acc += cat[j - 1] * h[n - j]
         h[n] = acc
     return IntSeries(tuple(h))
 
@@ -160,8 +177,7 @@ def h_series(t: int, order: int) -> IntSeries:
 def h_series_rational(t: int, order: int) -> IntSeries:
     """Same series obtained as z / (1 - 2z - sum_{j=2}^t C_{j-1} z^j)."""
     _check_args(t, order)
-    denom_tail = [0, 2] + [catalan(j - 1) for j in range(2, t + 1)]
-    s = IntSeries.from_coeffs(denom_tail, order)
+    s = IntSeries.from_coeffs([0, 2] + _catalans(t, order)[1:], order)
     return IntSeries.z(order) * reciprocal_one_minus(s)
 
 
@@ -171,16 +187,17 @@ def g_series(t: int, order: int) -> IntSeries:
     g(1) = 1 and g(n) = sum_{j=1}^{min(t, n-1)} C_{j-1} g(n-j) for n >= 2.
     """
     _check_args(t, order)
+    cat = _catalans(t, order)
     g = [0] * (order + 1)
     if order >= 1:
         g[1] = 1
     for n in range(2, order + 1):
-        g[n] = sum(catalan(j - 1) * g[n - j] for j in range(1, min(t, n - 1) + 1))
+        g[n] = sum(cat[j - 1] * g[n - j] for j in range(1, min(t, n - 1) + 1))
     return IntSeries(tuple(g))
 
 
 def g_series_rational(t: int, order: int) -> IntSeries:
     """Same series obtained as z / (1 - sum_{n=1}^t C_{n-1} z^n)."""
     _check_args(t, order)
-    s = IntSeries.from_coeffs([0] + [catalan(n - 1) for n in range(1, t + 1)], order)
+    s = IntSeries.from_coeffs([0] + _catalans(t, order), order)
     return IntSeries.z(order) * reciprocal_one_minus(s)

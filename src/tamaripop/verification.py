@@ -340,9 +340,11 @@ def _oracle_paths(max_ell: int, random_paths: int, seed: int):
             yield ctx.nu.steps, ctx, mu
 
 
-def _av312_pop_image(n: int) -> set:
-    """The Pop image of the 312-avoiding permutations of size n."""
-    return {perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n)}
+@functools.lru_cache(maxsize=None)
+def _av312_pop_image(n: int) -> frozenset:
+    """The Pop image of the 312-avoiding permutations of size n, built once
+    for the three checks that read it."""
+    return frozenset(perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n))
 
 
 @_check("bijection", "order-isomorphism-and-meets", max_ell=14, random_paths=RANDOM_NU_COUNT, seed=0)
@@ -449,7 +451,8 @@ def check_series_irreducible_recursion(max_t, order):
     z = series.IntSeries.z(order)
     for t in range(1, max_t + 1):
         g = series.g_series(t, order)
-        h_small = series.IntSeries.from_coeffs([0] + [series.catalan(n) for n in range(1, t)], order)
+        small = [series.catalan(n) for n in range(1, min(t, order + 1))]  # none past z^order
+        h_small = series.IntSeries.from_coeffs([0] + small, order)
         yield g != z * ((one + h_small) * g + one) and {"t": t}
 
 
@@ -562,6 +565,8 @@ def check_pidown_confluence(max_n, trials_per_n, seed):
 @_check("congruence", "pidown-projects-to-312-avoiders", max_n=CONFLUENCE_MAX_N)
 def check_pidown_projects(max_n):
     """pi_down lands on a 312-avoider and fixes 312-avoiders."""
+    if max_n > 9:  # the one scan of all of S_n; S_9 holds 362,880 permutations
+        raise paths.BoundExceeded(f"n={max_n} exceeds the bound 9 of the scan of S_n")
     for n in range(1, max_n + 1):
         for w in itertools.permutations(range(1, n + 1)):
             p = perms.Permutation(w)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,22 @@ def test_series_output_is_decimal_strings(capsys):
     code, out, _ = run(capsys, "series", "--t", "1", "--terms", "6")
     assert code == 0
     assert json.loads(out) == ["0", "1", "2", "4", "8", "16", "32"]
+
+
+def test_series_order_past_the_bound_exits_2_before_allocating():
+    # 10**11 terms would need an 800 GB list: under a 512 MB address-space
+    # limit a late refusal would die of MemoryError (exit 1) instead
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "tamaripop.cli", "series", "--t", "5", "--terms", "100000000000"]
+    proc = subprocess.run(
+        argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: order 100000000000 exceeds the bound 7000\n"
 
 
 def test_image_with_qpoly(capsys):

@@ -70,7 +70,7 @@ def test_avoids():
         avoids(P("1"), "132")
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 10])
 def test_av312_counts_are_catalan(n):
     words = enumerate_av312(n)
     assert len(words) == catalan(n)
@@ -196,9 +196,9 @@ class _Enumerated(Exception):
 @pytest.mark.parametrize(
     "enumerate_at",  # each enumerates the 312-avoiders on 1..m
     [
-        lambda m: enumerate_av312(m, force=True),
-        lambda m: image_by_characterization(m, force=True),
-        lambda m: count_231_equal_descents_peaks(m - 1, 0, force=True),
+        enumerate_av312,
+        image_by_characterization,
+        lambda m: count_231_equal_descents_peaks(m - 1, 0),
     ],
     ids=["enumerate_av312", "image_by_characterization", "count_231"],
 )
@@ -207,26 +207,26 @@ def test_forced_recursion_stops_at_13_before_enumerating(monkeypatch, enumerate_
         raise _Enumerated
 
     monkeypatch.setattr(perms, "_phi_words", no_enumeration)
-    with pytest.raises(BoundExceeded, match="holds even when forced"):
-        enumerate_at(perms.FORCED_MAX_N + 1)
+    with pytest.raises(BoundExceeded, match="exceeds the enumeration bound"):
+        enumerate_at(perms.MAX_N + 1)
     # m = 13 passes the bound and reaches the recursion
     with pytest.raises(_Enumerated):
-        enumerate_at(perms.FORCED_MAX_N)
+        enumerate_at(perms.MAX_N)
 
 
 @pytest.mark.parametrize(
-    "n, k, force, error, message",
+    "n, k, error, message",
     [
-        (-5, -1, False, ValueError, "need n >= 0, got -5$"),
-        (-2, 0, False, ValueError, "need n >= 0, got -2$"),
-        (-1, 0, True, ValueError, "need n >= 0, got -1$"),
-        (9, 0, False, BoundExceeded, "^n=9 exceeds the enumeration bound 8;"),
-        (13, -1, True, BoundExceeded, "^n=13 exceeds the bound 12,"),
+        (-5, -1, ValueError, "need n >= 0, got -5$"),
+        (-2, 0, ValueError, "need n >= 0, got -2$"),
+        (-1, 0, ValueError, "need n >= 0, got -1$"),
+        (13, 0, BoundExceeded, "^n=13 exceeds the enumeration bound 12$"),
+        (13, -1, BoundExceeded, "^n=13 exceeds the enumeration bound 12$"),
     ],
 )
-def test_count_231_refusals_name_the_n_passed(n, k, force, error, message):
+def test_count_231_refusals_name_the_n_passed(n, k, error, message):
     with pytest.raises(error, match=message):
-        count_231_equal_descents_peaks(n, k, force=force)
+        count_231_equal_descents_peaks(n, k)
 
 
 def test_petersen_check_fails_on_a_recursion_missing_a_word():
@@ -371,7 +371,7 @@ def test_bijection_builds_one_table_and_no_vector_rows(monkeypatch, cold_bijecti
 
 def test_enumeration_bound_raises_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        enumerate_av312(perms.DEFAULT_MAX_N + 1)
+        enumerate_av312(perms.MAX_N + 1)
 
 
 def test_bijection_refuses_n_past_the_order_matrix_bound_before_enumerating(monkeypatch):
@@ -383,13 +383,4 @@ def test_bijection_refuses_n_past_the_order_matrix_bound_before_enumerating(monk
     # Tam_11 has 58,786 elements and Tam_12 208,012: both order matrices are too large
     for n in (11, 12):
         with pytest.raises(BoundExceeded, match="order matrix"):
-            tamari_perm_bijection(n, force=True)
-
-
-def test_forced_and_unforced_calls_share_one_bijection():
-    perms._verified_bijection.cache_clear()
-    try:
-        assert tamari_perm_bijection(5) == tamari_perm_bijection(5, force=True)
-        assert perms._verified_bijection.cache_info().misses == 1
-    finally:
-        perms._verified_bijection.cache_clear()
+            tamari_perm_bijection(n)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from tamaripop import series
+from tamaripop.paths import BoundExceeded
 from tamaripop.series import (
     IntSeries,
     a055151,
@@ -132,3 +134,23 @@ def test_series_refuse_a_negative_order_by_name(build):
         build(1, -1)
     with pytest.raises(ValueError, match="^need t >= 1, got 0$"):
         build(0, -1)
+
+
+@pytest.mark.parametrize("build", [h_series, g_series, h_series_rational, g_series_rational])
+def test_series_refuse_an_order_past_the_bound(build):
+    with pytest.raises(BoundExceeded, match="^order 7001 exceeds the bound 7000$"):
+        build(1, 7001)
+
+
+def test_every_coefficient_up_to_the_order_bound_prints():
+    # h_t(n) <= C_n, with equality once t >= n
+    assert len(str(catalan(series.MAX_ORDER))) < 4300
+
+
+@pytest.mark.parametrize("build", [h_series, g_series, h_series_rational, g_series_rational])
+def test_each_catalan_number_is_computed_once_and_none_past_the_order(monkeypatch, build):
+    calls = []
+    monkeypatch.setattr(series, "catalan", lambda n: calls.append(n) or catalan(n))
+    # past t = order, t changes no coefficient below z^(order + 1)
+    assert build(200, 25) == build(25, 25)
+    assert calls == [*range(25), *range(25)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamaripop import brackets, paths, perms, pop, verification
+from tamaripop import brackets, paths, perms, pop, series, verification
 from tamaripop.cli import main
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.verification import VerifyOptions
@@ -233,6 +233,32 @@ def test_verify_hash_past_the_path_length_bound_exits_2(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert "path length 7" in captured.err
+
+
+def test_pidown_projects_refuses_n_past_its_scan_bound_before_scanning(monkeypatch):
+    def no_scan(p):
+        raise AssertionError("scanned S_n past the bound")
+
+    monkeypatch.setattr(perms, "pi_down", no_scan)
+    with pytest.raises(BoundExceeded, match="^n=10 exceeds the bound 9 of the scan of S_n$"):
+        verification.check_pidown_projects.counted(VerifyOptions(max_n=10))
+
+
+def test_permutation_pop_image_is_built_once_per_n(monkeypatch):
+    popped = []
+    real = perms.pop_tamari_perm
+    monkeypatch.setattr(perms, "pop_tamari_perm", lambda p: popped.append(p) or real(p))
+    verification._av312_pop_image.cache_clear()
+    try:
+        for check in (
+            verification.check_characterization,
+            verification.check_qpolynomial_permutations,
+            verification.check_rmap_bijection,
+        ):
+            assert check(VerifyOptions(max_n=4))[0]
+    finally:
+        verification._av312_pop_image.cache_clear()  # built through the patch
+    assert len(popped) == len(set(popped)) == sum(series.catalan(n) for n in range(1, 6))
 
 
 def test_pop_oracle_refuses_ell_past_the_path_length_bound_before_enumerating(capsys, monkeypatch):
