@@ -160,12 +160,16 @@ def leq(v1: BracketVector, v2: BracketVector) -> bool:
 def _vector_rows(ctx: NuContext):
     """All valid vectors as one numpy matrix, rows in lexicographic order.
 
-    Built one column at a time over all rows: each row carries its cap
-    array, and assigning v at column i caps columns i+1..fixed_positions[v]
+    Built one column at a time over all rows, in one Fortran-ordered matrix
+    of _count_tam(ctx) rows allocated up front: before column i is filled,
+    columns < i of the first r rows hold their entries and columns >= i
+    their caps.  Assigning v at column i caps columns i+1..fixed_positions[v]
     at v, which is exactly condition (3).  A cap at column i comes from some
     v with fixed_positions[v] >= i, so it is at least heights[i]: a free
-    column admits heights[i]..cap, a fixed column its single value.  Rows
-    are int8 while n_nu fits, int16 past that.
+    column admits heights[i]..cap (see _split_rows), a fixed column its
+    single value.  Besides the matrix, the build holds only a few arrays of
+    one entry per row, none of more than 8 bytes.  Rows are int8 while n_nu
+    fits, int16 past that.
     """
     import numpy as np
 
@@ -173,24 +177,49 @@ def _vector_rows(ctx: NuContext):
     dtype = np.int8 if n_nu < 128 else np.int16
     fixed = np.array(ctx.fixed_positions, dtype=np.int16)
     fixed_value = {pos: k for k, pos in enumerate(ctx.fixed_positions)}
-    cols: list = []  # cols[c]: column c of every row so far
-    caps = [np.full(1, n_nu, dtype=dtype)] * (ell + 1)  # caps[k]: cap of column k+i
+    out = np.full((_count_tam(ctx), ell + 1), n_nu, dtype=dtype, order="F")
+    r = 1  # rows so far
     for i in range(ell + 1):
-        cap = caps.pop(0)  # now caps[k] is the cap of column k+i+1
         if i in fixed_value:
-            values = np.full(len(cap), fixed_value[i], dtype=dtype)
+            out[:r, i] = fixed_value[i]
         else:
-            counts = cap.astype(np.intp) - (ctx.heights[i] - 1)
-            parent = np.repeat(np.arange(len(counts)), counts)
-            offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-            values = (ctx.heights[i] + offset).astype(dtype)
-            cols = [c[parent] for c in cols]
-            caps = [c[parent] for c in caps]
-        cols.append(values)
-        limit = fixed[values]
-        for k in range(int(limit.max()) - i):
-            caps[k] = np.minimum(caps[k], np.where(limit > k + i, values, dtype(n_nu)))
-    return np.stack(cols).T
+            r = _split_rows(out, r, i, ctx.heights[i])
+        limit = fixed[out[:r, i]]
+        for c in range(i + 1, int(limit.max()) + 1):
+            np.minimum(out[:r, c], np.where(limit >= c, out[:r, i], n_nu), out=out[:r, c])
+        del limit  # not held through the next split
+    if r != len(out):
+        raise RuntimeError(f"counted {len(out)} vectors for {ctx.nu} but built {r}")
+    return out
+
+
+def _split_rows(out, r: int, i: int, low: int) -> int:
+    """Replace each of the first r rows of out by one copy per value
+    low..cap of column i, which holds its cap, in order, and return the new
+    row count.  Every other column is re-gathered in place through one
+    parent index, intp because numpy gathers through int32 indices about
+    four times slower; column i becomes the values."""
+    import numpy as np
+
+    counts = out[:r, i].astype(np.int32)
+    counts -= low - 1
+    ends = np.cumsum(counts, dtype=np.int32)
+    size = int(ends[-1])
+    starts = ends[:-1]  # the first copies of rows 1..r-1
+    parent = np.zeros(size, dtype=np.intp)
+    parent[starts] = 1
+    np.cumsum(parent, out=parent)  # the row each new row copies
+    # the values as a running sum of steps of 1 that restarts at low on
+    # each row's first copy
+    steps = np.ones(size, dtype=out.dtype)
+    steps[0] = low
+    steps[starts] = 1 - counts[:-1]
+    del counts, ends, starts
+    for c in range(out.shape[1]):
+        if c != i:
+            out[:size, c] = out[:r, c][parent]
+    np.cumsum(steps, dtype=out.dtype, out=out[:size, i])
+    return size
 
 
 def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVector]:

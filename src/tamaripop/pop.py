@@ -13,15 +13,17 @@ routes are compared exhaustively by the verification suites.
 The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
 Tam_n.  The production census is array-native: every vector of the lattice
-is one row of the int8 matrix from brackets._vector_rows (the enumeration
-behind enumerate_vectors too), Pop is the eta formula applied to all rows
-with a descent at i, one index i at a time, images are mapped to rows by
-integer keys and a sorted search, and sortability times follow the
-Pop-target array.  The q-polynomial counts the up-covers of the image rows
-from their entry multiplicities, all rows at once.  The scalar functions
-above serve single vectors and are the test oracle for the census
-(up_cover_count, through the path covers, for the q-polynomial); the
-irreducible-decomposition recursion is only a check.
+is one row of the int8 matrix that brackets._vector_rows fills in place
+(the enumeration behind enumerate_vectors too), Pop is the eta formula
+applied to all rows with a descent at i, one index i at a time, on blocks
+of POP_BLOCK_ROWS rows, each block's images are mapped to rows by integer
+keys and a sorted search, and sortability times follow the int32
+Pop-target array; no full-size image matrix is held.  The q-polynomial
+counts the up-covers of the image rows from their entry multiplicities,
+all rows at once.  The scalar functions above serve single vectors and are
+the test oracle for the census (up_cover_count, through the path covers,
+for the q-polynomial); the irreducible-decomposition recursion is only a
+check.
 """
 
 from __future__ import annotations
@@ -170,7 +172,10 @@ def _east_staircase_ctx(n: int) -> NuContext:
 
 
 def _pop_rows(rows, ctx: NuContext):
-    """Pop of every row at once: the eta formula of _eta_at, one index at a time."""
+    """Pop of every row at once: the eta formula of _eta_at, one index at a
+    time.  For the rows with a descent at i, x climbs from heights[i] and
+    one running maximum of e[i+1..fixed[x]] grows with it; the last
+    admissible x below e[i] is eta_i."""
     import numpy as np
 
     heights, fixed = ctx.heights, ctx.fixed_positions
@@ -180,16 +185,14 @@ def _pop_rows(rows, ctx: NuContext):
         if not len(sel):
             continue
         b = rows[sel, i]
-        top = int(b.max()) - 1
-        prefix_max = [rows[sel, i + 1]]  # prefix_max[k] = max e[i+1..i+1+k]
-        for j in range(i + 2, fixed[top] + 1):
-            prefix_max.append(np.maximum(prefix_max[-1], rows[sel, j]))
-        eta_i = np.full(len(sel), -1, dtype=np.int8)
-        for x in range(top, heights[i] - 1, -1):
-            ok = (eta_i < 0) & (x < b)
-            if fixed[x] > i:
-                ok &= prefix_max[fixed[x] - i - 1] <= x
-            eta_i[ok] = x
+        eta_i = np.full(len(sel), -1, dtype=rows.dtype)
+        run = np.full(len(sel), -1, dtype=rows.dtype)  # max e[i+1..seen]
+        seen = i
+        for x in range(heights[i], int(b.max())):
+            for j in range(seen + 1, fixed[x] + 1):
+                np.maximum(run, rows[sel, j], out=run)
+            seen = max(seen, fixed[x])
+            eta_i[(x < b) & (run <= x)] = x
         if (eta_i < 0).any():
             bad = tuple(rows[sel[np.argmax(eta_i < 0)]].tolist())
             raise RuntimeError(f"no admissible value at index {i} of {bad}; input vector invalid?")
@@ -198,55 +201,94 @@ def _pop_rows(rows, ctx: NuContext):
 
 
 def _times_to_bottom(pop_idx, bottom, max_steps: int):
-    """Steps each row takes along pop_idx to reach a bottom row.  A Pop that
-    strictly lowers the entry sum gets there within the spread of the sums,
-    so a row not there after max_steps steps is a RuntimeError, not a hang."""
+    """int8 steps each row takes along pop_idx to reach a bottom row.  A Pop
+    that strictly lowers the entry sum gets there within the spread of the
+    sums, so a row not there after max_steps steps is a RuntimeError, not a
+    hang; max_steps must stay below 128, the int8 limit."""
     import numpy as np
 
-    times = np.zeros(len(pop_idx), dtype=np.int32)
-    cur = np.arange(len(pop_idx))
+    step = pop_idx.astype(np.intp)  # numpy gathers fastest through intp indices
+    times = np.zeros(len(step), dtype=np.int8)
+    cur = np.arange(len(step))
     for _ in range(max_steps):
         if bottom[cur].all():
             break
         times += ~bottom[cur]
-        cur = pop_idx[cur]
+        cur = step[cur]
     if not bottom[cur].all():
         raise RuntimeError(f"Pop orbits miss the minimum after {max_steps} steps")
     return times
 
 
+#: Rows per block when _pop_targets maps Pop images to rows: the image
+#: matrix and its keys exist one block at a time.
+POP_BLOCK_ROWS = 1 << 16
+
+
+def _pop_targets(rows, ctx: NuContext):
+    """int32 row of Pop(rows[r]) for every row r of the census matrix rows.
+
+    Pop runs on blocks of POP_BLOCK_ROWS rows, and a block's images are
+    found by int64 keys over the free columns, which must strictly increase
+    down rows.  A key names a row only once every image entry lies in
+    heights[c]..n_nu and every fixed column holds its height, so both are
+    checked per image row.
+    """
+    import numpy as np
+
+    free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
+    radix = ctx.n_nu + 1
+
+    def keys(m):  # mixed radix over the free columns
+        return _mixed_radix_keys((m[:, c] for c in free), radix, len(m))
+
+    row_keys = keys(rows)
+    if (row_keys[1:] <= row_keys[:-1]).any():
+        raise RuntimeError(f"census rows for {ctx.nu} are not strictly increasing")
+    top = [ctx.n_nu] * (ctx.ell + 1)  # column c of a valid vector lies in heights[c]..top[c]
+    for k, c in enumerate(ctx.fixed_positions):
+        top[c] = k
+    pop_idx = np.empty(len(rows), dtype=np.int32)
+    for start in range(0, len(rows), POP_BLOCK_ROWS):
+        image = _pop_rows(rows[start : start + POP_BLOCK_ROWS], ctx)
+        ok = np.ones(len(image), dtype=bool)
+        for c, col in enumerate(image.T):
+            ok &= (ctx.heights[c] <= col) & (col <= top[c])
+        image_keys = keys(image)
+        found = pop_idx[start : start + len(image)]
+        found[:] = np.searchsorted(row_keys, image_keys)
+        np.minimum(found, len(rows) - 1, out=found)
+        ok &= row_keys[found] == image_keys
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise RuntimeError(f"Pop image {tuple(image[r].tolist())} is not a census row")
+    return pop_idx
+
+
 class _Census:
     """All vectors for E(NE)^(n-1) with Pop targets and sortability times.
 
-    rows is an int8 matrix (one valid vector per row, lexicographic order),
-    pop_idx[r] the row of Pop(rows[r]) and times[r] its sortability time.
+    rows is the int8 matrix of _vector_rows (one valid vector per row,
+    lexicographic order), pop_idx[r] (int32, from _pop_targets) the row of
+    Pop(rows[r]) and times[r] (int8) its sortability time.  Entry sums are
+    int16.  Besides the rows, no array of more than 8 bytes per row is
+    held, and no image matrix of more than POP_BLOCK_ROWS rows.
     """
 
     def __init__(self, n: int):
         import numpy as np
 
         ctx = _east_staircase_ctx(n)
-        free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
-        radix = ctx.n_nu + 1
         self.ctx = ctx
         rows = _vector_rows(ctx)
-
-        def keys(m):  # mixed radix over the free columns
-            return _mixed_radix_keys((m[:, c] for c in free), radix, len(m))
-
-        row_keys = keys(rows)
-        if (np.diff(row_keys) <= 0).any():
-            raise RuntimeError(f"census rows for n={n} are not strictly increasing")
-        image = _pop_rows(rows, ctx)
-        pop_idx = np.minimum(np.searchsorted(row_keys, keys(image)), len(rows) - 1)
-        if not np.array_equal(rows[pop_idx], image):
-            r = int(np.argmax((rows[pop_idx] != image).any(axis=1)))
-            raise RuntimeError(f"Pop image {tuple(image[r].tolist())} is not a census row")
-        sums = rows.sum(axis=1, dtype=np.int64)
+        pop_idx = _pop_targets(rows, ctx)
+        sums = rows.sum(axis=1, dtype=np.int16)
         bottom = sums == sum(ctx.bottom_entries())  # the minimum is the only vector of least sum
         if (sums[pop_idx] >= sums)[~bottom].any():
             raise RuntimeError("Pop must strictly decrease non-minimal vectors")
-        times = _times_to_bottom(pop_idx, bottom, int(sums.max() - sums.min()))
+        # int8 times hold the spread n(n-1)/2 of the sums: 105 at n = 15, the
+        # largest n whose keys fit int64
+        times = _times_to_bottom(pop_idx, bottom, int(sums.max()) - int(sums.min()))
         self.rows, self.pop_idx, self.times = rows, pop_idx, times
 
     @cached_property

@@ -23,7 +23,22 @@ def _off_lattice_pop(rows, ctx):
     return out
 
 
-CENSUS_FAULTS = [(_identity_pop, "strictly decrease"), (_off_lattice_pop, "not a census row")]
+def _aliasing_pop(rows, ctx):
+    """The last image row moved to another with the same int64 key: one free
+    entry lowered by 1 and the next free entry raised by the radix n_nu + 1.
+    Only a check of the entries themselves, not of keys, refuses it."""
+    out = _array_pop(rows, ctx)
+    a, b = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))[:2]
+    out[-1, a] -= 1
+    out[-1, b] += ctx.n_nu + 1
+    return out
+
+
+CENSUS_FAULTS = [
+    (_identity_pop, "strictly decrease"),
+    (_off_lattice_pop, "not a census row"),
+    (_aliasing_pop, "not a census row"),
+]
 
 
 def census_fault(fault, message):

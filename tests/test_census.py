@@ -5,16 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from fault_scenarios import CENSUS_FAULTS, census_fault
 
-from tamaripop import pop
+from tamaripop import brackets, pop
 from tamaripop.brackets import BracketVector, _vector_rows, enumerate_vectors
 from tamaripop.paths import BoundExceeded, NuContext
-from tamaripop.series import h_series
+from tamaripop.series import catalan, h_series
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCENARIOS = str(Path(__file__).with_name("fault_scenarios.py"))
@@ -72,6 +73,39 @@ def test_array_census_matches_scalar_route(n):
     for e, target, time_ in zip(census.entries, census.pop_idx.tolist(), census.times.tolist()):
         assert census.entries[target] == pop._pop_entries(e, ctx.heights, ctx.fixed_positions)
         assert time_ == pop.sortability_time(BracketVector(e, ctx))
+
+
+def _traced_peak(build):
+    """What build() returns and the peak of the bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_census_build_holds_little_beyond_its_rows():
+    # Tam_11: 58,786 rows of 22 int8 entries.  These builds peak near 2.0x
+    # and 3.4x of that; one with full-size temporaries (a list of columns
+    # and caps, a whole image matrix) peaked at 3.3x and 4.7x
+    pop._Census(4)  # numpy's lazy imports are not the census
+    ctx = pop._east_staircase_ctx(11)
+    rows, rows_peak = _traced_peak(lambda: _vector_rows(ctx))
+    census, census_peak = _traced_peak(lambda: pop._Census(11))
+    assert rows_peak <= 2.5 * rows.nbytes
+    assert census_peak <= 4 * census.rows.nbytes
+
+
+def test_vector_rows_refuse_a_wrong_row_count(monkeypatch):
+    ctx = pop._east_staircase_ctx(4)
+    monkeypatch.setattr(brackets, "_count_tam", lambda ctx: 15)
+    with pytest.raises(RuntimeError, match="counted 15 vectors"):
+        _vector_rows(ctx)
+
+
+def test_int8_times_compare_with_any_t():
+    assert pop.count_t_sortable(6, 1000) == catalan(6)
+    assert pop.count_t_sortable(6, 10**30) == catalan(6)
 
 
 @pytest.mark.parametrize("fault,message", CENSUS_FAULTS)
