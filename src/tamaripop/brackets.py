@@ -22,8 +22,9 @@ from .paths import (
     BoundExceeded,
     LatticePath,
     NuContext,
-    _check_ell,
+    _check_elements,
     _check_endpoint,
+    _check_key_bound,
     _count_tam,
     enumerate_tam,
 )
@@ -222,18 +223,11 @@ def _split_rows(out, r: int, i: int, low: int) -> int:
     return size
 
 
-def enumerate_vectors(ctx: NuContext, *, force: bool = False) -> list[BracketVector]:
+def enumerate_vectors(ctx: NuContext) -> list[BracketVector]:
     """All valid vectors for nu, in lexicographic order on entries: the rows
     of _vector_rows, the one vector enumeration of the package."""
-    _check_ell(ctx.ell, force)
+    _check_elements(ctx)
     return [BracketVector(tuple(e), ctx) for e in _vector_rows(ctx).tolist()]
-
-
-def _check_key_bound(base: int, width: int, what: str) -> None:
-    """BoundExceeded unless keys of width digits in base fit in int64; a
-    width of 64 or more in base >= 2 is refused without computing the power."""
-    if base >= 2 and (width >= 64 or base**width > 2**63):
-        raise BoundExceeded(f"{what} needs {base}^{width} keys, more than int64 holds")
 
 
 def _mixed_radix_keys(columns, base: int, length: int):
@@ -398,7 +392,7 @@ def _lattice_tables(ctx: NuContext):
 
     _order_matrix_guard(ctx)
     _check_key_bound(2, ctx.ell + 1, f"a path of {ctx.ell} steps")
-    mus = enumerate_tam(ctx, force=True)
+    mus = enumerate_tam(ctx)
     upper, lower = _lower_covers(mus, ctx)
     m = len(mus)
     vecs = [path_to_vector(mu, ctx).entries for mu in mus]

@@ -4,7 +4,7 @@ All machine-readable output is JSON on stdout (one document per run, keys
 sorted); human diagnostics and timings go to stderr.  Exit codes: 0 on
 success, 1 when a verification suite reports a failure, 2 for usage errors
 including exceeded size bounds (enum, sortable and image take --force to
-lift them) and a verify bound that no selected check reads.
+lift the element bound) and a verify bound that no selected check reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from . import brackets, perms, pop, series, verification
 from .brackets import BracketVector
-from .paths import NuContext, _check_ell, east_staircase, enumerate_tam
+from .paths import BoundExceeded, NuContext, _check_n, east_staircase, enumerate_tam
 
 __all__ = ["main"]
 
@@ -32,7 +32,7 @@ def _context_from_args(args) -> NuContext:
 
 def _cmd_enum(args) -> int:
     if args.n is not None:
-        _check_ell(2 * args.n - 1, args.force)  # before E(NE)^(n-1) is built
+        _check_n(args.n, args.force)  # before E(NE)^(n-1) is built
     ctx = _context_from_args(args)
     for mu in enumerate_tam(ctx, force=args.force):
         vec = brackets.path_to_vector(mu, ctx)
@@ -173,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:  # BoundExceeded is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        liftable = isinstance(exc, BoundExceeded) and getattr(args, "force", True) is False
+        print(f"error: {exc}" + ("; pass --force to override" if liftable else ""), file=sys.stderr)
         return 2
 
 

@@ -11,14 +11,16 @@ The horizontal distance of a point p is the number of east steps that can be
 appended to p before leaving the region weakly above nu.  One walk,
 _distances, gives it for every point of a path, negative below nu, so it also
 decides membership; both cover directions take D from a north step j to the
-first later point with the distance of point j.
+first later point with the distance of point j.  An enumeration past
+MAX_ELEMENTS elements is refused unless forced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
+from math import comb
 from typing import Iterator, Literal
 
 __all__ = [
@@ -38,21 +40,35 @@ __all__ = [
 
 Step = Literal["N", "E"]
 
-#: Default cap on the path length for exhaustive enumeration.  (NE)^13 has
-#: length 26 and 742900 elements, a practical desk limit.
-DEFAULT_MAX_ELL = 26
+#: The most elements an enumeration may produce unless forced: C_13 = |Tam_13|.
+MAX_ELEMENTS = 742_900
 
 
 class BoundExceeded(ValueError):
     """An enumeration request exceeded the configured safety bound."""
 
 
-def _check_ell(ell: int, force: bool) -> None:
-    if not force and ell > DEFAULT_MAX_ELL:
-        raise BoundExceeded(
-            f"path length {ell} exceeds the enumeration bound {DEFAULT_MAX_ELL}; "
-            "pass force=True (--force for enum, sortable and image) to override"
-        )
+def _check_elements(ctx: NuContext, force: bool = False) -> None:
+    """BoundExceeded, unless forced, as soon as the count of Tam(nu) passes MAX_ELEMENTS."""
+    if not force and _count_tam(ctx, stop_past=MAX_ELEMENTS) > MAX_ELEMENTS:
+        raise BoundExceeded(f"Tam(nu) of a {ctx.ell}-step nu has more than {MAX_ELEMENTS} elements")
+
+
+def _check_n(n: int, force: bool = False, shift: int = 0) -> None:
+    """Refuse Tam_(n+shift) from n alone: n < 0, past MAX_ELEMENTS unless
+    forced, and even forced where the census keys (n digits in radix n) pass int64."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    largest = next(k for k in count() if comb(2 * k + 2, k + 1) // (k + 2) > MAX_ELEMENTS)
+    if not force and n + shift > largest:
+        raise BoundExceeded(f"n={n} exceeds the enumeration bound {largest - shift}")
+    _check_key_bound(n, n, f"the census for n={n}")
+
+
+def _check_key_bound(base: int, width: int, what: str) -> None:
+    """BoundExceeded unless keys of width digits in base fit in int64 (no power past 64 digits)."""
+    if base >= 2 and (width >= 64 or base**width > 2**63):
+        raise BoundExceeded(f"{what} needs {base}^{width} keys, more than int64 holds")
 
 
 @dataclass(frozen=True)
@@ -190,7 +206,7 @@ def lies_weakly_above(mu: LatticePath, ctx: NuContext) -> bool:
 
 def enumerate_tam(ctx: NuContext, *, force: bool = False) -> list[LatticePath]:
     """All elements of Tam(nu), in lexicographic order with N < E."""
-    _check_ell(ctx.ell, force)
+    _check_elements(ctx, force)
     rightmost = ctx._rightmost
     n_nu = ctx.n_nu
     ell = ctx.ell
@@ -214,10 +230,12 @@ def enumerate_tam(ctx: NuContext, *, force: bool = False) -> list[LatticePath]:
     return out
 
 
-def _count_tam(ctx: NuContext) -> int:
-    """|Tam(nu)| without enumerating: paths to each point, one height at a time."""
+def _count_tam(ctx: NuContext, stop_past: int | None = None) -> int:
+    """|Tam(nu)| without enumerating, by heights; with stop_past, the first count past it."""
     ways = [1] * (ctx._rightmost[0] + 1)
     for width in ctx._rightmost[1:]:
+        if stop_past is not None and ways[-1] > stop_past:
+            break  # ways[-1] never decreases from one height to the next
         ways = list(accumulate(ways + [0] * (width + 1 - len(ways))))
     return ways[-1]
 

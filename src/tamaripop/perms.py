@@ -16,9 +16,8 @@ brackets._first_order_difference, the kernel that also checks the bracket
 vectors, and must give that matrix exactly.  The 231-avoiders with as many
 descents as peaks, which Petersen counts by a055151, are found among the
 reverse-complements of the same 312-avoiding words, so every enumeration
-here runs through _phi_words; no function scans all of S_n.  One bound,
-MAX_N = 13, holds for all of them: a size that needs _phi_words past 13
-raises BoundExceeded before the recursion runs.
+here runs through _phi_words; no function scans all of S_n.  A size whose
+C_n words pass the element bound raises BoundExceeded before it runs.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -33,7 +32,7 @@ from functools import lru_cache
 
 from .brackets import BracketVector, _lattice_tables
 from .brackets import _first_order_difference, _order_matrix_guard
-from .paths import BoundExceeded
+from .paths import _check_n
 from .pop import _east_staircase_ctx
 
 __all__ = [
@@ -54,20 +53,6 @@ __all__ = [
     "tamari_perm_bijection",
     "weak_order_covers_down",
 ]
-
-#: Cap on n for the 312-avoider recursion _phi_words: C_13 = 742,900 words, as
-#: many as the 26-step path bound admits, in about 0.5 GB; each further n takes
-#: about four times more.
-MAX_N = 13
-
-
-def _check_n(n: int, shift: int = 0) -> None:
-    """Refuse n < 0, and an n that needs _phi_words(n + shift) past MAX_N;
-    the message names n and the cap as a bound on n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n + shift > MAX_N:
-        raise BoundExceeded(f"n={n} exceeds the enumeration bound {MAX_N - shift}")
 
 
 @dataclass(frozen=True)

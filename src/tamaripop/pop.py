@@ -29,14 +29,14 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .brackets import BracketVector, path_to_vector, vector_to_path
-from .brackets import _check_key_bound, _mixed_radix_keys, _vector_rows
+from .brackets import _mixed_radix_keys, _vector_rows
 from .paths import (
     LatticePath,
     NuContext,
-    _check_ell,
+    _check_n,
     covers_down,
     covers_up,
     east_staircase,
@@ -291,18 +291,11 @@ class _Census:
         times = _times_to_bottom(pop_idx, bottom, int(sums.max()) - int(sums.min()))
         self.rows, self.pop_idx, self.times = rows, pop_idx, times
 
-    @cached_property
-    def entries(self) -> list[tuple[int, ...]]:
-        """The rows as tuples, for verification callers."""
-        return list(map(tuple, self.rows.tolist()))
-
 
 def _census(n: int, force: bool = False) -> _Census:
-    """The census of Tam_n, refused from n alone in front of the cache: past
-    the path-length bound 2n - 1 unless forced, and past int64 keys (n free
-    columns in radix n) even then.  Forced and unforced calls share a build."""
-    _check_ell(2 * n - 1, force)
-    _check_key_bound(n, n, f"the census for n={n}")
+    """The census of Tam_n, refused from n alone in front of the cache, so
+    forced and unforced calls share a build."""
+    _check_n(n, force)
     return _build_census(n)
 
 

@@ -8,8 +8,9 @@ runs at with its default, for example `max_n=11, max_t=5` or
 `seed` takes seed, and every other parameter is fixed.  It passes the
 resolved values to the generator as arguments and reports exactly those
 values as the check's params, so the report cannot disagree with the run.
-Because the registry knows which options each check reads, run_suite
-refuses a max_n or max_t that no selected check reads before any check runs.
+Because the registry knows each check's options and its cap (a function of
+max_n a registration may declare, raising BoundExceeded past it), run_suite
+refuses an unread max_n or max_t, or a max_n past a cap, before any check runs.
 The generator yields one verdict per case it examines: a small
 counterexample dict when the case fails, a falsy value when it holds.  The
 decorator turns it into a function of VerifyOptions returning
@@ -62,12 +63,12 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator
 
 from . import brackets, paths, perms, pop, series
 from .brackets import BracketVector
-from .paths import NuContext
+from .paths import NuContext, _check_n
 
 __all__ = [
     "CheckResult",
@@ -141,11 +142,7 @@ class VerificationReport:
             out_checks.append(entry)
         return {
             "suite": self.suite,
-            "options": {
-                "max_n": self.options.max_n,
-                "max_t": self.options.max_t,
-                "seed": self.options.seed,
-            },
+            "options": asdict(self.options),
             "checks": out_checks,
             "passed": self.passed,
         }
@@ -282,20 +279,25 @@ _SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {}
 _OPTION_OF = {"max_n": "max_n", "max_ell": "max_n", "max_t": "max_t", "seed": "seed"}
 
 
-def _check(suite: str, name: str, **declared):
-    """Register a case generator as check `name` of `suite`, declared with
-    every parameter it runs at and its default (see the module docstring).
-    The check's `options` attribute names the options it reads, and its
-    `counted` attribute returns the outcome with the number of verdicts
-    examined."""
+def _check(suite: str, name: str, cap: Callable[[int], None] | None = None, **declared):
+    """Register a case generator as check `name` of `suite`, with every
+    parameter it runs at, its default and its cap (see the module docstring).
+    Its `options` names the options it reads, `resolve` its params, refused
+    past the cap, and `counted` the outcome and the number of verdicts examined."""
     options = frozenset(_OPTION_OF[key] for key in declared if key in _OPTION_OF)
 
     def register(cases: Callable[..., Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
-        def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
+        def resolve(opts: VerifyOptions) -> dict:
             params = {}
             for key, default in declared.items():
                 value = getattr(opts, _OPTION_OF[key]) if key in _OPTION_OF else None
                 params[key] = default if value is None else value
+            if cap is not None:
+                cap(params["max_n"])
+            return params
+
+        def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
+            params = resolve(opts)
             outcome = False, {"failure": "no cases examined"}, params
             examined = 0
             for bad in cases(**params):
@@ -311,26 +313,32 @@ def _check(suite: str, name: str, **declared):
 
         check.counted = counted
         check.options = options
+        check.resolve = resolve
         _SUITES.setdefault(suite, {})[name] = check
         return check
 
     return register
 
 
+def _scan_cap(max_n: int) -> None:
+    if max_n > 9:  # the one scan of all of S_n; S_9 holds 362,880 permutations
+        raise paths.BoundExceeded(f"n={max_n} exceeds the bound 9 of the scan of S_n")
+
+
 def _census_rows(first_n: int, max_n: int):
     """(n, vector, sortability time) for every element of Tam_n, first_n <= n <= max_n."""
     for n in range(first_n, max_n + 1):
         census = pop._census(n)
-        for e, time_ in zip(census.entries, census.times.tolist()):
-            yield n, BracketVector(e, census.ctx), time_
+        for e, time_ in zip(census.rows.tolist(), census.times.tolist()):
+            yield n, BracketVector(tuple(e), census.ctx), time_
 
 
 def _oracle_corpus(max_ell: int, random_paths: int, seed: int) -> Iterator[NuContext]:
-    """The pop-oracle corpus; max_ell past the path-length bound is refused
-    before any lattice is enumerated."""
-    paths._check_ell(max_ell, force=False)
-    for nu in corpus_nus(max_ell, random_paths, seed):
-        yield NuContext.from_text(nu)
+    """The pop-oracle corpus."""
+    corpus = [NuContext.from_text(nu) for nu in corpus_nus(max_ell, random_paths, seed)]
+    for ctx in corpus:  # every lattice, before the first is enumerated
+        paths._check_elements(ctx)
+    yield from corpus
 
 
 def _oracle_paths(max_ell: int, random_paths: int, seed: int):
@@ -403,7 +411,7 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
         }
 
 
-@_check("theorem-1", "census-matches-series", max_n=CENSUS_MAX_N, max_t=5)
+@_check("theorem-1", "census-matches-series", cap=_check_n, max_n=CENSUS_MAX_N, max_t=5)
 def check_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         h = series.h_series(t, max_n)
@@ -412,14 +420,13 @@ def check_census_matches_series(max_n, max_t):
             yield counted != h[n] and {"n": n, "t": t, "census": counted, "series": h[n]}
 
 
-@_check("theorem-1", "irreducible-census-matches-series", max_n=STRUCTURE_MAX_N, max_t=4)
+@_check("theorem-1", "irreducible-census-matches-series", cap=_check_n, max_n=STRUCTURE_MAX_N, max_t=4)
 def check_irreducible_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
         for n in range(1, max_n + 1):
-            counted = sum(
-                v.entries[0] == v.entries[-1] and time_ <= t for _, v, time_ in _census_rows(n, n)
-            )
+            census = pop._census(n)  # irreducible rows: first entry equals last
+            counted = int(((census.rows[:, 0] == census.rows[:, -1]) & (census.times <= t)).sum())
             yield counted != g[n] and {"n": n, "t": t, "census": counted, "series": g[n]}
 
 
@@ -456,7 +463,7 @@ def check_series_irreducible_recursion(max_t, order):
         yield g != z * ((one + h_small) * g + one) and {"t": t}
 
 
-@_check("decomposition", "decomposition-round-trip", max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "decomposition-round-trip", cap=_check_n, max_n=STRUCTURE_MAX_N)
 def check_decomposition_round_trip(max_n):
     for n, v, _ in _census_rows(1, max_n):
         parts = pop.decompose_irreducible(v)
@@ -467,7 +474,7 @@ def check_decomposition_round_trip(max_n):
         yield pop.concat_irreducible(parts).entries != v.entries and {**case, "failure": "round trip"}
 
 
-@_check("decomposition", "decomposition-sortability", max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "decomposition-sortability", cap=_check_n, max_n=STRUCTURE_MAX_N)
 def check_decomposition_sortability(max_n):
     """Sortability time equals the max over irreducible components."""
     for n, v, time_ in _census_rows(1, max_n):
@@ -477,7 +484,7 @@ def check_decomposition_sortability(max_n):
         }
 
 
-@_check("decomposition", "all-elements-sort-within-n", max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "all-elements-sort-within-n", cap=_check_n, max_n=STRUCTURE_MAX_N)
 def check_all_sort_within_n(max_n):
     """Everything in Tam_n is n-sortable."""
     for n in range(1, max_n + 1):
@@ -486,7 +493,7 @@ def check_all_sort_within_n(max_n):
         yield counted != total and {"n": n, "t": n, "count": counted, "catalan": total}
 
 
-@_check("hash", "hash-validity-and-monotonicity", max_n=STRUCTURE_MAX_N)
+@_check("hash", "hash-validity-and-monotonicity", cap=_check_n, max_n=STRUCTURE_MAX_N)
 def check_hash_validity_monotonicity(max_n):
     for n, v, time_ in _census_rows(2, max_n):
         reduced = pop.hash_map(v)
@@ -499,19 +506,19 @@ def check_hash_validity_monotonicity(max_n):
         }
 
 
-@_check("hash", "hash-bijection-on-irreducibles", max_n=9)
+@_check("hash", "hash-bijection-on-irreducibles", cap=_check_n, max_n=9)
 def check_hash_bijection(max_n):
     for n in range(2, max_n + 1):
         images = [
             pop.hash_map(v).entries for _, v, _ in _census_rows(n, n) if v.entries[0] == v.entries[-1]
         ]
-        target = sorted(pop._census(n - 1).entries)
+        target = sorted(map(tuple, pop._census(n - 1).rows.tolist()))
         yield (sorted(images) != target or len(set(images)) != len(images)) and {
             "n": n, "failure": "hash not bijective on irreducibles"
         }
 
 
-@_check("hash", "hash-sortability-threshold", max_n=STRUCTURE_MAX_N)
+@_check("hash", "hash-sortability-threshold", cap=_check_n, max_n=STRUCTURE_MAX_N)
 def check_hash_sortability_threshold(max_n):
     """time(v) = max(time(v#), b_0 - x_r + 1) for irreducible v, where 2 x_r
     is the length of the last irreducible component of v#."""
@@ -562,11 +569,9 @@ def check_pidown_confluence(max_n, trials_per_n, seed):
             }
 
 
-@_check("congruence", "pidown-projects-to-312-avoiders", max_n=CONFLUENCE_MAX_N)
+@_check("congruence", "pidown-projects-to-312-avoiders", cap=_scan_cap, max_n=CONFLUENCE_MAX_N)
 def check_pidown_projects(max_n):
     """pi_down lands on a 312-avoider and fixes 312-avoiders."""
-    if max_n > 9:  # the one scan of all of S_n; S_9 holds 362,880 permutations
-        raise paths.BoundExceeded(f"n={max_n} exceeds the bound 9 of the scan of S_n")
     for n in range(1, max_n + 1):
         for w in itertools.permutations(range(1, n + 1)):
             p = perms.Permutation(w)
@@ -602,7 +607,7 @@ def check_characterization(max_n):
         yield len(image) != motzkin and {"n": n, "size": len(image), "motzkin": motzkin}
 
 
-@_check("theorem-2", "pop-image-size-is-motzkin", max_n=CENSUS_MAX_N)
+@_check("theorem-2", "pop-image-size-is-motzkin", cap=_check_n, max_n=CENSUS_MAX_N)
 def check_pop_image_motzkin(max_n):
     for n in range(1, max_n + 1):
         size = len(pop.pop_image(n))
@@ -610,7 +615,9 @@ def check_pop_image_motzkin(max_n):
         yield size != expected and {"n": n, "size": size, "motzkin": expected}
 
 
-@_check("theorem-2", "qpolynomial-matches-formula", max_n=QPOLY_MAX_N)
+@_check(  # reads Tam_(n+1)
+    "theorem-2", "qpolynomial-matches-formula", cap=lambda n: _check_n(n, shift=1), max_n=QPOLY_MAX_N
+)
 def check_qpolynomial_formula(max_n):
     """Coefficient of q^(n-k) in the Tam_{n+1} polynomial is a055151(n, k)."""
     for n in range(0, max_n + 1):
@@ -619,7 +626,7 @@ def check_qpolynomial_formula(max_n):
         yield coeffs != expected and {"n": n, "histogram": coeffs, "formula": expected}
 
 
-@_check("theorem-2", "qpolynomial-matches-permutation-ascents", max_n=QPOLY_MAX_N)
+@_check("theorem-2", "qpolynomial-matches-permutation-ascents", cap=_check_n, max_n=QPOLY_MAX_N)
 def check_qpolynomial_permutations(max_n):
     """Ascent histogram over the permutation Pop image matches the polynomial."""
     for n in range(1, max_n + 1):
@@ -672,8 +679,8 @@ def suite_names() -> list[str]:
 def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
     """Run a named suite (or "all"); checks execute in sorted name order.
 
-    A max_n or max_t that no check of the suite reads is refused with
-    ValueError before any check runs; seed always has a value, so it is not.
+    A max_n or max_t that no check reads, or a max_n past a check's cap, is
+    refused before any check runs (seed always has a value, so it is not).
     """
     if suite == "all":
         checks: dict[str, Callable[[VerifyOptions], CheckOutcome]] = {}
@@ -688,6 +695,8 @@ def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
         value = getattr(opts, option)
         if value is not None and option not in read:
             raise ValueError(f"{option}={value} bounds no check in suite {suite!r}")
+    for name in sorted(checks):
+        checks[name].resolve(opts)  # refused past its cap
     report = VerificationReport(suite=suite, options=opts)
     for name in sorted(checks):
         start = time.perf_counter()

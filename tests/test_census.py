@@ -62,16 +62,17 @@ def test_vector_rows_match_backtracking_on_every_short_word(ell):
 
 def test_vector_rows_widen_past_int8_heights():
     ctx = NuContext.from_text("E" + "N" * 130)
-    assert [v.entries for v in enumerate_vectors(ctx, force=True)] == list(_iter_entry_tuples(ctx))
+    assert [v.entries for v in enumerate_vectors(ctx)] == list(_iter_entry_tuples(ctx))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_array_census_matches_scalar_route(n):
     census = pop._Census(n)
     ctx = census.ctx
-    assert census.entries == list(_iter_entry_tuples(ctx))
-    for e, target, time_ in zip(census.entries, census.pop_idx.tolist(), census.times.tolist()):
-        assert census.entries[target] == pop._pop_entries(e, ctx.heights, ctx.fixed_positions)
+    entries = list(map(tuple, census.rows.tolist()))
+    assert entries == list(_iter_entry_tuples(ctx))
+    for e, target, time_ in zip(entries, census.pop_idx.tolist(), census.times.tolist()):
+        assert entries[target] == pop._pop_entries(e, ctx.heights, ctx.fixed_positions)
         assert time_ == pop.sortability_time(BracketVector(e, ctx))
 
 

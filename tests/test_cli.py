@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,9 +141,9 @@ def test_negative_size_is_refused_by_value_before_anything_is_built(capsys, monk
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("sortable", "--n", "100000000000", "--t", "2"), "path length 199999999999 exceeds"),
-        (("image", "--n", "100000000000"), "path length 199999999999 exceeds"),
-        (("enum", "--n", "100000000000"), "path length 199999999999 exceeds"),
+        (("sortable", "--n", "100000000000", "--t", "2"), "n=100000000000 exceeds the enumeration bound 13"),
+        (("image", "--n", "100000000000"), "n=100000000000 exceeds the enumeration bound 13"),
+        (("enum", "--n", "100000000000"), "n=100000000000 exceeds the enumeration bound 13"),
         (("pop", "--n", "100000000000", "--vector", "0,0"), "expected 200000000000 entries, got 2"),
         (("sortable", "--n", "2000000", "--t", "2", "--force"), "needs 2000000^2000000 keys"),
     ],
@@ -184,20 +185,54 @@ def test_series_output_is_decimal_strings(capsys):
     assert json.loads(out) == ["0", "1", "2", "4", "8", "16", "32"]
 
 
-def test_series_order_past_the_bound_exits_2_before_allocating():
-    # 10**11 terms would need an 800 GB list: under a 512 MB address-space
-    # limit a late refusal would die of MemoryError (exit 1) instead
+def _run_in_512_mb(*argv):
+    """The CLI in a child process under a 512 MB address-space limit, where a
+    late refusal of a huge size dies of MemoryError (exit 1) instead."""
+
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "tamaripop.cli", "series", "--t", "5", "--terms", "100000000000"]
-    proc = subprocess.run(
-        argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space
+    return subprocess.run(
+        [sys.executable, "-m", "tamaripop.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=limit_address_space,
     )
+
+
+def test_series_order_past_the_bound_exits_2_before_allocating():
+    # 10**11 terms would need an 800 GB list
+    proc = _run_in_512_mb("series", "--t", "5", "--terms", "100000000000")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: order 100000000000 exceeds the bound 7000\n"
+
+
+def test_forced_enum_past_the_census_key_cap_exits_2_before_allocating():
+    # --force lifts the element bound but not the cap of n <= 15 that every
+    # --n shares; E(NE)^(n-1) for n = 10**11 would be a 200 GB string
+    proc = _run_in_512_mb("enum", "--n", "100000000000", "--force")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the census for n=100000000000 needs 100000000000^100000000000 keys, "
+        "more than int64 holds\n"
+    )
+
+
+def test_enum_refuses_a_lattice_by_its_elements_not_its_steps(capsys):
+    # E^13 N^13 has 26 steps and 10,400,600 elements; (NE)^20000 is refused
+    # by a count that stops at the bound, where a full count takes minutes
+    for nu in ("E" * 13 + "N" * 13, "NE" * 20000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enum", "--nu", nu)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: Tam(nu) of a {len(nu)}-step nu has more than 742900 elements; "
+            "pass --force to override\n"
+        )
+    code, out, _ = run(capsys, "enum", "--nu", "E" * 200 + "N")  # 201 steps, 201 elements
+    assert code == 0
+    assert len(out.splitlines()) == 201
 
 
 def test_image_with_qpoly(capsys):

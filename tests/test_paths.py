@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamaripop import brackets, paths
+from tamaripop.brackets import enumerate_vectors
 from tamaripop.paths import (
     BoundExceeded,
     LatticePath,
@@ -139,3 +141,41 @@ def test_enumeration_bound():
     # force bypasses the guard
     ctx = NuContext.from_path(LatticePath("NE" * 14))
     assert len(enumerate_tam(ctx, force=True)) > 0
+
+
+def test_element_bound_counts_elements_not_steps(monkeypatch):
+    wide = NuContext.from_text("E" * 13 + "N" * 13)  # 26 steps, 10,400,600 elements
+    long = NuContext.from_text("E" * 200 + "N")  # 201 steps, 201 elements
+    assert len(enumerate_tam(long)) == len(enumerate_vectors(long)) == 201
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the element bound")
+
+    monkeypatch.setattr(paths, "LatticePath", no_enumeration)
+    monkeypatch.setattr(brackets, "_vector_rows", no_enumeration)
+    message = r"^Tam\(nu\) of a 26-step nu has more than 742900 elements$"
+    for enumerate_ in (enumerate_tam, enumerate_vectors):
+        with pytest.raises(BoundExceeded, match=message):
+            enumerate_(wide)
+
+
+def test_element_bound_read_as_n(monkeypatch):
+    # C_13 = 742,900 fits the bound and C_14 = 2,674,440 does not
+    paths._check_n(13)
+    with pytest.raises(BoundExceeded, match="^n=14 exceeds the enumeration bound 13$"):
+        paths._check_n(14)
+    with pytest.raises(BoundExceeded, match="^n=13 exceeds the enumeration bound 12$"):
+        paths._check_n(13, shift=1)
+    paths._check_n(15, force=True)
+    # force does not lift the int64 keys of the census, n digits in radix n
+    with pytest.raises(BoundExceeded, match="^the census for n=16 needs 16\\^16 keys"):
+        paths._check_n(16, force=True)
+    with pytest.raises(ValueError, match="^need n >= 0, got -1$"):
+        paths._check_n(-1, force=True)
+    ctx = NuContext.from_path(staircase(20))
+    assert _count_tam(ctx) == 6_564_120_420
+    assert _count_tam(ctx, stop_past=742_900) == 2_674_440  # C_14, the first count past it
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)  # C_3
+    paths._check_n(3)
+    with pytest.raises(BoundExceeded, match="^n=4 exceeds the enumeration bound 3$"):
+        paths._check_n(4)

@@ -208,10 +208,10 @@ def test_forced_recursion_stops_at_13_before_enumerating(monkeypatch, enumerate_
 
     monkeypatch.setattr(perms, "_phi_words", no_enumeration)
     with pytest.raises(BoundExceeded, match="exceeds the enumeration bound"):
-        enumerate_at(perms.MAX_N + 1)
+        enumerate_at(14)
     # m = 13 passes the bound and reaches the recursion
     with pytest.raises(_Enumerated):
-        enumerate_at(perms.MAX_N)
+        enumerate_at(13)
 
 
 @pytest.mark.parametrize(
@@ -371,7 +371,7 @@ def test_bijection_builds_one_table_and_no_vector_rows(monkeypatch, cold_bijecti
 
 def test_enumeration_bound_raises_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        enumerate_av312(perms.MAX_N + 1)
+        enumerate_av312(14)
 
 
 def test_bijection_refuses_n_past_the_order_matrix_bound_before_enumerating(monkeypatch):

@@ -217,22 +217,41 @@ CENSUS_CHECKS = [
 ]
 
 
+def _no_census(n):
+    raise AssertionError(f"built the census of Tam_{n} past the element bound")
+
+
 @pytest.mark.parametrize("check", CENSUS_CHECKS, ids=lambda check: check.__name__)
 def test_census_checks_refuse_n_past_the_path_length_bound(monkeypatch, check):
-    # ell = 2n - 1: with the bound lowered to 5, Tam_3 is built and Tam_4 refused,
-    # whether or not an earlier call left Tam_4 in the census cache
-    monkeypatch.setattr(paths, "DEFAULT_MAX_ELL", 5)
-    with pytest.raises(BoundExceeded, match="path length 7"):
+    # the element bound for Tam_n, read as n: lowered to C_3 = 5 elements, it
+    # refuses n = 4 before any census, whether or not an earlier call left
+    # Tam_1..4 in the census cache
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)
+    monkeypatch.setattr(pop, "_build_census", _no_census)
+    with pytest.raises(BoundExceeded, match="^n=4 exceeds the enumeration bound 3$"):
         check.counted(VerifyOptions(max_n=4, max_t=1))
 
 
 def test_verify_hash_past_the_path_length_bound_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(paths, "DEFAULT_MAX_ELL", 5)
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)
+    monkeypatch.setattr(pop, "_build_census", _no_census)
     code = main(["verify", "--suite", "hash", "--max-n", "4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "path length 7" in captured.err
+    assert "n=4 exceeds the enumeration bound 3" in captured.err
+
+
+def test_no_check_starts_when_a_selected_cap_refuses_max_n(capsys, monkeypatch):
+    started = []
+    for table in verification._SUITES.values():
+        for name, check in table.items():
+            monkeypatch.setattr(check, "counted", lambda opts, name=name: started.append(name))
+    code = main(["verify", "--suite", "all", "--max-n", "10"])
+    captured = capsys.readouterr()
+    assert started == []
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: n=10 exceeds the bound 9 of the scan of S_n\n"
 
 
 def test_pidown_projects_refuses_n_past_its_scan_bound_before_scanning(monkeypatch):
@@ -262,21 +281,19 @@ def test_permutation_pop_image_is_built_once_per_n(monkeypatch):
 
 
 def test_pop_oracle_refuses_ell_past_the_path_length_bound_before_enumerating(capsys, monkeypatch):
-    # the corpus at max_ell = 6 holds (NE)^3, one step past the lowered bound
+    # the seed-0 corpus at max_ell = 25 holds three lattices past 742,900
+    # elements; none of its lattices is enumerated, not even the first, NE
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated a pop-oracle lattice past the path-length bound")
+        raise AssertionError("enumerated a pop-oracle lattice past the element bound")
 
-    monkeypatch.setattr(paths, "DEFAULT_MAX_ELL", 5)
     monkeypatch.setattr(paths, "enumerate_tam", no_enumeration)
     monkeypatch.setattr(brackets, "enumerate_vectors", no_enumeration)
-    code = main(["verify", "--suite", "pop-oracle", "--max-n", "6"])
+    code = main(["verify", "--suite", "pop-oracle", "--max-n", "25"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == (
-        "error: path length 6 exceeds the enumeration bound 5; "
-        "pass force=True (--force for enum, sortable and image) to override\n"
-    )
+    # verify takes no --force, so no hint to pass one
+    assert captured.err == "error: Tam(nu) of a 25-step nu has more than 742900 elements\n"
 
 
 # The runner: every check is a registered case generator
