@@ -15,7 +15,7 @@ import sys
 
 from . import brackets, perms, pop, series, verification
 from .brackets import BracketVector
-from .paths import BoundExceeded, NuContext, _check_n, east_staircase, enumerate_tam
+from .paths import NuContext, _check_n, east_staircase, enumerate_tam
 
 __all__ = ["main"]
 
@@ -173,8 +173,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:  # BoundExceeded is a ValueError
-        liftable = isinstance(exc, BoundExceeded) and getattr(args, "force", True) is False
-        print(f"error: {exc}" + ("; pass --force to override" if liftable else ""), file=sys.stderr)
+        hint = ""
+        if getattr(exc, "liftable", False) and getattr(args, "force", None) is False:
+            hint = "; pass --force to override"  # only enum, sortable and image take --force
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

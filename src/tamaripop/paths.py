@@ -45,13 +45,20 @@ MAX_ELEMENTS = 742_900
 
 
 class BoundExceeded(ValueError):
-    """An enumeration request exceeded the configured safety bound."""
+    """An enumeration request exceeded the configured safety bound; it is
+    liftable when forcing the same request would pass."""
+
+    def __init__(self, message: str, liftable: bool = False):
+        super().__init__(message)
+        self.liftable = liftable
 
 
 def _check_elements(ctx: NuContext, force: bool = False) -> None:
     """BoundExceeded, unless forced, as soon as the count of Tam(nu) passes MAX_ELEMENTS."""
     if not force and _count_tam(ctx, stop_past=MAX_ELEMENTS) > MAX_ELEMENTS:
-        raise BoundExceeded(f"Tam(nu) of a {ctx.ell}-step nu has more than {MAX_ELEMENTS} elements")
+        raise BoundExceeded(
+            f"Tam(nu) of a {ctx.ell}-step nu has more than {MAX_ELEMENTS} elements", liftable=True
+        )
 
 
 def _check_n(n: int, force: bool = False, shift: int = 0) -> None:
@@ -61,13 +68,19 @@ def _check_n(n: int, force: bool = False, shift: int = 0) -> None:
         raise ValueError(f"need n >= 0, got {n}")
     largest = next(k for k in count() if comb(2 * k + 2, k + 1) // (k + 2) > MAX_ELEMENTS)
     if not force and n + shift > largest:
-        raise BoundExceeded(f"n={n} exceeds the enumeration bound {largest - shift}")
+        message = f"n={n} exceeds the enumeration bound {largest - shift}"
+        raise BoundExceeded(message, liftable=_keys_fit(n, n))
     _check_key_bound(n, n, f"the census for n={n}")
 
 
+def _keys_fit(base: int, width: int) -> bool:
+    """Whether keys of width digits in base fit in int64 (no power past 64 digits)."""
+    return base < 2 or (width < 64 and base**width <= 2**63)
+
+
 def _check_key_bound(base: int, width: int, what: str) -> None:
-    """BoundExceeded unless keys of width digits in base fit in int64 (no power past 64 digits)."""
-    if base >= 2 and (width >= 64 or base**width > 2**63):
+    """BoundExceeded unless keys of width digits in base fit in int64."""
+    if not _keys_fit(base, width):
         raise BoundExceeded(f"{what} needs {base}^{width} keys, more than int64 holds")
 
 

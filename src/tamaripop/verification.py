@@ -9,8 +9,9 @@ runs at with its default, for example `max_n=11, max_t=5` or
 resolved values to the generator as arguments and reports exactly those
 values as the check's params, so the report cannot disagree with the run.
 Because the registry knows each check's options and its cap (a function of
-max_n a registration may declare, raising BoundExceeded past it), run_suite
-refuses an unread max_n or max_t, or a max_n past a cap, before any check runs.
+its resolved max_n or max_ell a registration may declare, raising
+BoundExceeded past it), run_suite refuses an unread max_n or max_t, or a
+max_n past a cap, before any check runs.
 The generator yields one verdict per case it examines: a small
 counterexample dict when the case fails, a falsy value when it holds.  The
 decorator turns it into a function of VerifyOptions returning
@@ -63,7 +64,7 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import brackets, paths, perms, pop, series
@@ -142,7 +143,11 @@ class VerificationReport:
             out_checks.append(entry)
         return {
             "suite": self.suite,
-            "options": asdict(self.options),
+            "options": {
+                "max_n": self.options.max_n,
+                "max_t": self.options.max_t,
+                "seed": self.options.seed,
+            },
             "checks": out_checks,
             "passed": self.passed,
         }
@@ -281,10 +286,12 @@ _OPTION_OF = {"max_n": "max_n", "max_ell": "max_n", "max_t": "max_t", "seed": "s
 
 def _check(suite: str, name: str, cap: Callable[[int], None] | None = None, **declared):
     """Register a case generator as check `name` of `suite`, with every
-    parameter it runs at, its default and its cap (see the module docstring).
-    Its `options` names the options it reads, `resolve` its params, refused
-    past the cap, and `counted` the outcome and the number of verdicts examined."""
+    parameter it runs at, its default and its cap on the parameter max_n
+    sets (see the module docstring).  Its `options` names the options it
+    reads, `resolve` its params, refused past the cap, and `counted` the
+    outcome and the number of verdicts examined."""
     options = frozenset(_OPTION_OF[key] for key in declared if key in _OPTION_OF)
+    capped = next((key for key in declared if _OPTION_OF.get(key) == "max_n"), None)
 
     def register(cases: Callable[..., Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
         def resolve(opts: VerifyOptions) -> dict:
@@ -293,7 +300,7 @@ def _check(suite: str, name: str, cap: Callable[[int], None] | None = None, **de
                 value = getattr(opts, _OPTION_OF[key]) if key in _OPTION_OF else None
                 params[key] = default if value is None else value
             if cap is not None:
-                cap(params["max_n"])
+                cap(params[capped])
             return params
 
         def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
@@ -333,8 +340,14 @@ def _census_rows(first_n: int, max_n: int):
             yield n, BracketVector(tuple(e), census.ctx), time_
 
 
+def _corpus_cap(max_ell: int) -> None:
+    """Refuse max_ell before corpus_nus builds anything: its corpus holds
+    (NE)^(max_ell // 2), which has C_(max_ell // 2) elements."""
+    _check_n(max_ell // 2)
+
+
 def _oracle_corpus(max_ell: int, random_paths: int, seed: int) -> Iterator[NuContext]:
-    """The pop-oracle corpus."""
+    """The pop-oracle corpus; its checks declare _corpus_cap."""
     corpus = [NuContext.from_text(nu) for nu in corpus_nus(max_ell, random_paths, seed)]
     for ctx in corpus:  # every lattice, before the first is enumerated
         paths._check_elements(ctx)
@@ -355,7 +368,10 @@ def _av312_pop_image(n: int) -> frozenset:
     return frozenset(perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n))
 
 
-@_check("bijection", "order-isomorphism-and-meets", max_ell=14, random_paths=RANDOM_NU_COUNT, seed=0)
+@_check(
+    "bijection", "order-isomorphism-and-meets",
+    cap=_corpus_cap, max_ell=14, random_paths=RANDOM_NU_COUNT, seed=0,
+)
 def check_order_isomorphism(max_ell, random_paths, seed):
     corpus = corpus_nus(max_ell, random_paths, seed)
     for nu in corpus:  # refuse an oversized lattice before building any table
@@ -366,7 +382,7 @@ def check_order_isomorphism(max_ell, random_paths, seed):
 
 @_check(
     "pop-oracle", "pop-meet-oracle-equivalence",
-    max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_corpus_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_pop_oracle(max_ell, random_paths, seed):
     for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
@@ -380,7 +396,7 @@ def check_pop_oracle(max_ell, random_paths, seed):
 
 @_check(
     "pop-oracle", "pop-entry-lower-bound",
-    max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_corpus_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_pop_entry_lower_bound(max_ell, random_paths, seed):
     for ctx in _oracle_corpus(max_ell, random_paths, seed):
@@ -394,7 +410,7 @@ def check_pop_entry_lower_bound(max_ell, random_paths, seed):
 
 @_check(
     "pop-oracle", "down-cover-candidates-match",
-    max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_corpus_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_down_cover_candidates(max_ell, random_paths, seed):
     for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):

@@ -6,12 +6,11 @@ import re
 import resource
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from tamaripop import cli, pop, series
+from tamaripop import cli, paths, pop, series
 from tamaripop.cli import main
 
 
@@ -218,13 +217,30 @@ def test_forced_enum_past_the_census_key_cap_exits_2_before_allocating():
     )
 
 
-def test_enum_refuses_a_lattice_by_its_elements_not_its_steps(capsys):
-    # E^13 N^13 has 26 steps and 10,400,600 elements; (NE)^20000 is refused
-    # by a count that stops at the bound, where a full count takes minutes
-    for nu in ("E" * 13 + "N" * 13, "NE" * 20000):
-        start = time.perf_counter()
+@pytest.mark.parametrize("suite", ["pop-oracle", "bijection"])
+def test_corpus_past_the_element_bound_exits_2_before_it_is_built(suite):
+    # the corpus holds (NE)^(max_ell // 2), so max_ell alone refuses it before
+    # its O(max_ell^2) staircase texts are built
+    proc = _run_in_512_mb("verify", "--suite", suite, "--max-n", "100000000000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: n=50000000000 exceeds the enumeration bound 13\n"
+
+
+def test_enum_refuses_a_lattice_by_its_elements_not_its_steps(capsys, monkeypatch):
+    # E^13 N^13 has 26 steps and 10,400,600 elements; each lattice is refused
+    # by a count that stops at the first height past the bound (for
+    # (NE)^20000, C_14 = 2,674,440), where a full count takes minutes
+    counts = []
+    real = paths._count_tam
+
+    def recorded(*args, **kwargs):
+        counts.append(real(*args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(paths, "_count_tam", recorded)
+    for nu, counted in (("E" * 13 + "N" * 13, 1_144_066), ("NE" * 20000, 2_674_440)):
         code, out, err = run(capsys, "enum", "--nu", nu)
-        assert time.perf_counter() - start < 1.0
+        assert counts.pop() == counted
         assert (code, out) == (2, "")
         assert err == (
             f"error: Tam(nu) of a {len(nu)}-step nu has more than 742900 elements; "
@@ -233,6 +249,28 @@ def test_enum_refuses_a_lattice_by_its_elements_not_its_steps(capsys):
     code, out, _ = run(capsys, "enum", "--nu", "E" * 200 + "N")  # 201 steps, 201 elements
     assert code == 0
     assert len(out.splitlines()) == 201
+
+
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (("enum", "--n", "14"), True),
+        (("sortable", "--n", "14", "--t", "2"), True),
+        (("image", "--n", "14"), True),
+        # forced, these still pass the census's int64 keys, n <= 15
+        (("enum", "--n", "16"), False),
+        (("sortable", "--n", "16", "--t", "2"), False),
+        (("image", "--n", "16"), False),
+        # verify takes no --force
+        (("verify", "--suite", "theorem-1", "--max-n", "14"), False),
+    ],
+)
+def test_force_is_suggested_only_where_it_lifts_the_refusal(capsys, argv, hint):
+    n = argv[argv.index("--n" if "--n" in argv else "--max-n") + 1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    suffix = "; pass --force to override" if hint else ""
+    assert err == f"error: n={n} exceeds the enumeration bound 13{suffix}\n"
 
 
 def test_image_with_qpoly(capsys):

@@ -242,16 +242,24 @@ def test_verify_hash_past_the_path_length_bound_exits_2(capsys, monkeypatch):
     assert "n=4 exceeds the enumeration bound 3" in captured.err
 
 
-def test_no_check_starts_when_a_selected_cap_refuses_max_n(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "suite, max_n, message",
+    [
+        ("all", "10", "n=10 exceeds the bound 9 of the scan of S_n"),
+        # max_ell = 28 puts (NE)^14 in the corpus
+        ("pop-oracle", "28", "n=14 exceeds the enumeration bound 13"),
+    ],
+)
+def test_no_check_starts_when_a_selected_cap_refuses_max_n(capsys, monkeypatch, suite, max_n, message):
     started = []
     for table in verification._SUITES.values():
         for name, check in table.items():
             monkeypatch.setattr(check, "counted", lambda opts, name=name: started.append(name))
-    code = main(["verify", "--suite", "all", "--max-n", "10"])
+    code = main(["verify", "--suite", suite, "--max-n", max_n])
     captured = capsys.readouterr()
     assert started == []
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: n=10 exceeds the bound 9 of the scan of S_n\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_pidown_projects_refuses_n_past_its_scan_bound_before_scanning(monkeypatch):
