@@ -93,19 +93,25 @@ def is_valid(vec: Sequence[int], ctx: NuContext) -> bool:
 
 
 def path_to_vector(mu: LatticePath, ctx: NuContext) -> BracketVector:
-    """Associated vector of mu: slot-filling along the path.
+    """Associated vector of mu: _check_endpoint, then _slot_entries."""
+    _check_endpoint(mu, ctx)
+    return BracketVector(tuple(_slot_entries(mu.steps, ctx)), ctx)
+
+
+def _slot_entries(steps: str, ctx: NuContext) -> list[int]:
+    """Entries of the associated vector of the path with these steps, which
+    must end where nu does, by slot-filling along the path.
 
     Heights never fall along a path, so the points of height k fill slots
     leftwards from fixed_positions[k], skipping those of lower heights; a
     path that dips below nu runs out of slots.
     """
-    _check_endpoint(mu, ctx)
     fixed = ctx.fixed_positions
     slots: list[int | None] = [None] * (ctx.ell + 1)
     k = 0
     j = fixed[0]
     slots[j] = 0
-    for s in mu.steps:
+    for s in steps:
         if s == "N":
             k += 1
             j = fixed[k]  # lower heights fill only slots up to fixed[k - 1]
@@ -114,34 +120,35 @@ def path_to_vector(mu: LatticePath, ctx: NuContext) -> BracketVector:
             while j >= 0 and slots[j] is not None:
                 j -= 1
             if j < 0:
-                raise ValueError(f"{mu} is not weakly above {ctx.nu}")
+                raise ValueError(f"{steps} is not weakly above {ctx.nu}")
         slots[j] = k
-    return BracketVector(tuple(slots), ctx)  # type: ignore[arg-type]
+    return slots  # type: ignore[return-value]
 
 
 def vector_to_path(vec: BracketVector) -> LatticePath:
-    """Unique path whose associated vector is vec, which must be valid.
+    """Unique path whose associated vector is vec, which must be valid:
+    _decode of its entries.
 
-    The entry multiset of an associated vector is exactly the multiset of
-    point heights of its path, so occurrence counts determine the path:
-    count[k]-1 east steps at height k, separated by north steps.  Validity
-    is assumed, not checked: the invalid (2,0,2,1,0,2) over ENENE decodes
-    into ENNEE all the same.  BracketVector.checked refuses such input.
+    Validity is assumed, not checked: the invalid (2,0,2,1,0,2) over ENENE
+    decodes into ENNEE all the same.  BracketVector.checked refuses such input.
     """
-    ctx = vec.ctx
-    counts = [0] * (ctx.n_nu + 1)
-    for b in vec.entries:
-        if not 0 <= b <= ctx.n_nu:
-            raise ValueError(f"entry {b} out of range for nu={ctx.nu}")
-        counts[b] += 1
+    return _decode(vec.entries, vec.ctx)
+
+
+def _decode(entries: Sequence[int], ctx: NuContext) -> LatticePath:
+    """The path with the entry multiset of entries.  The entry multiset of
+    an associated vector is exactly the multiset of point heights of its
+    path, so occurrence counts determine the path: count[k]-1 east steps at
+    height k, separated by north steps."""
+    n_nu = ctx.n_nu
+    counts = [entries.count(k) for k in range(n_nu + 1)]
+    if sum(counts) != len(entries):  # some entry is none of 0..n_nu
+        b = next(b for b in entries if not 0 <= b <= n_nu)
+        raise ValueError(f"entry {b} out of range for nu={ctx.nu}")
     if min(counts) < 1:
-        raise ValueError(f"{vec} is not a valid vector for nu={ctx.nu}")
-    pieces = []
-    for k, c in enumerate(counts):
-        pieces.append("E" * (c - 1))
-        if k < ctx.n_nu:
-            pieces.append("N")
-    return LatticePath("".join(pieces))
+        text = "(" + ",".join(map(str, entries)) + ")"
+        raise ValueError(f"{text} is not a valid vector for nu={ctx.nu}")
+    return LatticePath("N".join(["E" * (c - 1) for c in counts]))
 
 
 def meet(v1: BracketVector, v2: BracketVector) -> BracketVector:
@@ -334,15 +341,17 @@ def _incomparable(down, rows):
 
 def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     """(upper, lower) indices into mus, all of Tam(nu) in lexicographic order
-    with N < E, of every cover: the moves of paths.covers_down, applied to
-    all paths at once on their int64 step keys (E = 1, first step most
-    significant), which ascend in that order.
+    with N < E, of every cover: the lower covers of paths._cover_steps,
+    applied to all paths at once on their int64 step keys (E = 1, first
+    step most significant), which ascend in that order.
 
     For a north step at j, the shifted subpath D runs from point j to the
     first later point whose horizontal distance is at most that of point j
     (distances fall by one per east step and never on a north step, so that
     point has the same distance); when the step there is east, the cover
-    moves it to position j and shifts steps j.. one place later.
+    moves it to position j and shifts steps j.. one place later.  Keys fit
+    int64 only up to 62 steps, so step counts and distances, both in
+    0..ell, are int8.
     """
     import numpy as np
 
@@ -350,11 +359,13 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     text = "".join(mu.steps for mu in mus).encode()
     east = (np.frombuffer(text, dtype=np.uint8) == ord("E")).reshape(len(mus), ell)
     weight = np.int64(1) << np.arange(ell - 1, -1, -1, dtype=np.int64)  # weight of step i
-    keys = east @ weight
-    x = np.cumsum(east, axis=1)
-    dist = np.empty((len(keys), ell + 1), dtype=np.int64)  # cumulative heights against _rightmost
+    keys = _mixed_radix_keys(east.T, 2, len(mus))
+    x = np.cumsum(east, axis=1, dtype=np.int8)
+    y = np.cumsum(~east, axis=1, dtype=np.int8)
+    dist = np.empty((len(keys), ell + 1), dtype=np.int8)
     dist[:, 0] = ctx._rightmost[0]
-    dist[:, 1:] = np.array(ctx._rightmost)[np.arange(1, ell + 1) - x] - x
+    np.subtract(np.array(ctx._rightmost, dtype=np.int8)[y], x, out=dist[:, 1:])
+    del x, y
     upper, lower = [], []
     for j in range(ell):
         end = j + 1 + np.argmax(dist[:, j + 1 :] <= dist[:, j, None], axis=1)
@@ -376,7 +387,7 @@ def _lattice_tables(ctx: NuContext):
     """Enumerated lattice with its covers, packed order rows and vectors.
 
     Returns (mus, vecs, V, down, covers): the paths; their vectors as
-    tuples, from path_to_vector; the same vectors as an int16 array; the
+    tuples, from _slot_entries; the same vectors as an int16 array; the
     packed down-sets, a uint64 array of m rows of ceil(m / 64) words in
     which bit i of row j (bit i % 64 of word i // 64) is set iff element
     i <= element j; and the covers, an int array of (upper, lower) row pairs
@@ -395,16 +406,16 @@ def _lattice_tables(ctx: NuContext):
     mus = enumerate_tam(ctx)
     upper, lower = _lower_covers(mus, ctx)
     m = len(mus)
-    vecs = [path_to_vector(mu, ctx).entries for mu in mus]
-    order_key = sorted(range(m), key=lambda i: (sum(vecs[i]), vecs[i]))
-    mus = [mus[i] for i in order_key]
-    vecs = [vecs[i] for i in order_key]
+    V = np.array([_slot_entries(mu.steps, ctx) for mu in mus], dtype=np.int16)
+    sums = V.sum(axis=1, dtype=np.int64)
+    order = np.lexsort((*V.T[::-1], sums))  # by entry sum, then entries
+    V, sums = V[order], sums[order]
+    mus = [mus[i] for i in order.tolist()]
+    vecs = list(map(tuple, V.tolist()))
     rank = np.empty(m, dtype=np.intp)
-    rank[order_key] = np.arange(m)
+    rank[order] = np.arange(m)
     by_upper = np.argsort(rank[upper], kind="stable")
     upper, lower = rank[upper][by_upper], rank[lower][by_upper]
-    V = np.array(vecs, dtype=np.int16)
-    sums = V.sum(axis=1, dtype=np.int64)
     if (sums[lower] >= sums[upper]).any():
         raise RuntimeError(f"cover does not decrease entry sum over {ctx.nu}")
     down = np.zeros((m, (m + 63) // 64), dtype=np.uint64)

@@ -10,9 +10,11 @@ the same horizontal distance to nu with no intermediate point sharing it.
 The horizontal distance of a point p is the number of east steps that can be
 appended to p before leaving the region weakly above nu.  One walk,
 _distances, gives it for every point of a path, negative below nu, so it also
-decides membership; both cover directions take D from a north step j to the
-first later point with the distance of point j.  An enumeration past
-MAX_ELEMENTS elements is refused unless forced.
+decides membership.  One helper on step strings, _cover_steps, takes D from a
+north step j to the first later point with the distance of point j, for both
+cover directions and for pop.pop_generic; only covers_up and covers_down wrap
+its strings in LatticePath objects, the ones they return.  An enumeration
+past MAX_ELEMENTS elements is refused unless forced.
 """
 
 from __future__ import annotations
@@ -91,10 +93,12 @@ class LatticePath:
     steps: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.steps, str):
+            raise TypeError(f"lattice path steps must be a str, not {type(self.steps).__name__}")
         if not self.steps:
             raise ValueError("a lattice path needs at least one step")
-        bad = set(self.steps) - {"N", "E"}
-        if bad:
+        if self.steps.strip("NE"):  # nonempty iff some character is neither N nor E
+            bad = set(self.steps) - {"N", "E"}
             raise ValueError(f"invalid step characters {sorted(bad)!r} in {self.steps!r}")
 
     def __str__(self) -> str:
@@ -286,38 +290,37 @@ def _member_distances(mu: LatticePath, ctx: NuContext) -> list[int]:
     return dist
 
 
-def covers_up(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
-    """All paths covering mu in Tam(nu).
+def _cover_steps(steps: str, dist: list[int], down: bool) -> list[str]:
+    """Step strings of the covers of a member of Tam(nu), the paths it
+    covers if down, else those covering it, from the _distances of its points.
 
-    For each north step j preceded by an east step, D runs from point j to
-    the first later point m with the same horizontal distance; the cover
-    moves that east step from just before D to just after it.
+    For each north step j, D runs from point j to the first later point m
+    with the distance of point j.  A lower cover exists where step m is east
+    and moves it to just before D; an upper cover exists where step j - 1 is
+    east and moves it to just after D.
     """
-    steps = mu.steps
-    dist = _member_distances(mu, ctx)
-    out: set[LatticePath] = set()
-    for j, s in enumerate(steps):
-        if s == "N" and j > 0 and steps[j - 1] == "E":
-            m = dist.index(dist[j], j + 1)
-            out.add(LatticePath(steps[: j - 1] + steps[j:m] + "E" + steps[m:]))
-    return out
-
-
-def covers_down(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
-    """All paths covered by mu in Tam(nu) (inverse of covers_up).
-
-    For each north step j followed, after D, by an east step, D runs from
-    point j to the first later point m with the same horizontal distance;
-    the cover moves that east step from just after D to just before it.
-    """
-    steps = mu.steps
     ell = len(steps)
-    dist = _member_distances(mu, ctx)
-    out: set[LatticePath] = set()
+    out = []
     for j, s in enumerate(steps):
         if s != "N":
             continue
-        m = dist.index(dist[j], j + 1)
-        if m < ell and steps[m] == "E":
-            out.add(LatticePath(steps[:j] + "E" + steps[j:m] + steps[m + 1 :]))
+        if down:
+            m = dist.index(dist[j], j + 1)
+            if m < ell and steps[m] == "E":
+                out.append(steps[:j] + "E" + steps[j:m] + steps[m + 1 :])
+        elif j and steps[j - 1] == "E":
+            m = dist.index(dist[j], j + 1)
+            out.append(steps[: j - 1] + steps[j:m] + "E" + steps[m:])
     return out
+
+
+def covers_up(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
+    """All paths covering mu in Tam(nu): _cover_steps on mu's one
+    _member_distances walk, one LatticePath per cover."""
+    return set(map(LatticePath, _cover_steps(mu.steps, _member_distances(mu, ctx), False)))
+
+
+def covers_down(mu: LatticePath, ctx: NuContext) -> set[LatticePath]:
+    """All paths covered by mu in Tam(nu) (inverse of covers_up), through
+    the same _cover_steps and one _member_distances walk."""
+    return set(map(LatticePath, _cover_steps(mu.steps, _member_distances(mu, ctx), True)))

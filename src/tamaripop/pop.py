@@ -7,8 +7,13 @@ Delta(v) = {i : v[i] > v[i+1]}, the i-th entry of Pop(v) for i in Delta is
                  v[j] <= x for all i < j <= fixed_positions[x] }
 
 and entries outside Delta are unchanged.  The independent oracle
-(pop_generic) instead folds meets over the path-level covers_down; the two
-routes are compared exhaustively by the verification suites.
+(pop_generic) instead takes the meet of a path and its lower covers: the
+covers' step strings from paths._cover_steps, the helper behind
+covers_down, their vectors from brackets._slot_entries, the helper behind
+path_to_vector, one componentwise min over all of them, and one
+brackets._decode, the helper behind vector_to_path.  It never reads the
+eta formula; the two routes are compared exhaustively by the
+verification suites.
 
 The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
@@ -31,13 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .brackets import BracketVector, path_to_vector, vector_to_path
-from .brackets import _mixed_radix_keys, _vector_rows
+from .brackets import BracketVector, vector_to_path
+from .brackets import _decode, _mixed_radix_keys, _slot_entries, _vector_rows
 from .paths import (
     LatticePath,
     NuContext,
     _check_n,
-    covers_down,
+    _cover_steps,
+    _member_distances,
     covers_up,
     east_staircase,
 )
@@ -110,11 +116,18 @@ def pop_vector(vec: BracketVector) -> BracketVector:
 
 
 def pop_generic(mu: LatticePath, ctx: NuContext) -> LatticePath:
-    """Pop computed as the meet of mu with all paths it covers (oracle route)."""
-    acc = path_to_vector(mu, ctx).entries
-    for lower in covers_down(mu, ctx):
-        acc = tuple(map(min, acc, path_to_vector(lower, ctx).entries))
-    return vector_to_path(BracketVector(acc, ctx))
+    """Pop computed as the meet of mu with all paths it covers (oracle route).
+
+    One _member_distances walk checks mu and feeds paths._cover_steps, which
+    gives the step strings of its lower covers; brackets._slot_entries
+    encodes mu and each of them, one componentwise min over all the vectors
+    is their meet, and brackets._decode turns it back into a path.  No
+    LatticePath is built but the one returned.
+    """
+    steps = mu.steps
+    lowers = _cover_steps(steps, _member_distances(mu, ctx), True)
+    vectors = [_slot_entries(s, ctx) for s in [steps, *lowers]]
+    return _decode(list(map(min, zip(*vectors))), ctx)
 
 
 def down_cover_candidates(vec: BracketVector) -> set[BracketVector]:

@@ -347,10 +347,18 @@ def _corpus_cap(max_ell: int) -> None:
 
 
 def _oracle_corpus(max_ell: int, random_paths: int, seed: int) -> Iterator[NuContext]:
-    """The pop-oracle corpus; its checks declare _corpus_cap."""
+    """The pop-oracle corpus; its checks declare _corpus_cap.  Every lattice,
+    then the corpus as a whole, is held to the element bound before the
+    first lattice is enumerated."""
     corpus = [NuContext.from_text(nu) for nu in corpus_nus(max_ell, random_paths, seed)]
-    for ctx in corpus:  # every lattice, before the first is enumerated
+    for ctx in corpus:
         paths._check_elements(ctx)
+    total = sum(paths._count_tam(ctx) for ctx in corpus)
+    if total > paths.MAX_ELEMENTS:
+        raise paths.BoundExceeded(
+            f"the pop-oracle corpus up to {max_ell} steps has {total} elements, "
+            f"more than {paths.MAX_ELEMENTS}"
+        )
     yield from corpus
 
 

@@ -2,7 +2,8 @@
 
 Each scenario returns None if the fault was refused as expected, else what
 went wrong; no assert statements, so `python -O tests/fault_scenarios.py
-census` (or `bijection`, or `petersen`) checks the same and exits 1 on a miss.
+census` (or `bijection`, `petersen` or `oracle`) checks the same and exits 1
+on a miss.
 """
 
 import itertools
@@ -126,10 +127,27 @@ def petersen_fault():
     return None if counterexample == expected else f"expected {expected}, got {counterexample}"
 
 
+def oracle_fault():
+    """Drop the last lower cover that pop_generic meets: the pop-oracle
+    equivalence check must fail, first at the top NNEE of Tam(NENE), whose
+    one lower cover is its Pop image NENE."""
+    real = pop._cover_steps
+    pop._cover_steps = lambda steps, dist, down: real(steps, dist, down)[:-1]
+    try:
+        passed, counterexample, _ = verification.check_pop_oracle(verification.VerifyOptions())
+    finally:
+        pop._cover_steps = real
+    expected = {"nu": "NENE", "path": "NNEE", "meet_of_covers": "NNEE", "entrywise_formula": "NENE"}
+    if passed:
+        return "an oracle missing a lower cover passed the pop-oracle check"
+    return None if counterexample == expected else f"expected {expected}, got {counterexample}"
+
+
 if __name__ == "__main__":
     scenarios = {
         "census": lambda: next(filter(None, (census_fault(*case) for case in CENSUS_FAULTS)), None),
         "bijection": bijection_fault,
         "petersen": petersen_fault,
+        "oracle": oracle_fault,
     }
     sys.exit(scenarios[sys.argv[1]]())

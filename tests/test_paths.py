@@ -1,5 +1,7 @@
 """Lattice path primitives: parsing, geometry, covers, enumeration."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,10 +36,20 @@ def test_parse_and_basic_geometry():
 
 
 def test_parse_rejects_bad_letters():
-    with pytest.raises(ValueError):
-        parse_path("NEX")
-    with pytest.raises(ValueError):
+    # a bad letter is found wherever it stands
+    for text, bad in [("XNE", "['X']"), ("NXE", "['X']"), ("NEX", "['X']"), ("NnEX ", "[' ', 'X', 'n']")]:
+        message = f"invalid step characters {bad} in {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_path(text)
+    with pytest.raises(ValueError, match="^a lattice path needs at least one step$"):
         parse_path("")
+
+
+@pytest.mark.parametrize("steps", [["N", "E"], ("N", "E"), 7], ids=["list", "tuple", "int"])
+def test_steps_that_are_not_a_string_are_refused(steps):
+    name = type(steps).__name__
+    with pytest.raises(TypeError, match=f"^lattice path steps must be a str, not {name}$"):
+        LatticePath(steps)
 
 
 def test_staircase_shapes():

@@ -1,5 +1,7 @@
 """The pop operator: entrywise formula, meet-of-covers oracle, census, image."""
 
+import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,14 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fault_scenarios import oracle_fault
 from tamaripop.brackets import (
     BracketVector,
     _vector_rows,
     enumerate_vectors,
+    meet,
     path_to_vector,
     vector_to_path,
 )
-from tamaripop.paths import NuContext, east_staircase, enumerate_tam, parse_path
+from tamaripop.paths import (
+    LatticePath,
+    NuContext,
+    covers_down,
+    east_staircase,
+    enumerate_tam,
+    parse_path,
+)
 from tamaripop.pop import (
     _up_cover_counts,
     concat_irreducible,
@@ -32,6 +43,7 @@ from tamaripop.pop import (
     up_cover_count,
 )
 from tamaripop.series import a055151, catalan, h_series, motzkin
+from test_census import SCENARIOS, _run_optimized
 
 
 def _vec(text, entries):
@@ -78,6 +90,74 @@ def test_pop_generic_equals_pop_vector(text):
         via_meet = pop_generic(mu, ctx)
         via_formula = vector_to_path(pop_vector(path_to_vector(mu, ctx)))
         assert via_meet == via_formula
+
+
+def _fold_of_meets(mu, ctx, vector=path_to_vector):
+    """The oracle as public calls: meet folded over the vectors of mu and of
+    everything covers_down gives, decoded by vector_to_path.  vector may
+    look up the path_to_vector images of a whole lattice built beforehand."""
+    acc = vector(mu, ctx)
+    for lower in covers_down(mu, ctx):
+        acc = meet(acc, vector(lower, ctx))
+    return vector_to_path(acc)
+
+
+def _assert_pop_generic_is_the_fold(ctx):
+    vectors = {mu: path_to_vector(mu, ctx) for mu in enumerate_tam(ctx)}
+    for mu in vectors:
+        assert pop_generic(mu, ctx) == _fold_of_meets(mu, ctx, lambda p, _: vectors[p])
+
+
+@pytest.mark.parametrize("ell", range(1, 11))
+def test_pop_generic_equals_the_fold_of_meets_on_every_short_nu(ell):
+    for bits in itertools.product("NE", repeat=ell):
+        _assert_pop_generic_is_the_fold(NuContext.from_text("".join(bits)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.text("NE", min_size=11, max_size=14))
+def test_pop_generic_equals_the_fold_of_meets_on_random_nu(text):
+    _assert_pop_generic_is_the_fold(NuContext.from_text(text))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("EN", "EN is not weakly above NE"),
+        ("NEE", "endpoint mismatch: NEE ends at (2, 1), NE ends at (1, 1)"),
+        ("NNE", "endpoint mismatch: NNE ends at (1, 2), NE ends at (1, 1)"),
+    ],
+)
+def test_pop_generic_refuses_what_the_fold_refuses(text, message):
+    ctx = NuContext.from_text("NE")
+    for route in (pop_generic, _fold_of_meets):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(LatticePath(text), ctx)
+
+
+@pytest.mark.parametrize("ell", range(1, 6))
+def test_pop_generic_raises_like_the_fold_off_the_lattice(ell):
+    # every word of up to ell + 1 steps against every nu of ell steps
+    words = ["".join(w) for k in range(1, ell + 2) for w in itertools.product("NE", repeat=k)]
+    for bits in itertools.product("NE", repeat=ell):
+        ctx = NuContext.from_text("".join(bits))
+        for word in words:
+            outcomes = []
+            for route in (pop_generic, _fold_of_meets):
+                try:
+                    outcomes.append(route(LatticePath(word), ctx))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (ctx.nu.steps, word)
+
+
+def test_oracle_missing_a_lower_cover_fails_the_pop_oracle_check():
+    assert oracle_fault() is None
+
+
+def test_oracle_fault_fails_under_python_optimize():
+    proc = _run_optimized(SCENARIOS, "oracle")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @settings(max_examples=60, deadline=None)

@@ -304,6 +304,40 @@ def test_pop_oracle_refuses_ell_past_the_path_length_bound_before_enumerating(ca
     assert captured.err == "error: Tam(nu) of a 25-step nu has more than 742900 elements\n"
 
 
+@pytest.mark.parametrize("max_n, total", [("23", 1374594), ("24", 1631366)])
+def test_pop_oracle_refuses_a_corpus_past_the_element_bound_as_a_whole(capsys, monkeypatch, max_n, total):
+    # no lattice of either seed-0 corpus passes 742,900 elements; their sums do
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a pop-oracle lattice past the corpus bound")
+
+    monkeypatch.setattr(paths, "enumerate_tam", no_enumeration)
+    monkeypatch.setattr(brackets, "enumerate_vectors", no_enumeration)
+    code = main(["verify", "--suite", "pop-oracle", "--max-n", max_n])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    message = f"the pop-oracle corpus up to {max_n} steps has {total} elements, more than 742900"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_pop_oracle_corpus_bound_reads_the_lowered_element_bound(capsys, monkeypatch):
+    # at max_ell = 6 the seed-0 corpus holds 179 elements, none of its
+    # lattices more than 20: each lattice fits under 100, the corpus does not
+    enumerated = []
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 100)
+    monkeypatch.setattr(paths, "enumerate_tam", lambda ctx, **kw: enumerated.append(ctx))
+    monkeypatch.setattr(brackets, "enumerate_vectors", lambda ctx: enumerated.append(ctx))
+    code = main(["verify", "--suite", "pop-oracle", "--max-n", "6"])
+    captured = capsys.readouterr()
+    assert enumerated == []
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: the pop-oracle corpus up to 6 steps has 179 elements, more than 100\n"
+
+
+def test_pop_oracle_corpus_at_22_steps_fits_the_element_bound():
+    corpus = verification._oracle_corpus(22, verification.RANDOM_NU_COUNT, 0)
+    assert sum(paths._count_tam(ctx) for ctx in corpus) == 585623
+
+
 # The runner: every check is a registered case generator
 
 
