@@ -136,19 +136,20 @@ def vector_to_path(vec: BracketVector) -> LatticePath:
 
 
 def _decode(entries: Sequence[int], ctx: NuContext) -> LatticePath:
-    """The path with the entry multiset of entries.  The entry multiset of
-    an associated vector is exactly the multiset of point heights of its
-    path, so occurrence counts determine the path: count[k]-1 east steps at
-    height k, separated by north steps."""
+    """The path whose points have the heights in entries.  The entry
+    multiset of an associated vector is exactly the multiset of point
+    heights of its path, so in sorted order a repeated height is an east
+    step and a rise, which must be of one, a north step."""
     n_nu = ctx.n_nu
-    counts = [entries.count(k) for k in range(n_nu + 1)]
-    if sum(counts) != len(entries):  # some entry is none of 0..n_nu
-        b = next(b for b in entries if not 0 <= b <= n_nu)
-        raise ValueError(f"entry {b} out of range for nu={ctx.nu}")
-    if min(counts) < 1:
+    heights = sorted(entries)
+    steps = "".join(["E" if a == b else "N" for a, b in zip(heights, heights[1:])])
+    if heights[0] != 0 or heights[-1] != n_nu or steps.count("N") != n_nu:
+        bad = [b for b in entries if b not in range(n_nu + 1)]
+        if bad:
+            raise ValueError(f"entry {bad[0]} out of range for nu={ctx.nu}")
         text = "(" + ",".join(map(str, entries)) + ")"
         raise ValueError(f"{text} is not a valid vector for nu={ctx.nu}")
-    return LatticePath("N".join(["E" * (c - 1) for c in counts]))
+    return LatticePath(steps)
 
 
 def meet(v1: BracketVector, v2: BracketVector) -> BracketVector:

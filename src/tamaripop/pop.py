@@ -7,12 +7,9 @@ Delta(v) = {i : v[i] > v[i+1]}, the i-th entry of Pop(v) for i in Delta is
                  v[j] <= x for all i < j <= fixed_positions[x] }
 
 and entries outside Delta are unchanged.  The independent oracle
-(pop_generic) instead takes the meet of a path and its lower covers: the
-covers' step strings from paths._cover_steps, the helper behind
-covers_down, their vectors from brackets._slot_entries, the helper behind
-path_to_vector, one componentwise min over all of them, and one
-brackets._decode, the helper behind vector_to_path.  It never reads the
-eta formula; the two routes are compared exhaustively by the
+(pop_generic) instead meets a path with its lower covers, through the
+helpers behind covers_down, path_to_vector and vector_to_path, and never
+reads the eta formula; the two routes are compared exhaustively by the
 verification suites.
 
 The census machinery (sortability times, Pop images, q-polynomials) works
@@ -118,11 +115,10 @@ def pop_vector(vec: BracketVector) -> BracketVector:
 def pop_generic(mu: LatticePath, ctx: NuContext) -> LatticePath:
     """Pop computed as the meet of mu with all paths it covers (oracle route).
 
-    One _member_distances walk checks mu and feeds paths._cover_steps, which
-    gives the step strings of its lower covers; brackets._slot_entries
-    encodes mu and each of them, one componentwise min over all the vectors
-    is their meet, and brackets._decode turns it back into a path.  No
-    LatticePath is built but the one returned.
+    One _member_distances walk checks mu and feeds paths._cover_steps, the
+    step strings of its lower covers; brackets._slot_entries encodes each
+    of them and mu, one componentwise min over all the vectors is their
+    meet, and brackets._decode builds the one LatticePath returned.
     """
     steps = mu.steps
     lowers = _cover_steps(steps, _member_distances(mu, ctx), True)

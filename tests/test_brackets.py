@@ -173,6 +173,20 @@ def test_checked_vector_refuses_what_vector_to_path_would_decode():
     assert BracketVector.checked([2, 0, 2, 1, 2, 2], ctx) == BracketVector((2, 0, 2, 1, 2, 2), ctx)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((0, 0, 1, 1, 3, 2), "entry 3 out of range for nu=ENENE"),
+        ((0, 0, 1, 1, -1, 2), "entry -1 out of range for nu=ENENE"),
+        ((0, 0, 1, 1, 1.5, 2), "entry 1.5 out of range for nu=ENENE"),
+        ((0, 0, 0, 0, 2, 2), "(0,0,0,0,2,2) is not a valid vector for nu=ENENE"),
+    ],
+)
+def test_vector_to_path_names_an_entry_it_cannot_decode(entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        vector_to_path(BracketVector(entries, NuContext.from_text("ENENE")))
+
+
 def _assert_tables_match_scalar_covers(text):
     """The array cover edges are paths.covers_down of every element, and the
     packed rows are the dense reflexive-transitive closure of those covers."""
