@@ -38,12 +38,13 @@ def catalan(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def motzkin(n: int) -> int:
-    """n-th Motzkin number, via M(n+1) = M(n) + sum M(k) M(n-1-k)."""
+    """n-th Motzkin number, via M(n+1) = M(n) + sum M(k) M(n-1-k), in a loop."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n <= 1:
-        return 1
-    return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k) for k in range(n - 1))
+    m = [1, 1]
+    for j in range(2, n + 1):
+        m.append(m[j - 1] + sum(m[k] * m[j - 2 - k] for k in range(j - 1)))
+    return m[n]
 
 
 def a055151(n: int, k: int) -> int:

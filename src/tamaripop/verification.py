@@ -8,10 +8,11 @@ runs at with its default, for example `max_n=11, max_t=5` or
 `seed` takes seed, and every other parameter is fixed.  It passes the
 resolved values to the generator as arguments and reports exactly those
 values as the check's params, so the report cannot disagree with the run.
-Because the registry knows each check's options and its cap (a function of
-its resolved max_n or max_ell a registration may declare, raising
-BoundExceeded past it), run_suite refuses an unread max_n or max_t, or a
-max_n past a cap, before any check runs.
+A registration may declare a cap, a function of all of its resolved
+params that raises BoundExceeded past the sizes the check can run at; the
+cap is the only place a check refuses a size.  Because the registry knows
+each check's options and its cap, run_suite refuses an unread max_n or
+max_t, or params past a cap, before any check runs.
 The generator yields one verdict per case it examines: a small
 counterexample dict when the case fails, a falsy value when it holds.  The
 decorator turns it into a function of VerifyOptions returning
@@ -230,7 +231,9 @@ def _check_one_bijection(nu_text: str) -> dict | None:
     mus, vecs, V, down, covers = brackets._lattice_tables(ctx)
     m = len(mus)
 
-    if sorted(map(tuple, brackets._vector_rows(ctx).tolist())) != sorted(vecs):
+    rows = brackets._vector_rows(ctx)
+    rows = rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1, dtype=np.int64)))]  # V's order
+    if not np.array_equal(rows, V):
         return {"nu": nu_text, "failure": "path_to_vector image differs from enumerate_vectors"}
     if len(set(vecs)) != m:
         return {"nu": nu_text, "failure": "path_to_vector is not injective"}
@@ -284,14 +287,13 @@ _SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {}
 _OPTION_OF = {"max_n": "max_n", "max_ell": "max_n", "max_t": "max_t", "seed": "seed"}
 
 
-def _check(suite: str, name: str, cap: Callable[[int], None] | None = None, **declared):
+def _check(suite: str, name: str, cap: Callable[..., None] | None = None, **declared):
     """Register a case generator as check `name` of `suite`, with every
-    parameter it runs at, its default and its cap on the parameter max_n
-    sets (see the module docstring).  Its `options` names the options it
-    reads, `resolve` its params, refused past the cap, and `counted` the
-    outcome and the number of verdicts examined."""
+    parameter it runs at, its default and its cap, called with every
+    resolved parameter (see the module docstring).  Its `options` names the
+    options it reads, `resolve` its params, refused past the cap, and
+    `counted` the outcome and the number of verdicts examined."""
     options = frozenset(_OPTION_OF[key] for key in declared if key in _OPTION_OF)
-    capped = next((key for key in declared if _OPTION_OF.get(key) == "max_n"), None)
 
     def register(cases: Callable[..., Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
         def resolve(opts: VerifyOptions) -> dict:
@@ -300,7 +302,7 @@ def _check(suite: str, name: str, cap: Callable[[int], None] | None = None, **de
                 value = getattr(opts, _OPTION_OF[key]) if key in _OPTION_OF else None
                 params[key] = default if value is None else value
             if cap is not None:
-                cap(params[capped])
+                cap(**params)
             return params
 
         def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
@@ -332,6 +334,23 @@ def _scan_cap(max_n: int) -> None:
         raise paths.BoundExceeded(f"n={max_n} exceeds the bound 9 of the scan of S_n")
 
 
+def _n_cap(max_n: int, **_) -> None:
+    """The element bound, read as n, of a check that reads Tam_n for n <= max_n."""
+    _check_n(max_n)
+
+
+def _n_plus_one_cap(max_n: int) -> None:
+    """The same for a check that reads Tam_(n+1)."""
+    _check_n(max_n, shift=1)
+
+
+def _bijection_cap(max_n: int) -> None:
+    """What tamari_perm_bijection(max_n) refuses: the element bound, then
+    the order matrix of E(NE)^(max_n - 1)."""
+    _check_n(max_n)
+    brackets._order_matrix_guard(pop._east_staircase_ctx(max_n))
+
+
 def _census_rows(first_n: int, max_n: int):
     """(n, vector, sortability time) for every element of Tam_n, first_n <= n <= max_n."""
     for n in range(first_n, max_n + 1):
@@ -340,31 +359,36 @@ def _census_rows(first_n: int, max_n: int):
             yield n, BracketVector(tuple(e), census.ctx), time_
 
 
-def _corpus_cap(max_ell: int) -> None:
-    """Refuse max_ell before corpus_nus builds anything: its corpus holds
-    (NE)^(max_ell // 2), which has C_(max_ell // 2) elements."""
+def _corpus(max_ell: int, random_paths: int, seed: int) -> list[NuContext]:
+    """The contexts of corpus_nus, built after refusing from max_ell alone
+    the staircase (NE)^(max_ell // 2) the corpus always holds."""
     _check_n(max_ell // 2)
+    return [NuContext.from_text(nu) for nu in corpus_nus(max_ell, random_paths, seed)]
 
 
-def _oracle_corpus(max_ell: int, random_paths: int, seed: int) -> Iterator[NuContext]:
-    """The pop-oracle corpus; its checks declare _corpus_cap.  Every lattice,
-    then the corpus as a whole, is held to the element bound before the
-    first lattice is enumerated."""
-    corpus = [NuContext.from_text(nu) for nu in corpus_nus(max_ell, random_paths, seed)]
-    for ctx in corpus:
+def _order_matrix_cap(**corpus) -> None:
+    """Refuse a corpus lattice whose order matrix would pass its bound."""
+    for ctx in _corpus(**corpus):
+        brackets._order_matrix_guard(ctx)
+
+
+def _oracle_cap(max_ell: int, **corpus) -> None:
+    """Hold every lattice of the pop-oracle corpus, then the corpus as a
+    whole, to the element bound, counted without enumerating."""
+    contexts = _corpus(max_ell, **corpus)
+    for ctx in contexts:
         paths._check_elements(ctx)
-    total = sum(paths._count_tam(ctx) for ctx in corpus)
+    total = sum(paths._count_tam(ctx) for ctx in contexts)
     if total > paths.MAX_ELEMENTS:
         raise paths.BoundExceeded(
             f"the pop-oracle corpus up to {max_ell} steps has {total} elements, "
             f"more than {paths.MAX_ELEMENTS}"
         )
-    yield from corpus
 
 
 def _oracle_paths(max_ell: int, random_paths: int, seed: int):
     """(nu, ctx, mu) for every element mu of Tam(nu), nu in the pop-oracle corpus."""
-    for ctx in _oracle_corpus(max_ell, random_paths, seed):
+    for ctx in _corpus(max_ell, random_paths, seed):
         for mu in paths.enumerate_tam(ctx):
             yield ctx.nu.steps, ctx, mu
 
@@ -378,19 +402,16 @@ def _av312_pop_image(n: int) -> frozenset:
 
 @_check(
     "bijection", "order-isomorphism-and-meets",
-    cap=_corpus_cap, max_ell=14, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_order_matrix_cap, max_ell=14, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_order_isomorphism(max_ell, random_paths, seed):
-    corpus = corpus_nus(max_ell, random_paths, seed)
-    for nu in corpus:  # refuse an oversized lattice before building any table
-        brackets._order_matrix_guard(NuContext.from_text(nu))
-    for nu in corpus:
+    for nu in corpus_nus(max_ell, random_paths, seed):
         yield _check_one_bijection(nu)
 
 
 @_check(
     "pop-oracle", "pop-meet-oracle-equivalence",
-    cap=_corpus_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_oracle_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_pop_oracle(max_ell, random_paths, seed):
     for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
@@ -404,10 +425,10 @@ def check_pop_oracle(max_ell, random_paths, seed):
 
 @_check(
     "pop-oracle", "pop-entry-lower-bound",
-    cap=_corpus_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_oracle_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_pop_entry_lower_bound(max_ell, random_paths, seed):
-    for ctx in _oracle_corpus(max_ell, random_paths, seed):
+    for ctx in _corpus(max_ell, random_paths, seed):
         fixed = ctx.fixed_positions
         free = [i for i in range(fixed[-1]) if i not in fixed]
         for v in brackets.enumerate_vectors(ctx):
@@ -418,7 +439,7 @@ def check_pop_entry_lower_bound(max_ell, random_paths, seed):
 
 @_check(
     "pop-oracle", "down-cover-candidates-match",
-    cap=_corpus_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
+    cap=_oracle_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_down_cover_candidates(max_ell, random_paths, seed):
     for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
@@ -435,7 +456,7 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
         }
 
 
-@_check("theorem-1", "census-matches-series", cap=_check_n, max_n=CENSUS_MAX_N, max_t=5)
+@_check("theorem-1", "census-matches-series", cap=_n_cap, max_n=CENSUS_MAX_N, max_t=5)
 def check_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         h = series.h_series(t, max_n)
@@ -444,7 +465,7 @@ def check_census_matches_series(max_n, max_t):
             yield counted != h[n] and {"n": n, "t": t, "census": counted, "series": h[n]}
 
 
-@_check("theorem-1", "irreducible-census-matches-series", cap=_check_n, max_n=STRUCTURE_MAX_N, max_t=4)
+@_check("theorem-1", "irreducible-census-matches-series", cap=_n_cap, max_n=STRUCTURE_MAX_N, max_t=4)
 def check_irreducible_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
@@ -487,7 +508,7 @@ def check_series_irreducible_recursion(max_t, order):
         yield g != z * ((one + h_small) * g + one) and {"t": t}
 
 
-@_check("decomposition", "decomposition-round-trip", cap=_check_n, max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "decomposition-round-trip", cap=_n_cap, max_n=STRUCTURE_MAX_N)
 def check_decomposition_round_trip(max_n):
     for n, v, _ in _census_rows(1, max_n):
         parts = pop.decompose_irreducible(v)
@@ -498,7 +519,7 @@ def check_decomposition_round_trip(max_n):
         yield pop.concat_irreducible(parts).entries != v.entries and {**case, "failure": "round trip"}
 
 
-@_check("decomposition", "decomposition-sortability", cap=_check_n, max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "decomposition-sortability", cap=_n_cap, max_n=STRUCTURE_MAX_N)
 def check_decomposition_sortability(max_n):
     """Sortability time equals the max over irreducible components."""
     for n, v, time_ in _census_rows(1, max_n):
@@ -508,7 +529,7 @@ def check_decomposition_sortability(max_n):
         }
 
 
-@_check("decomposition", "all-elements-sort-within-n", cap=_check_n, max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "all-elements-sort-within-n", cap=_n_cap, max_n=STRUCTURE_MAX_N)
 def check_all_sort_within_n(max_n):
     """Everything in Tam_n is n-sortable."""
     for n in range(1, max_n + 1):
@@ -517,7 +538,7 @@ def check_all_sort_within_n(max_n):
         yield counted != total and {"n": n, "t": n, "count": counted, "catalan": total}
 
 
-@_check("hash", "hash-validity-and-monotonicity", cap=_check_n, max_n=STRUCTURE_MAX_N)
+@_check("hash", "hash-validity-and-monotonicity", cap=_n_cap, max_n=STRUCTURE_MAX_N)
 def check_hash_validity_monotonicity(max_n):
     for n, v, time_ in _census_rows(2, max_n):
         reduced = pop.hash_map(v)
@@ -530,7 +551,7 @@ def check_hash_validity_monotonicity(max_n):
         }
 
 
-@_check("hash", "hash-bijection-on-irreducibles", cap=_check_n, max_n=9)
+@_check("hash", "hash-bijection-on-irreducibles", cap=_n_cap, max_n=9)
 def check_hash_bijection(max_n):
     for n in range(2, max_n + 1):
         images = [
@@ -542,7 +563,7 @@ def check_hash_bijection(max_n):
         }
 
 
-@_check("hash", "hash-sortability-threshold", cap=_check_n, max_n=STRUCTURE_MAX_N)
+@_check("hash", "hash-sortability-threshold", cap=_n_cap, max_n=STRUCTURE_MAX_N)
 def check_hash_sortability_threshold(max_n):
     """time(v) = max(time(v#), b_0 - x_r + 1) for irreducible v, where 2 x_r
     is the length of the last irreducible component of v#."""
@@ -557,7 +578,7 @@ def check_hash_sortability_threshold(max_n):
         }
 
 
-@_check("congruence", "perm-vector-isomorphism-covers", max_n=CONGRUENCE_MAX_N)
+@_check("congruence", "perm-vector-isomorphism-covers", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
 def check_perm_isomorphism_covers(max_n):
     """tamari_perm_bijection checks that it is an order isomorphism; run it."""
     for n in range(1, max_n + 1):
@@ -565,7 +586,7 @@ def check_perm_isomorphism_covers(max_n):
         yield len(mapping) != series.catalan(n) and {"n": n, "failure": "wrong domain size"}
 
 
-@_check("congruence", "pop-commutes-with-isomorphism", max_n=CONGRUENCE_MAX_N)
+@_check("congruence", "pop-commutes-with-isomorphism", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
 def check_pop_commutes(max_n):
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
@@ -606,7 +627,7 @@ def check_pidown_projects(max_n):
             }
 
 
-@_check("congruence", "ascents-count-up-covers", max_n=CONGRUENCE_MAX_N)
+@_check("congruence", "ascents-count-up-covers", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
 def check_ascents_count_up_covers(max_n):
     for n in range(1, max_n + 1):
         for p, v in perms.tamari_perm_bijection(n).items():
@@ -617,7 +638,7 @@ def check_ascents_count_up_covers(max_n):
             }
 
 
-@_check("characterization", "pop-image-equals-characterization", max_n=9)
+@_check("characterization", "pop-image-equals-characterization", cap=_n_cap, max_n=9)
 def check_characterization(max_n):
     for n in range(1, max_n + 1):
         image = _av312_pop_image(n)
@@ -631,7 +652,7 @@ def check_characterization(max_n):
         yield len(image) != motzkin and {"n": n, "size": len(image), "motzkin": motzkin}
 
 
-@_check("theorem-2", "pop-image-size-is-motzkin", cap=_check_n, max_n=CENSUS_MAX_N)
+@_check("theorem-2", "pop-image-size-is-motzkin", cap=_n_cap, max_n=CENSUS_MAX_N)
 def check_pop_image_motzkin(max_n):
     for n in range(1, max_n + 1):
         size = len(pop.pop_image(n))
@@ -640,7 +661,7 @@ def check_pop_image_motzkin(max_n):
 
 
 @_check(  # reads Tam_(n+1)
-    "theorem-2", "qpolynomial-matches-formula", cap=lambda n: _check_n(n, shift=1), max_n=QPOLY_MAX_N
+    "theorem-2", "qpolynomial-matches-formula", cap=_n_plus_one_cap, max_n=QPOLY_MAX_N
 )
 def check_qpolynomial_formula(max_n):
     """Coefficient of q^(n-k) in the Tam_{n+1} polynomial is a055151(n, k)."""
@@ -650,7 +671,7 @@ def check_qpolynomial_formula(max_n):
         yield coeffs != expected and {"n": n, "histogram": coeffs, "formula": expected}
 
 
-@_check("theorem-2", "qpolynomial-matches-permutation-ascents", cap=_check_n, max_n=QPOLY_MAX_N)
+@_check("theorem-2", "qpolynomial-matches-permutation-ascents", cap=_n_cap, max_n=QPOLY_MAX_N)
 def check_qpolynomial_permutations(max_n):
     """Ascent histogram over the permutation Pop image matches the polynomial."""
     for n in range(1, max_n + 1):
@@ -659,7 +680,7 @@ def check_qpolynomial_permutations(max_n):
         yield hist != qpoly and {"n": n, "ascent_histogram": hist, "qpoly": qpoly}
 
 
-@_check("theorem-2", "rmap-bijection-descents-peaks", max_n=CONGRUENCE_MAX_N)
+@_check("theorem-2", "rmap-bijection-descents-peaks", cap=_n_plus_one_cap, max_n=CONGRUENCE_MAX_N)
 def check_rmap_bijection(max_n):
     """r maps the Pop image in S_{n+1} onto the 231-avoiders with equal
     descent and peak counts, matching k descents to n-k up-covers."""
@@ -683,7 +704,7 @@ def check_a055151_row_sums(max_n):
         yield total != series.motzkin(n) and {"n": n, "row_sum": total, "motzkin": series.motzkin(n)}
 
 
-@_check("petersen", "descent-peak-counts-match-formula", max_n=8)
+@_check("petersen", "descent-peak-counts-match-formula", cap=_n_plus_one_cap, max_n=8)
 def check_descent_peak_formula(max_n):
     for n in range(0, max_n + 1):
         for k in range(0, n // 2 + 1):

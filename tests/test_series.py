@@ -47,6 +47,11 @@ def test_a055151_rows_sum_to_motzkin():
         assert sum(a055151(n, k) for k in range(n // 2 + 1)) == motzkin(n)
 
 
+def test_motzkin_far_past_the_recursion_limit():
+    # sum_k C(n, 2k) C_k = M_n, the identity a055151-row-sums-motzkin checks
+    assert motzkin(600) == sum(a055151(600, k) for k in range(301))
+
+
 def test_series_equality_and_indexing():
     s = IntSeries.from_coeffs([1, 2, 3], 5)
     assert s[0] == 1 and s[2] == 3 and s[5] == 0

@@ -26,13 +26,14 @@ def _check_with(monkeypatch, edit, consistent_order=False):
     """Run the check on a fresh build of the tables changed by edit(V, O),
     where O is the unpacked order matrix, O[i, j] = i <= j; with
     consistent_order, O is recomputed as the componentwise order of the new
-    V.  O goes back to the tables packed, and the cover edges stay those of
-    the real lattice."""
+    V and the vector enumeration returns the new V.  O goes back to the
+    tables packed, and the cover edges stay those of the real lattice."""
     mus, vecs, V, down, covers = brackets._lattice_tables(NuContext.from_text(NU))
     O = brackets._unpack_bits(down, len(mus)).T
     edit(V, O)
     if consistent_order:
         O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
+        monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: V)
     down = brackets._pack_bits(O.T)
     monkeypatch.setattr(brackets, "_lattice_tables", lambda ctx: (mus, vecs, V, down, covers))
     return verification._check_one_bijection(NU)
@@ -262,6 +263,71 @@ def test_no_check_starts_when_a_selected_cap_refuses_max_n(capsys, monkeypatch, 
     assert captured.err == f"error: {message}\n"
 
 
+# The registered checks that call nothing bounded, so they declare no cap
+UNCAPPED = {
+    "pidown-confluence",
+    "a055151-row-sums-motzkin",
+    "series-recurrence-vs-rational",
+    "series-geometric-identity",
+    "series-irreducible-recursion",
+}
+CAPPED = sorted(
+    (name, check)
+    for table in verification._SUITES.values()
+    for name, check in table.items()
+    if name not in UNCAPPED
+)
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("built a table past a cap")
+
+
+@pytest.mark.parametrize("check", [check for _, check in CAPPED], ids=[name for name, _ in CAPPED])
+def test_every_bounded_check_refuses_through_its_cap(monkeypatch, check):
+    # the element bound lowered to C_3 = 5 elements refuses every size at
+    # max_n = 10, as n or as a path length, in the cap, before anything is built
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)
+    monkeypatch.setattr(paths, "enumerate_tam", _no_build)
+    monkeypatch.setattr(brackets, "_vector_rows", _no_build)
+    monkeypatch.setattr(perms, "_phi_words", _no_build)
+    monkeypatch.setattr(pop, "_build_census", _no_build)
+    with pytest.raises(BoundExceeded):
+        check.resolve(VerifyOptions(max_n=10))
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, message",
+    [
+        ("petersen", "13", "n=13 exceeds the enumeration bound 12"),
+        ("characterization", "14", "n=14 exceeds the enumeration bound 13"),
+    ],
+)
+def test_verify_refuses_a_size_before_any_check_body_runs(capsys, monkeypatch, suite, max_n, message):
+    monkeypatch.setattr(perms, "count_231_equal_descents_peaks", _no_build)
+    monkeypatch.setattr(verification, "_av312_pop_image", _no_build)
+    monkeypatch.setattr(perms, "image_by_characterization", _no_build)
+    code = main(["verify", "--suite", suite, "--max-n", max_n])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verification.check_perm_isomorphism_covers,
+        verification.check_pop_commutes,
+        verification.check_ascents_count_up_covers,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_bijection_checks_refuse_the_order_matrix_before_building_a_bijection(monkeypatch, check):
+    monkeypatch.setattr(perms, "tamari_perm_bijection", _no_build)
+    with pytest.raises(BoundExceeded, match="has 58786 elements; its order matrix"):
+        check(VerifyOptions(max_n=11))
+
+
 def test_pidown_projects_refuses_n_past_its_scan_bound_before_scanning(monkeypatch):
     def no_scan(p):
         raise AssertionError("scanned S_n past the bound")
@@ -334,7 +400,9 @@ def test_pop_oracle_corpus_bound_reads_the_lowered_element_bound(capsys, monkeyp
 
 
 def test_pop_oracle_corpus_at_22_steps_fits_the_element_bound():
-    corpus = verification._oracle_corpus(22, verification.RANDOM_NU_COUNT, 0)
+    params = {"max_ell": 22, "random_paths": verification.RANDOM_NU_COUNT, "seed": 0}
+    verification._oracle_cap(**params)
+    corpus = verification._corpus(**params)
     assert sum(paths._count_tam(ctx) for ctx in corpus) == 585623
 
 
