@@ -387,15 +387,15 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
 def _lattice_tables(ctx: NuContext):
     """Enumerated lattice with its covers, packed order rows and vectors.
 
-    Returns (mus, vecs, V, down, covers): the paths; their vectors as
-    tuples, from _slot_entries; the same vectors as an int16 array; the
-    packed down-sets, a uint64 array of m rows of ceil(m / 64) words in
-    which bit i of row j (bit i % 64 of word i // 64) is set iff element
-    i <= element j; and the covers, an int array of (upper, lower) row pairs
-    sorted by upper row.  Elements are sorted by (entry sum, entries).  The
-    order is the reflexive-transitive closure of the path covers, ORed in
-    one entry-sum level at a time (a cover that does not lower the entry sum
-    is a RuntimeError), so it never reads the vectors' componentwise order.
+    Returns (mus, V, down, covers): the paths; their vectors, from
+    _slot_entries, as an int16 array; the packed down-sets, a uint64 array
+    of m rows of ceil(m / 64) words in which bit i of row j (bit i % 64 of
+    word i // 64) is set iff element i <= element j; and the covers, an int
+    array of (upper, lower) row pairs sorted by upper row.  Elements are
+    sorted by (entry sum, entries).  The order is the reflexive-transitive
+    closure of the path covers, ORed in one entry-sum level at a time (a
+    cover that does not lower the entry sum is a RuntimeError), so it never
+    reads the vectors' componentwise order.
     Both bijection checks compare their map with these rows, and each builds
     them once, uncached.  Raises BoundExceeded before enumerating when the
     rows would be too large or the step keys would pass int64.
@@ -412,7 +412,6 @@ def _lattice_tables(ctx: NuContext):
     order = np.lexsort((*V.T[::-1], sums))  # by entry sum, then entries
     V, sums = V[order], sums[order]
     mus = [mus[i] for i in order.tolist()]
-    vecs = list(map(tuple, V.tolist()))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
     by_upper = np.argsort(rank[upper], kind="stable")
@@ -431,4 +430,4 @@ def _lattice_tables(ctx: NuContext):
         first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
         words = (lo + 63) // 64  # rows below this level only hold bits below lo
         down[u[first], :words] |= np.bitwise_or.reduceat(down[d, :words], first, axis=0)
-    return mus, vecs, V, down, np.stack((upper, lower), axis=1)
+    return mus, V, down, np.stack((upper, lower), axis=1)

@@ -4,20 +4,21 @@ The pop-stack map reverses every maximal descending run.  On the sublattice
 of 312-avoiding permutations, Pop is the pop-stack map followed by the
 projection pi_down to the minimal element of the sylvester class, computed
 by repeatedly swapping an adjacent descent (c, a) that has a later witness b
-with a < b < c.  The bridge to bracket vectors is tamari_perm_bijection:
-_phi_words, one recursion on the position of the value 1, builds the
-312-avoiding words (its sorted keys) with their vectors, and is checked on
-the spot against one brackets._lattice_tables build, to be onto its vectors
-and to carry the weak order onto its order matrix.  u <= w in the weak order
-iff inv(u) is a subset of inv(w), so the weak order is the componentwise
-order on 0/1 inversion-indicator rows: the indicators of the words, taken in
-the table's row order through the map, go through
-brackets._first_order_difference, the kernel that also checks the bracket
-vectors, and must give that matrix exactly.  The 231-avoiders with as many
-descents as peaks, which Petersen counts by a055151, are found among the
-reverse-complements of the same 312-avoiding words, so every enumeration
-here runs through _phi_words; no function scans all of S_n.  A size whose
-C_n words pass the element bound raises BoundExceeded before it runs.
+with a < b < c.  These scalar maps on one Permutation are the public API and
+the test reference for the arrays below.
+
+The 312-avoiders of size n have one form: the read-only int8 matrices (W, V)
+of _phi_words, one recursion on the position of the value 1, in which row i
+of V is the vector for E(NE)^(n-1) of the word in row i of W.  _pop_words
+runs Pop on every row of W at once.  tamari_perm_bijection checks (W, V)
+against one brackets._lattice_tables build: onto its vectors, and carrying
+the weak order onto its order matrix, since u <= w iff inv(u) is a subset of
+inv(w), so the inversion-indicator rows of W, in the table's row order, go
+through brackets._first_order_difference, the kernel that also checks the
+bracket vectors.  The 231-avoiders with as many descents as peaks, which
+Petersen counts by a055151, are rows of W's reverse-complement, so every
+enumeration runs through _phi_words and none scans S_n.  A size whose C_n
+words pass the element bound raises BoundExceeded before it runs.
 
 Permutations are words on 1..n; text form is a digit string for n <= 9
 ("53412") and comma-separated for larger n.
@@ -33,7 +34,7 @@ from functools import lru_cache
 from .brackets import BracketVector, _lattice_tables
 from .brackets import _first_order_difference, _order_matrix_guard
 from .paths import _check_n
-from .pop import _east_staircase_ctx
+from .pop import POP_BLOCK_ROWS, _east_staircase_ctx
 
 __all__ = [
     "PermStats",
@@ -146,62 +147,45 @@ def weak_order_covers_down(p: Permutation) -> set[Permutation]:
     return out
 
 
-def _avoids_312(w: tuple[int, ...]) -> bool:
-    # pattern w[i] > w[k] > w[j] at i < j < k: scan pairs (j, k) against prefix max
-    best = 0
-    prefix_max = [0] * len(w)
-    for j, v in enumerate(w):
-        prefix_max[j] = best
-        if v > best:
-            best = v
-    for j in range(1, len(w)):
-        for k in range(j + 1, len(w)):
-            if w[j] < w[k] < prefix_max[j]:
-                return False
-    return True
-
-
-def _avoids_231(w: tuple[int, ...]) -> bool:
-    # pattern w[j] > w[i] > w[k] at i < j < k
-    n = len(w)
-    if n < 3:
-        return True
-    min_after = [0] * n
-    m = w[-1]
-    for j in range(n - 2, -1, -1):
-        min_after[j] = m
-        if w[j] < m:
-            m = w[j]
-    for j in range(1, n - 1):
-        if min_after[j] < w[j]:
-            for i in range(j):
-                if min_after[j] < w[i] < w[j]:
-                    return False
-    return True
-
-
-_PATTERN_CHECKS = {"312": _avoids_312, "231": _avoids_231}
-
-
 def avoids(p: Permutation, pattern: str) -> bool:
-    """Pattern avoidance for the patterns used here: 312 and 231."""
-    try:
-        return _PATTERN_CHECKS[pattern](p.word)
-    except KeyError:
-        raise ValueError(f"unsupported pattern {pattern!r}; know {sorted(_PATTERN_CHECKS)}") from None
+    """Pattern avoidance for 231 and 312, in O(n): a word avoids 231 iff one
+    pass through a stack sorts it (Knuth, TAOCP vol. 1, section 2.2.1), and
+    avoids 312 iff its reverse-complement r_map avoids 231."""
+    if pattern not in ("231", "312"):
+        raise ValueError(f"unsupported pattern {pattern!r}; know ['231', '312']")
+    stack, wanted = [], 1  # wanted: the next value the sorted output needs
+    for x in (p if pattern == "231" else r_map(p)).word:
+        while stack and stack[-1] < x:
+            if stack.pop() != wanted:
+                return False
+            wanted += 1
+        stack.append(x)
+    return True  # the stack decreases upward, so it empties in order
+
+
+def _sorted_rows(X):
+    """The distinct rows of the matrix X in lexicographic order, read-only."""
+    import numpy as np
+
+    X = X[np.lexsort(X.T[::-1])] if X.shape[1] else X[:1]
+    keep = np.ones(len(X), dtype=bool)
+    keep[1:] = (X[1:] != X[:-1]).any(axis=1)
+    X = X[keep]
+    X.flags.writeable = False
+    return X
 
 
 @lru_cache(maxsize=None)
-def _av312_words(n: int) -> tuple[tuple[int, ...], ...]:
-    """All 312-avoiding words on 1..n, lexicographically: the domain of
-    _phi_words, the one recursion that builds them."""
-    return tuple(sorted(_phi_words(n)))
+def _av312_words(n: int):
+    """The W of _phi_words(n), the 312-avoiding words on 1..n, in
+    lexicographic order."""
+    return _sorted_rows(_phi_words(n)[0])
 
 
 def enumerate_av312(n: int) -> list[Permutation]:
     """All 312-avoiding permutations of 1..n, lexicographically."""
     _check_n(n)
-    return [Permutation(w) for w in _av312_words(n)]
+    return [Permutation(tuple(w)) for w in _av312_words(n).tolist()]
 
 
 def _swap_candidates(w: list[int]) -> list[int]:
@@ -233,9 +217,52 @@ def pi_down_random(p: Permutation, rng: random.Random) -> Permutation:
 
 def pop_tamari_perm(p: Permutation) -> Permutation:
     """Pop on the 312-avoiding sublattice: pop-stack, then project down."""
-    if not _avoids_312(p.word):
+    if not avoids(p, "312"):
         raise ValueError(f"{p} contains a 312 pattern; not in the sublattice")
     return pi_down(pop_stack(p))
+
+
+def _pop_words(W):
+    """pop_tamari_perm of every row of the 312-avoider matrix W, in W's row
+    order, POP_BLOCK_ROWS rows at a time.  Pop-stack sends position i to
+    start(i) + end(i) - i, its mirror image in its descending run; pi_down
+    then swaps the leftmost corner (_swap_candidates' rule) of every row
+    that has one, a round at a time, until no row has one."""
+    import numpy as np
+
+    m, n = W.shape
+    out = np.empty_like(W)
+    cols = np.arange(n, dtype=np.int8)
+    for top in range(0, m, POP_BLOCK_ROWS):
+        A = W[top : top + POP_BLOCK_ROWS]
+        edge = np.pad(A[:, :-1] < A[:, 1:], ((0, 0), (1, 1)), constant_values=True)
+        start = np.maximum.accumulate(np.where(edge[:, :-1], cols, 0), axis=1)
+        end = np.minimum.accumulate(np.where(edge[:, 1:], cols, n - 1)[:, ::-1], axis=1)
+        A = np.take_along_axis(A, start + end[:, ::-1] - cols, axis=1)
+        rows = np.arange(top, top + len(A))
+        while True:
+            # a corner: a descent c > a at i, i + 1, with a later b, a < b < c
+            corner = A[:, :-2] > A[:, 1:-1]
+            witness = np.zeros_like(corner)
+            for d in range(2, n):  # b at i + d
+                b = A[:, d:]
+                witness[:, : n - d] |= (A[:, 1 : n - d + 1] < b) & (b < A[:, : n - d])
+            corner &= witness
+            active = corner.any(axis=1)
+            out[rows[~active]] = A[~active]
+            if not active.any():
+                break
+            A, rows = A[active], rows[active]
+            i, r = corner[active].argmax(axis=1), np.arange(len(rows))
+            A[r, i], A[r, i + 1] = A[r, i + 1], A[r, i]
+    return out
+
+
+def _image_mask(W):
+    """The rows of W that end in n and have no double descent
+    w[i] > w[i+1] > w[i+2]."""
+    desc = W[:, :-1] > W[:, 1:]
+    return (W[:, -1] == W.shape[1]) & ~(desc[:, :-1] & desc[:, 1:]).any(axis=1)
 
 
 def image_by_characterization(n: int) -> set[Permutation]:
@@ -243,14 +270,8 @@ def image_by_characterization(n: int) -> set[Permutation]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_n(n)
-    out = set()
-    for w in _av312_words(n):
-        if w[-1] != n:
-            continue
-        if any(w[i] > w[i + 1] > w[i + 2] for i in range(n - 2)):
-            continue
-        out.add(Permutation(w))
-    return out
+    W = _av312_words(n)
+    return {Permutation(tuple(w)) for w in W[_image_mask(W)].tolist()}
 
 
 def r_map(p: Permutation) -> Permutation:
@@ -261,30 +282,33 @@ def r_map(p: Permutation) -> Permutation:
     return Permutation(tuple(m + 1 - w[m - 1 - i] for i in range(m)))
 
 
+def _r_rows(W):
+    """r_map of every row of the word matrix W."""
+    return W.shape[1] + 1 - W[:, ::-1]
+
+
+def _descents_peaks(W):
+    """The number of descents and the number of peaks of every row of W."""
+    desc = W[:, :-1] > W[:, 1:]
+    return desc.sum(axis=1), (~desc[:, :-1] & desc[:, 1:]).sum(axis=1)
+
+
 def count_231_equal_descents_peaks(n: int, k: int) -> int:
     """Exhaustive count of the 231-avoiding words in S_{n+1} with k descents
-    and k peaks, over every word that _equal_descents_peaks_231 keeps."""
+    and k peaks, over every row that _equal_descents_peaks_231 keeps."""
     _check_n(n, shift=1)
-    return sum(_descents(w) == k for w in _equal_descents_peaks_231(n + 1))
-
-
-def _descents(w: tuple[int, ...]) -> int:
-    return sum(a > b for a, b in zip(w, w[1:]))
-
-
-def _peaks(w: tuple[int, ...]) -> int:
-    return sum(a < b > c for a, b, c in zip(w, w[1:], w[2:]))
+    return int((_descents_peaks(_equal_descents_peaks_231(n + 1))[0] == k).sum())
 
 
 @lru_cache(maxsize=None)
-def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
-    """The 231-avoiders in S_m with as many descents as peaks, lexicographically.
-
-    Reverse-complement w -> (m+1 - w[m-1-i])_i sends the pattern 312 to 231,
-    so the 231-avoiders are the reverse-complements of _av312_words(m).
-    """
-    words = sorted(tuple(m + 1 - x for x in reversed(w)) for w in _av312_words(m))
-    return tuple(w for w in words if _descents(w) == _peaks(w))
+def _equal_descents_peaks_231(m: int):
+    """The 231-avoiders in S_m with as many descents as peaks, as int8 rows
+    in lexicographic order: the reverse-complements w -> (m+1 - w[m-1-i])_i
+    of the 312-avoiders, written out here and not taken from _r_rows, so
+    that the rmap check compares its r with a target it did not build."""
+    R = m + 1 - _phi_words(m)[0][:, ::-1]
+    descents, peaks = _descents_peaks(R)
+    return _sorted_rows(R[descents == peaks])
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +316,33 @@ def _equal_descents_peaks_231(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map each 312-avoiding word on 1..n to a vector for E(NE)^(n-1).
+def _phi_words(n: int):
+    """Every 312-avoiding word on 1..n with its vector for E(NE)^(n-1), as
+    read-only int8 matrices (W, V): row i of V is the vector of row i of W.
 
     With the value 1 at position k, w = (L, 1, R): the block (L, 1) becomes
     the irreducible head (k-1, 0, phi(L-1)+1) and R becomes phi(R-k)+k.
+    Each k fills one block of rows, each left row repeated once per right row.
     """
-    if n == 0:
-        return {(): ()}
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for k in range(1, n + 1):
-        left_map = _phi_words(k - 1)
-        right_map = _phi_words(n - k)
-        for lw, lv in left_map.items():
-            word_l = tuple(x + 1 for x in lw) + (1,)
-            head = (k - 1, 0) + tuple(x + 1 for x in lv)
-            for rw, rv in right_map.items():
-                word = word_l + tuple(x + k for x in rw)
-                out[word] = head + tuple(x + k for x in rv)
-    return out
+    import numpy as np
+
+    parts = [(_phi_words(k - 1), _phi_words(n - k)) for k in range(1, n + 1)]
+    m = sum(len(lw) * len(rw) for (lw, _), (rw, _) in parts) or 1  # n = 0: the empty word
+    W, V = np.empty((m, n), dtype=np.int8), np.empty((m, 2 * n), dtype=np.int8)
+    top = 0
+    for k, ((lw, lv), (rw, rv)) in enumerate(parts, 1):
+        a, b = len(lw), len(rw)
+        w = W[top : top + a * b].reshape(a, b, n)  # views: (i, j) pairs left row i with right row j
+        v = V[top : top + a * b].reshape(a, b, 2 * n)
+        w[:, :, : k - 1] = lw[:, None] + 1
+        w[:, :, k - 1] = 1
+        w[:, :, k:] = rw + k
+        v[:, :, :2] = k - 1, 0
+        v[:, :, 2 : 2 * k] = lv[:, None] + 1
+        v[:, :, 2 * k :] = rv + k
+        top += a * b
+    W.flags.writeable = V.flags.writeable = False
+    return W, V
 
 
 def _inversion_indicators(words):
@@ -325,49 +357,50 @@ def _inversion_indicators(words):
 
 
 @lru_cache(maxsize=None)
-def _verified_bijection(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _verified_bijection(n: int):
     """_phi_words(n), checked against one _lattice_tables build: onto its
     vectors, and carrying the weak order onto its order matrix."""
+    import numpy as np
+
     ctx = _east_staircase_ctx(n)
     _order_matrix_guard(ctx)
-    phi = _phi_words(n)
-    _, vecs, _, down, _ = _lattice_tables(ctx)
-    if sorted(phi.values()) != sorted(vecs):
+    W, V = _phi_words(n)
+    _, table, down, _ = _lattice_tables(ctx)
+    order = np.lexsort((*V.T[::-1], V.sum(axis=1, dtype=np.int64)))  # the table's row order
+    if not np.array_equal(V[order], table):
         raise RuntimeError(f"constructed map is not onto the vectors for n={n}")
-    word_of = {v: w for w, v in phi.items()}
-    row_words = [word_of[v] for v in vecs]
+    row_words = W[order]
     inversions = _inversion_indicators(row_words)
     pair = _first_order_difference(inversions, down)
     if pair is not None:
         i, j = pair
         weak = bool((inversions[i] <= inversions[j]).all())
+        u, w = tuple(row_words[i].tolist()), tuple(row_words[j].tolist())
+        x, y = tuple(table[i].tolist()), tuple(table[j].tolist())
         raise RuntimeError(
             f"constructed map is not an order isomorphism for n={n}: "
-            f"{row_words[i]} <= {row_words[j]} is {weak} in the weak order, "
-            f"{vecs[i]} <= {vecs[j]} is {not weak} in Tamari"
+            f"{u} <= {w} is {weak} in the weak order, {x} <= {y} is {not weak} in Tamari"
         )
-    return phi
+    return W, V
 
 
 def tamari_perm_bijection(n: int) -> dict[Permutation, BracketVector]:
     """Verified order isomorphism from 312-avoiders onto vectors for E(NE)^(n-1).
 
-    The recursive construction is compared with one brackets._lattice_tables
-    build: it must be onto the table's vectors (else a RuntimeError "not
-    onto") and carry the weak order (inversion-set containment) exactly onto
-    the table's Tamari order (closure of the path-level lower covers).  The
-    weak order is the componentwise order of the words' inversion-indicator
-    rows, packed a block of rows at a time by brackets._componentwise_down_rows
-    (the kernel that also checks the bracket vectors) and compared with the
-    Tamari order matrix block by block.  A disagreement is a RuntimeError
-    naming both words and both vectors of the differing pair (i, j) of table
-    rows with the least i, then the least j.
-    Past the order-matrix bound (n >= 11) it raises BoundExceeded before
+    The recursive construction must be onto the vectors of one
+    brackets._lattice_tables build (else a RuntimeError "not onto") and
+    carry the weak order exactly onto the table's Tamari order, the closure
+    of the path-level lower covers (see the module docstring).  A
+    disagreement is a RuntimeError naming both words and both vectors of
+    the differing pair (i, j) of table rows with the least i, then the least
+    j.  Past the order-matrix bound (n >= 11) it raises BoundExceeded before
     enumerating a word.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_n(n)
-    phi = _verified_bijection(n)
+    W, V = _verified_bijection(n)
     ctx = _east_staircase_ctx(n)
-    return {Permutation(w): BracketVector(v, ctx) for w, v in phi.items()}
+    return {
+        Permutation(tuple(w)): BracketVector(tuple(v), ctx) for w, v in zip(W.tolist(), V.tolist())
+    }

@@ -228,17 +228,17 @@ def _check_one_bijection(nu_text: str) -> dict | None:
     import numpy as np
 
     ctx = NuContext.from_text(nu_text)
-    mus, vecs, V, down, covers = brackets._lattice_tables(ctx)
+    mus, V, down, covers = brackets._lattice_tables(ctx)
     m = len(mus)
 
     rows = brackets._vector_rows(ctx)
     rows = rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1, dtype=np.int64)))]  # V's order
     if not np.array_equal(rows, V):
         return {"nu": nu_text, "failure": "path_to_vector image differs from enumerate_vectors"}
-    if len(set(vecs)) != m:
+    if (V[1:] == V[:-1]).all(axis=1).any():  # V is sorted, so equal rows are adjacent
         return {"nu": nu_text, "failure": "path_to_vector is not injective"}
-    for mu, v in zip(mus, vecs):
-        back = brackets.vector_to_path(BracketVector(v, ctx))
+    for mu, v in zip(mus, V.tolist()):
+        back = brackets.vector_to_path(BracketVector(tuple(v), ctx))
         if back != mu:
             return {"nu": nu_text, "failure": "vector_to_path does not invert", "path": mu.steps}
 
@@ -249,7 +249,7 @@ def _check_one_bijection(nu_text: str) -> dict | None:
         return {
             "nu": nu_text,
             "failure": "order disagreement",
-            "pair": [list(vecs[i]), list(vecs[j])],
+            "pair": [V[i].tolist(), V[j].tolist()],
             "componentwise": componentwise,
             "cover_closure": not componentwise,
         }
@@ -339,6 +339,17 @@ def _n_cap(max_n: int, **_) -> None:
     _check_n(max_n)
 
 
+def _t_cap(max_t: int, **_) -> None:
+    """The series' order bound on the step count t of a check that loops over t <= max_t."""
+    if max_t > series.MAX_ORDER:
+        raise paths.BoundExceeded(f"max_t={max_t} exceeds the bound {series.MAX_ORDER}")
+
+
+def _n_t_cap(max_n: int, max_t: int) -> None:
+    _n_cap(max_n)
+    _t_cap(max_t)
+
+
 def _n_plus_one_cap(max_n: int) -> None:
     """The same for a check that reads Tam_(n+1)."""
     _check_n(max_n, shift=1)
@@ -394,10 +405,16 @@ def _oracle_paths(max_ell: int, random_paths: int, seed: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _av312_pop_image(n: int) -> frozenset:
-    """The Pop image of the 312-avoiding permutations of size n, built once
-    for the three checks that read it."""
-    return frozenset(perms.pop_tamari_perm(p) for p in perms.enumerate_av312(n))
+def _av312_pop_image(n: int):
+    """The Pop image of the 312-avoiding permutations of size n, as sorted
+    distinct int8 rows, built once for the three checks that read it."""
+    return perms._sorted_rows(perms._pop_words(perms._av312_words(n)))
+
+
+def _first_texts(rows, other) -> list[str]:
+    """The first five rows of rows that other lacks, as permutation texts in text order."""
+    missing = set(map(tuple, rows.tolist())) - set(map(tuple, other.tolist()))
+    return sorted(str(perms.Permutation(w)) for w in missing)[:5]
 
 
 @_check(
@@ -456,7 +473,7 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
         }
 
 
-@_check("theorem-1", "census-matches-series", cap=_n_cap, max_n=CENSUS_MAX_N, max_t=5)
+@_check("theorem-1", "census-matches-series", cap=_n_t_cap, max_n=CENSUS_MAX_N, max_t=5)
 def check_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         h = series.h_series(t, max_n)
@@ -465,7 +482,9 @@ def check_census_matches_series(max_n, max_t):
             yield counted != h[n] and {"n": n, "t": t, "census": counted, "series": h[n]}
 
 
-@_check("theorem-1", "irreducible-census-matches-series", cap=_n_cap, max_n=STRUCTURE_MAX_N, max_t=4)
+@_check(
+    "theorem-1", "irreducible-census-matches-series", cap=_n_t_cap, max_n=STRUCTURE_MAX_N, max_t=4
+)
 def check_irreducible_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
@@ -475,7 +494,9 @@ def check_irreducible_census_matches_series(max_n, max_t):
             yield counted != g[n] and {"n": n, "t": t, "census": counted, "series": g[n]}
 
 
-@_check("theorem-1", "series-recurrence-vs-rational", max_t=SERIES_MAX_T, order=SERIES_ORDER)
+@_check(
+    "theorem-1", "series-recurrence-vs-rational", cap=_t_cap, max_t=SERIES_MAX_T, order=SERIES_ORDER
+)
 def check_series_recurrence_vs_rational(max_t, order):
     for t in range(1, max_t + 1):
         yield series.h_series(t, order) != series.h_series_rational(t, order) and {
@@ -486,7 +507,9 @@ def check_series_recurrence_vs_rational(max_t, order):
         }
 
 
-@_check("theorem-1", "series-geometric-identity", max_t=SERIES_MAX_T, order=SERIES_ORDER)
+@_check(
+    "theorem-1", "series-geometric-identity", cap=_t_cap, max_t=SERIES_MAX_T, order=SERIES_ORDER
+)
 def check_series_geometric_identity(max_t, order):
     """1 + H_t = 1 / (1 - G_t)."""
     one = series.IntSeries.one(order)
@@ -496,7 +519,9 @@ def check_series_geometric_identity(max_t, order):
         yield lhs != rhs and {"t": t}
 
 
-@_check("theorem-1", "series-irreducible-recursion", max_t=SERIES_MAX_T, order=SERIES_ORDER)
+@_check(
+    "theorem-1", "series-irreducible-recursion", cap=_t_cap, max_t=SERIES_MAX_T, order=SERIES_ORDER
+)
 def check_series_irreducible_recursion(max_t, order):
     """G_t = z * ((1 + sum_{n<t} C_n z^n) G_t + 1)."""
     one = series.IntSeries.one(order)
@@ -640,13 +665,16 @@ def check_ascents_count_up_covers(max_n):
 
 @_check("characterization", "pop-image-equals-characterization", cap=_n_cap, max_n=9)
 def check_characterization(max_n):
+    import numpy as np
+
     for n in range(1, max_n + 1):
         image = _av312_pop_image(n)
-        described = perms.image_by_characterization(n)
-        yield image != described and {
+        words = perms._av312_words(n)
+        described = words[perms._image_mask(words)]
+        yield not np.array_equal(image, described) and {
             "n": n,
-            "extra": sorted(str(p) for p in image - described)[:5],
-            "missing": sorted(str(p) for p in described - image)[:5],
+            "extra": _first_texts(image, described),
+            "missing": _first_texts(described, image),
         }
         motzkin = series.motzkin(n - 1)
         yield len(image) != motzkin and {"n": n, "size": len(image), "motzkin": motzkin}
@@ -675,7 +703,8 @@ def check_qpolynomial_formula(max_n):
 def check_qpolynomial_permutations(max_n):
     """Ascent histogram over the permutation Pop image matches the polynomial."""
     for n in range(1, max_n + 1):
-        hist = dict(Counter(len(perms.perm_stats(p).ascent_positions) for p in _av312_pop_image(n)))
+        image = _av312_pop_image(n)
+        hist = dict(Counter((image[:, :-1] < image[:, 1:]).sum(axis=1).tolist()))
         qpoly = pop.pop_polynomial(n).coeffs
         yield hist != qpoly and {"n": n, "ascent_histogram": hist, "qpoly": qpoly}
 
@@ -684,17 +713,23 @@ def check_qpolynomial_permutations(max_n):
 def check_rmap_bijection(max_n):
     """r maps the Pop image in S_{n+1} onto the 231-avoiders with equal
     descent and peak counts, matching k descents to n-k up-covers."""
+    import numpy as np
+
     for n in range(1, max_n + 1):
         image = _av312_pop_image(n + 1)
-        mapped = {perms.r_map(p) for p in image}
+        r = perms._r_rows(image)
+        mapped = perms._sorted_rows(r)
         yield len(mapped) != len(image) and {"n": n, "failure": "r not injective on the image"}
-        target = {perms.Permutation(w) for w in perms._equal_descents_peaks_231(n + 1)}
-        yield mapped != target and {"n": n, "failure": "r image mismatch"}
-        for p in image:
-            st = perms.perm_stats(perms.r_map(p))
-            k = len(st.descent_positions)
-            kept = len(st.peak_positions) == k and len(perms.perm_stats(p).ascent_positions) == n - k
-            yield not kept and {"n": n, "perm": str(p), "failure": "descent/peak bookkeeping"}
+        target = perms._equal_descents_peaks_231(n + 1)
+        yield not np.array_equal(mapped, target) and {"n": n, "failure": "r image mismatch"}
+        descents, peaks = perms._descents_peaks(r)
+        ascents = (image[:, :-1] < image[:, 1:]).sum(axis=1)
+        kept = (peaks == descents) & (ascents == n - descents)
+        for word, ok in zip(image.tolist(), kept.tolist()):  # the least failing row first
+            yield not ok and {
+                "n": n, "perm": str(perms.Permutation(tuple(word))),
+                "failure": "descent/peak bookkeeping",
+            }
 
 
 @_check("theorem-2", "a055151-row-sums-motzkin", max_n=12)

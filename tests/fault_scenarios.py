@@ -72,9 +72,9 @@ def bijection_fault(a=7, b=3):
     real = perms._lattice_tables
 
     def flipped(ctx):
-        mus, vecs, V, down, covers = real(ctx)
+        mus, V, down, covers = real(ctx)
         down[b, a // 64] ^= down.dtype.type(1 << (a % 64))
-        return mus, vecs, V, down, covers
+        return mus, V, down, covers
 
     perms._lattice_tables = flipped
     perms._verified_bijection.cache_clear()
@@ -87,8 +87,10 @@ def bijection_fault(a=7, b=3):
     finally:
         perms._lattice_tables = real
         perms._verified_bijection.cache_clear()
-    _, vecs, _, down, _ = real(perms._east_staircase_ctx(5))
-    word_of = {v: w for w, v in perms._phi_words(5).items()}
+    _, V, down, _ = real(perms._east_staircase_ctx(5))
+    vecs = list(map(tuple, V.tolist()))
+    words, phi_vecs = (list(map(tuple, X.tolist())) for X in perms._phi_words(5))
+    word_of = dict(zip(phi_vecs, words))
     u, w = word_of[vecs[a]], word_of[vecs[b]]
     weak = _inversions(u) <= _inversions(w)
     if weak != _bit(down, a, b):
@@ -101,14 +103,16 @@ def bijection_fault(a=7, b=3):
 
 
 def petersen_fault():
-    """Drop the identity word from every _phi_words(n): the 231 count reads
+    """Drop the identity row from every _phi_words(n): the 231 count reads
     the same recursion, so the Petersen check must fail, first at k = 0."""
     real = perms._phi_words
     real(9)  # cache n <= 9, so the real recursion never calls the fault
     built_from_phi = (perms._av312_words, perms._equal_descents_peaks_231)
 
     def missing_identity(n):
-        return {w: v for w, v in real(n).items() if w != tuple(range(1, n + 1))}
+        W, V = real(n)
+        keep = [w != list(range(1, n + 1)) for w in W.tolist()]
+        return W[keep], V[keep]
 
     perms._phi_words = missing_identity
     for cache in built_from_phi:

@@ -191,7 +191,7 @@ def _assert_tables_match_scalar_covers(text):
     """The array cover edges are paths.covers_down of every element, and the
     packed rows are the dense reflexive-transitive closure of those covers."""
     ctx = NuContext.from_text(text)
-    mus, _, _, down, covers = _lattice_tables(ctx)
+    mus, _, down, covers = _lattice_tables(ctx)
     index = {mu.steps: i for i, mu in enumerate(mus)}
     lower = [[index[c.steps] for c in covers_down(mu, ctx)] for mu in mus]
     assert set(map(tuple, covers.tolist())) == {(i, j) for i, js in enumerate(lower) for j in js}

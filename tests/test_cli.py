@@ -365,6 +365,19 @@ def test_verify_refuses_a_bound_that_no_selected_check_reads(capsys, argv):
     assert re.fullmatch(r"error: max_t=\d bounds no check in suite '\w+'\n", err)
 
 
+def test_verify_refuses_a_huge_max_t_before_any_check_body_runs(capsys, monkeypatch):
+    def no_body(*args, **kwargs):
+        raise AssertionError("a check body ran past the max_t cap")
+
+    for name in ("h_series", "g_series", "h_series_rational", "g_series_rational", "catalan"):
+        monkeypatch.setattr(series, name, no_body)
+    for name in ("count_t_sortable", "_census"):
+        monkeypatch.setattr(pop, name, no_body)
+    code, out, err = run(capsys, "verify", "--suite", "theorem-1", "--max-t", "1000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: max_t=1000000000 exceeds the bound 7000\n"
+
+
 def test_verify_stdout_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--suite", "petersen", "--max-n", "4", "--seed", "3")
     _, second, _ = run(capsys, "verify", "--suite", "petersen", "--max-n", "4", "--seed", "3")

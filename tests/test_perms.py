@@ -70,6 +70,20 @@ def test_avoids():
         avoids(P("1"), "132")
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_stack_test_matches_every_index_triple(n):
+    words = list(itertools.permutations(range(1, n + 1)))
+    has_231, has_312 = set(), set()
+    for w in words:
+        for a, b, c in itertools.combinations(w, 3):  # values at positions i < j < k
+            if c < a < b:
+                has_231.add(w)
+            if b < c < a:
+                has_312.add(w)
+    assert [avoids(Permutation(w), "231") for w in words] == [w not in has_231 for w in words]
+    assert [avoids(Permutation(w), "312") for w in words] == [w not in has_312 for w in words]
+
+
 @pytest.mark.parametrize("n", [*range(1, 9), 10])
 def test_av312_counts_are_catalan(n):
     words = enumerate_av312(n)
@@ -182,9 +196,9 @@ def test_scan_matches_scalar_definition(m):
     expected = tuple(
         w
         for w in itertools.permutations(range(1, m + 1))
-        if descents(w) == peaks(w) and perms._avoids_231(w)
+        if descents(w) == peaks(w) and avoids(Permutation(w), "231")
     )
-    assert perms._equal_descents_peaks_231(m) == expected
+    assert perms._equal_descents_peaks_231(m).tolist() == [list(w) for w in expected]
     for k in range(m):
         assert count_231_equal_descents_peaks(m - 1, k) == sum(descents(w) == k for w in expected)
 
@@ -278,6 +292,44 @@ def test_bijection_commutes_with_pop(n):
         assert mapping[pop_tamari_perm(p)] == pop_vector(v)
 
 
+def _phi_dict(n):
+    """The recursion of _phi_words over dicts of tuples, word to vector, in
+    its insertion order: the block of each k, left words outer."""
+    if n == 0:
+        return {(): ()}
+    out = {}
+    for k in range(1, n + 1):
+        for lw, lv in _phi_dict(k - 1).items():
+            word_l = tuple(x + 1 for x in lw) + (1,)
+            head = (k - 1, 0) + tuple(x + 1 for x in lv)
+            for rw, rv in _phi_dict(n - k).items():
+                out[word_l + tuple(x + k for x in rw)] = head + tuple(x + k for x in rv)
+    return out
+
+
+def test_phi_rows_pair_each_word_with_its_vector():
+    W, V = perms._phi_words(3)
+    assert list(zip(map(tuple, W.tolist()), map(tuple, V.tolist()))) == [
+        ((1, 2, 3), (0, 0, 1, 1, 2, 2)),
+        ((1, 3, 2), (0, 0, 2, 1, 2, 2)),
+        ((2, 1, 3), (1, 0, 1, 1, 2, 2)),
+        ((2, 3, 1), (2, 0, 1, 1, 2, 2)),
+        ((3, 2, 1), (2, 0, 2, 1, 2, 2)),
+    ]
+    for n in range(9):
+        W, V = perms._phi_words(n)
+        assert (W.dtype, V.dtype, W.flags.writeable, V.flags.writeable) == (np.int8, np.int8, False, False)
+        assert dict(zip(map(tuple, W.tolist()), map(tuple, V.tolist()))) == _phi_dict(n)
+        assert list(map(tuple, W.tolist())) == list(_phi_dict(n))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_array_pop_matches_pop_tamari_perm_on_every_312_avoider(n):
+    W = perms._av312_words(n)
+    expected = [list(pop_tamari_perm(Permutation(tuple(w))).word) for w in W.tolist()]
+    assert perms._pop_words(W).tolist() == expected
+
+
 def test_bijection_identity_goes_to_bottom():
     mapping = tamari_perm_bijection(4)
     ident = Permutation((1, 2, 3, 4))
@@ -289,14 +341,20 @@ def _inversions(word):
     return {(a, b) for a, b in itertools.combinations(sorted(word), 2) if word.index(b) < word.index(a)}
 
 
+def _writable_phi(n):
+    """Writable copies (W, V) of _phi_words(n), and the row of each word."""
+    W, V = (X.copy() for X in perms._phi_words(n))
+    return W, V, {w: i for i, w in enumerate(map(tuple, W.tolist()))}
+
+
 def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
-    phi = dict(perms._phi_words(4))
-    bottom, top = (1, 2, 3, 4), (4, 3, 2, 1)
-    phi[bottom], phi[top] = phi[top], phi[bottom]
+    W, V, row = _writable_phi(4)
+    bottom, top = row[(1, 2, 3, 4)], row[(4, 3, 2, 1)]
+    V[[bottom, top]] = V[[top, bottom]]
     # scalar scan for the pair the message must name: rows in table order,
     # the least row i that disagrees with any row, then the least j for it
-    vecs = perms._lattice_tables(perms._east_staircase_ctx(4))[1]
-    word_of = {v: w for w, v in phi.items()}
+    vecs = list(map(tuple, perms._lattice_tables(perms._east_staircase_ctx(4))[1].tolist()))
+    word_of = dict(zip(map(tuple, V.tolist()), map(tuple, W.tolist())))
     words = [word_of[v] for v in vecs]
 
     def weak(i, j):
@@ -314,7 +372,7 @@ def test_bijection_rejects_a_map_that_breaks_the_order(monkeypatch):
         f"{words[i]} <= {words[j]} is {weak(i, j)} in the weak order, "
         f"{vecs[i]} <= {vecs[j]} is {not weak(i, j)} in Tamari"
     )
-    monkeypatch.setattr(perms, "_phi_words", lambda n: phi)
+    monkeypatch.setattr(perms, "_phi_words", lambda n: (W, V))
     perms._verified_bijection.cache_clear()
     try:
         with pytest.raises(RuntimeError) as exc:
@@ -335,10 +393,9 @@ def cold_bijection_caches():
 
 
 def test_bijection_rejects_a_map_that_is_not_onto(monkeypatch, cold_bijection_caches):
-    phi = dict(perms._phi_words(4))
-    top = (4, 3, 2, 1)
-    phi[top] = phi[(1, 2, 3, 4)]  # two words share the bottom vector; the top has none
-    monkeypatch.setattr(perms, "_phi_words", lambda n: phi)
+    W, V, row = _writable_phi(4)
+    V[row[(4, 3, 2, 1)]] = V[row[(1, 2, 3, 4)]]  # two words share the bottom vector; the top has none
+    monkeypatch.setattr(perms, "_phi_words", lambda n: (W, V))
     with pytest.raises(RuntimeError, match="constructed map is not onto the vectors for n=4"):
         tamari_perm_bijection(4)
 
@@ -347,9 +404,9 @@ def test_bijection_is_onto_the_table_it_compares(monkeypatch, cold_bijection_cac
     real = perms._lattice_tables
 
     def altered(ctx):
-        mus, vecs, V, down, covers = real(ctx)
-        vecs[-1] = vecs[0]  # the top's vector becomes a second bottom
-        return mus, vecs, V, down, covers
+        mus, V, down, covers = real(ctx)
+        V[-1] = V[0]  # the top's vector becomes a second bottom
+        return mus, V, down, covers
 
     monkeypatch.setattr(perms, "_lattice_tables", altered)
     with pytest.raises(RuntimeError, match="constructed map is not onto the vectors for n=4"):

@@ -26,16 +26,19 @@ def _check_with(monkeypatch, edit, consistent_order=False):
     """Run the check on a fresh build of the tables changed by edit(V, O),
     where O is the unpacked order matrix, O[i, j] = i <= j; with
     consistent_order, O is recomputed as the componentwise order of the new
-    V and the vector enumeration returns the new V.  O goes back to the
-    tables packed, and the cover edges stay those of the real lattice."""
-    mus, vecs, V, down, covers = brackets._lattice_tables(NuContext.from_text(NU))
+    V, the vector enumeration returns the new V and vector_to_path decodes
+    each new row to its old path.  O goes back to the tables packed, and the
+    cover edges stay those of the real lattice."""
+    mus, V, down, covers = brackets._lattice_tables(NuContext.from_text(NU))
     O = brackets._unpack_bits(down, len(mus)).T
     edit(V, O)
     if consistent_order:
         O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
         monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: V)
+        path_of = {tuple(v): mu for v, mu in zip(V.tolist(), mus)}
+        monkeypatch.setattr(brackets, "vector_to_path", lambda vec: path_of[vec.entries])
     down = brackets._pack_bits(O.T)
-    monkeypatch.setattr(brackets, "_lattice_tables", lambda ctx: (mus, vecs, V, down, covers))
+    monkeypatch.setattr(brackets, "_lattice_tables", lambda ctx: (mus, V, down, covers))
     return verification._check_one_bijection(NU)
 
 
@@ -121,11 +124,11 @@ def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
 
 
 def test_vector_to_path_that_does_not_invert(monkeypatch):
-    mus, vecs, *_ = brackets._lattice_tables(NuContext.from_text(NU))
+    mus, V, *_ = brackets._lattice_tables(NuContext.from_text(NU))
     real = brackets.vector_to_path
 
     def broken(vec):
-        return mus[0] if vec.entries == vecs[2] else real(vec)
+        return mus[0] if list(vec.entries) == V[2].tolist() else real(vec)
 
     monkeypatch.setattr(brackets, "vector_to_path", broken)
     assert verification._check_one_bijection(NU) == {
@@ -338,9 +341,9 @@ def test_pidown_projects_refuses_n_past_its_scan_bound_before_scanning(monkeypat
 
 
 def test_permutation_pop_image_is_built_once_per_n(monkeypatch):
-    popped = []
-    real = perms.pop_tamari_perm
-    monkeypatch.setattr(perms, "pop_tamari_perm", lambda p: popped.append(p) or real(p))
+    popped = []  # the shape of each word matrix the array Pop runs on
+    real = perms._pop_words
+    monkeypatch.setattr(perms, "_pop_words", lambda W: popped.append(W.shape) or real(W))
     verification._av312_pop_image.cache_clear()
     try:
         for check in (
@@ -351,7 +354,7 @@ def test_permutation_pop_image_is_built_once_per_n(monkeypatch):
             assert check(VerifyOptions(max_n=4))[0]
     finally:
         verification._av312_pop_image.cache_clear()  # built through the patch
-    assert len(popped) == len(set(popped)) == sum(series.catalan(n) for n in range(1, 6))
+    assert sorted(popped) == [(series.catalan(n), n) for n in range(1, 6)]
 
 
 def test_pop_oracle_refuses_ell_past_the_path_length_bound_before_enumerating(capsys, monkeypatch):
@@ -496,7 +499,7 @@ def test_planted_fault_ends_the_check_at_its_first_counterexample(monkeypatch):
 
 def test_rmap_check_compares_r_with_the_231_enumeration(monkeypatch):
     # r without the complement: the image of S_2's Pop image {12} becomes {21}
-    monkeypatch.setattr(perms, "r_map", lambda p: perms.Permutation(p.word[::-1]))
+    monkeypatch.setattr(perms, "_r_rows", lambda rows: rows[:, ::-1])
     assert verification.check_rmap_bijection(VerifyOptions(max_n=3)) == (
         False,
         {"n": 1, "failure": "r image mismatch"},
