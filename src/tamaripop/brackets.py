@@ -384,13 +384,26 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     return np.concatenate(upper), pos
 
 
+def _path_rows(ctx: NuContext):
+    """Tam(nu) as one path table (mus, V, upper, lower): enumerate_tam, its
+    _slot_entries vectors as int16 rows and its _lower_covers row pairs.
+    Raises BoundExceeded before enumerating when keys would pass int64."""
+    import numpy as np
+
+    _check_key_bound(2, ctx.ell + 1, f"a path of {ctx.ell} steps")
+    mus = enumerate_tam(ctx)
+    upper, lower = _lower_covers(mus, ctx)
+    V = np.array([_slot_entries(mu.steps, ctx) for mu in mus], dtype=np.int16)
+    return mus, V, upper, lower
+
+
 def _lattice_tables(ctx: NuContext):
     """Enumerated lattice with its covers, packed order rows and vectors.
 
-    Returns (mus, V, down, covers): the paths; their vectors, from
-    _slot_entries, as an int16 array; the packed down-sets, a uint64 array
-    of m rows of ceil(m / 64) words in which bit i of row j (bit i % 64 of
-    word i // 64) is set iff element i <= element j; and the covers, an int
+    Returns (mus, V, down, covers): the paths and int16 vectors of
+    _path_rows; the packed down-sets, a uint64 array of m rows of
+    ceil(m / 64) words in which bit i of row j (bit i % 64 of word i // 64)
+    is set iff element i <= element j; and the covers, an int
     array of (upper, lower) row pairs sorted by upper row.  Elements are
     sorted by (entry sum, entries).  The order is the reflexive-transitive
     closure of the path covers, ORed in one entry-sum level at a time (a
@@ -403,11 +416,8 @@ def _lattice_tables(ctx: NuContext):
     import numpy as np
 
     _order_matrix_guard(ctx)
-    _check_key_bound(2, ctx.ell + 1, f"a path of {ctx.ell} steps")
-    mus = enumerate_tam(ctx)
-    upper, lower = _lower_covers(mus, ctx)
+    mus, V, upper, lower = _path_rows(ctx)
     m = len(mus)
-    V = np.array([_slot_entries(mu.steps, ctx) for mu in mus], dtype=np.int16)
     sums = V.sum(axis=1, dtype=np.int64)
     order = np.lexsort((*V.T[::-1], sums))  # by entry sum, then entries
     V, sums = V[order], sums[order]

@@ -222,12 +222,37 @@ def pop_tamari_perm(p: Permutation) -> Permutation:
     return pi_down(pop_stack(p))
 
 
+def _pi_down_rows(A):
+    """pi_down of every row of the word matrix A, in A's row order: swap the
+    leftmost corner (_swap_candidates' rule) of every row that has one, a
+    round at a time, until no row has one.  A itself is left as it is."""
+    import numpy as np
+
+    n = A.shape[1]
+    out = np.empty_like(A)
+    rows = np.arange(len(A))
+    while True:
+        # a corner: a descent c > a at i, i + 1, with a later b, a < b < c
+        corner = A[:, :-2] > A[:, 1:-1]
+        witness = np.zeros_like(corner)
+        for d in range(2, n):  # b at i + d
+            b = A[:, d:]
+            witness[:, : n - d] |= (A[:, 1 : n - d + 1] < b) & (b < A[:, : n - d])
+        corner &= witness
+        active = corner.any(axis=1)
+        out[rows[~active]] = A[~active]
+        if not active.any():
+            return out
+        A, rows = A[active], rows[active]  # a copy, so the swaps never reach the input
+        i, r = corner[active].argmax(axis=1), np.arange(len(rows))
+        A[r, i], A[r, i + 1] = A[r, i + 1], A[r, i]
+
+
 def _pop_words(W):
     """pop_tamari_perm of every row of the 312-avoider matrix W, in W's row
     order, POP_BLOCK_ROWS rows at a time.  Pop-stack sends position i to
-    start(i) + end(i) - i, its mirror image in its descending run; pi_down
-    then swaps the leftmost corner (_swap_candidates' rule) of every row
-    that has one, a round at a time, until no row has one."""
+    start(i) + end(i) - i, its mirror image in its descending run; then
+    _pi_down_rows."""
     import numpy as np
 
     m, n = W.shape
@@ -239,22 +264,7 @@ def _pop_words(W):
         start = np.maximum.accumulate(np.where(edge[:, :-1], cols, 0), axis=1)
         end = np.minimum.accumulate(np.where(edge[:, 1:], cols, n - 1)[:, ::-1], axis=1)
         A = np.take_along_axis(A, start + end[:, ::-1] - cols, axis=1)
-        rows = np.arange(top, top + len(A))
-        while True:
-            # a corner: a descent c > a at i, i + 1, with a later b, a < b < c
-            corner = A[:, :-2] > A[:, 1:-1]
-            witness = np.zeros_like(corner)
-            for d in range(2, n):  # b at i + d
-                b = A[:, d:]
-                witness[:, : n - d] |= (A[:, 1 : n - d + 1] < b) & (b < A[:, : n - d])
-            corner &= witness
-            active = corner.any(axis=1)
-            out[rows[~active]] = A[~active]
-            if not active.any():
-                break
-            A, rows = A[active], rows[active]
-            i, r = corner[active].argmax(axis=1), np.arange(len(rows))
-            A[r, i], A[r, i + 1] = A[r, i + 1], A[r, i]
+        out[top : top + len(A)] = _pi_down_rows(A)
     return out
 
 

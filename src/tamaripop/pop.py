@@ -6,11 +6,11 @@ Delta(v) = {i : v[i] > v[i+1]}, the i-th entry of Pop(v) for i in Delta is
     eta_i = max{ x in [heights[i], v[i] - 1] :
                  v[j] <= x for all i < j <= fixed_positions[x] }
 
-and entries outside Delta are unchanged.  The independent oracle
-(pop_generic) instead meets a path with its lower covers, through the
-helpers behind covers_down, path_to_vector and vector_to_path, and never
-reads the eta formula; the two routes are compared exhaustively by the
-verification suites.
+and entries outside Delta are unchanged.  The independent oracle never
+reads eta: the pop-oracle suite compares _pop_rows with the entrywise min
+of each vector and the vectors of its brackets._lower_covers, over one
+brackets._path_rows table per lattice.  pop_generic, that meet for one
+path, is the tests' scalar oracle of the array meet.
 
 The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
@@ -51,8 +51,6 @@ __all__ = [
     "count_t_sortable",
     "concat_irreducible",
     "decompose_irreducible",
-    "delta_set",
-    "down_cover_candidates",
     "eta",
     "hash_map",
     "pop_generic",
@@ -63,12 +61,6 @@ __all__ = [
     "trajectory",
     "up_cover_count",
 ]
-
-
-def delta_set(vec: BracketVector) -> set[int]:
-    """Indices i with entry[i] > entry[i+1] (the descents of the vector)."""
-    e = vec.entries
-    return {i for i in range(len(e) - 1) if e[i] > e[i + 1]}
 
 
 def _eta_at(e: tuple[int, ...], heights: tuple[int, ...], fixed: tuple[int, ...], i: int) -> int:
@@ -124,18 +116,6 @@ def pop_generic(mu: LatticePath, ctx: NuContext) -> LatticePath:
     lowers = _cover_steps(steps, _member_distances(mu, ctx), True)
     vectors = [_slot_entries(s, ctx) for s in [steps, *lowers]]
     return _decode(list(map(min, zip(*vectors))), ctx)
-
-
-def down_cover_candidates(vec: BracketVector) -> set[BracketVector]:
-    """One vector per descent: entry i lowered to eta_i, the rest unchanged."""
-    ctx = vec.ctx
-    e = vec.entries
-    out = set()
-    for i in sorted(delta_set(vec)):
-        lowered = list(e)
-        lowered[i] = _eta_at(e, ctx.heights, ctx.fixed_positions, i)
-        out.add(BracketVector(tuple(lowered), ctx))
-    return out
 
 
 def trajectory(vec: BracketVector) -> "PopTrajectory":

@@ -397,18 +397,16 @@ def _oracle_cap(max_ell: int, **corpus) -> None:
         )
 
 
-def _oracle_paths(max_ell: int, random_paths: int, seed: int):
-    """(nu, ctx, mu) for every element mu of Tam(nu), nu in the pop-oracle corpus."""
-    for ctx in _corpus(max_ell, random_paths, seed):
-        for mu in paths.enumerate_tam(ctx):
-            yield ctx.nu.steps, ctx, mu
-
-
 @functools.lru_cache(maxsize=None)
 def _av312_pop_image(n: int):
     """The Pop image of the 312-avoiding permutations of size n, as sorted
     distinct int8 rows, built once for the three checks that read it."""
     return perms._sorted_rows(perms._pop_words(perms._av312_words(n)))
+
+
+def _word_text(row) -> str:
+    """The permutation text of one int8 word row."""
+    return str(perms.Permutation(tuple(row.tolist())))
 
 
 def _first_texts(rows, other) -> list[str]:
@@ -431,13 +429,20 @@ def check_order_isomorphism(max_ell, random_paths, seed):
     cap=_oracle_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_pop_oracle(max_ell, random_paths, seed):
-    for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
-        via_covers = pop.pop_generic(mu, ctx)
-        via_vector = brackets.vector_to_path(pop.pop_vector(brackets.path_to_vector(mu, ctx)))
-        yield via_covers != via_vector and {
-            "nu": nu, "path": mu.steps, "meet_of_covers": via_covers.steps,
-            "entrywise_formula": via_vector.steps,
-        }
+    """_pop_rows equals the meet of every vector with its lower covers'."""
+    import numpy as np
+
+    for ctx in _corpus(max_ell, random_paths, seed):
+        mus, V, upper, lower = brackets._path_rows(ctx)
+        meet = V.copy()
+        np.minimum.at(meet, upper, V[lower])
+        popped = pop._pop_rows(V, ctx)
+        for r, same in enumerate((meet == popped).all(axis=1).tolist()):
+            yield not same and {
+                "nu": ctx.nu.steps, "path": mus[r].steps,
+                "meet_of_covers": brackets._decode(meet[r].tolist(), ctx).steps,
+                "entrywise_formula": brackets._decode(popped[r].tolist(), ctx).steps,
+            }
 
 
 @_check(
@@ -445,13 +450,17 @@ def check_pop_oracle(max_ell, random_paths, seed):
     cap=_oracle_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_pop_entry_lower_bound(max_ell, random_paths, seed):
+    import numpy as np
+
     for ctx in _corpus(max_ell, random_paths, seed):
         fixed = ctx.fixed_positions
-        free = [i for i in range(fixed[-1]) if i not in fixed]
-        for v in brackets.enumerate_vectors(ctx):
-            popped = pop.pop_vector(v).entries
-            low = [i for i in free if popped[i] < v.entries[i + 1]]
-            yield low and {"nu": ctx.nu.steps, "vector": list(v.entries), "index": low[0]}
+        free = np.array([i for i in range(fixed[-1]) if i not in fixed], dtype=np.intp)
+        rows = brackets._vector_rows(ctx)
+        low = pop._pop_rows(rows, ctx)[:, free] < rows[:, free + 1]
+        for r, bad in enumerate(low.any(axis=1).tolist()):
+            yield bad and {
+                "nu": ctx.nu.steps, "vector": rows[r].tolist(), "index": int(free[low[r].argmax()])
+            }
 
 
 @_check(
@@ -459,18 +468,28 @@ def check_pop_entry_lower_bound(max_ell, random_paths, seed):
     cap=_oracle_cap, max_ell=ORACLE_MAX_ELL, random_paths=RANDOM_NU_COUNT, seed=0,
 )
 def check_down_cover_candidates(max_ell, random_paths, seed):
-    for nu, ctx, mu in _oracle_paths(max_ell, random_paths, seed):
-        v = brackets.path_to_vector(mu, ctx)
-        from_paths = {
-            brackets.path_to_vector(lower, ctx).entries
-            for lower in paths.covers_down(mu, ctx)
-        }
-        from_entries = {c.entries for c in pop.down_cover_candidates(v)}
-        yield from_paths != from_entries and {
-            "nu": nu, "path": mu.steps,
-            "covers_down": sorted(map(list, from_paths)),
-            "candidates": sorted(map(list, from_entries)),
-        }
+    """The lower covers of each vector are its candidates, one per descent i:
+    the vector with entry i lowered to eta_i, entry i of its _pop_rows."""
+    import numpy as np
+
+    for ctx in _corpus(max_ell, random_paths, seed):
+        mus, V, upper, lower = brackets._path_rows(ctx)
+        popped = pop._pop_rows(V, ctx)
+        below, candidate = V[lower], V[upper]
+        column = np.argmax(below != candidate, axis=1)  # the one column a cover changes
+        candidate[np.arange(len(upper)), column] = popped[upper, column]
+        hits = np.zeros(V.shape, dtype=np.int32)  # covers per (row, column)
+        np.add.at(hits, (upper, column), 1)
+        descents = np.pad(V[:, :-1] > V[:, 1:], ((0, 0), (0, 1)))
+        bad = (hits != descents).any(axis=1)
+        bad[upper[(below != candidate).any(axis=1)]] = True
+        lowers = np.eye(V.shape[1], dtype=bool)  # row i: the candidate of descent i
+        for r, wrong in enumerate(bad.tolist()):
+            yield wrong and {
+                "nu": ctx.nu.steps, "path": mus[r].steps,
+                "covers_down": sorted(V[lower[upper == r]].tolist()),
+                "candidates": sorted(np.where(lowers[descents[r]], popped[r], V[r]).tolist()),
+            }
 
 
 @_check("theorem-1", "census-matches-series", cap=_n_t_cap, max_n=CENSUS_MAX_N, max_t=5)
@@ -613,15 +632,16 @@ def check_perm_isomorphism_covers(max_n):
 
 @_check("congruence", "pop-commutes-with-isomorphism", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
 def check_pop_commutes(max_n):
+    """pop_tamari_perm, mapped to vectors, is _pop_rows of the mapped vectors."""
+    import numpy as np
+
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
-        for p, v in mapping.items():
-            lhs = mapping[perms.pop_tamari_perm(p)]
-            rhs = pop.pop_vector(v)
-            yield lhs != rhs and {
-                "n": n, "perm": str(p), "via_perms": list(lhs.entries),
-                "via_vectors": list(rhs.entries),
-            }
+        V = np.array([v.entries for v in mapping.values()])
+        popped = pop._pop_rows(V, pop._east_staircase_ctx(n)).tolist()
+        for p, rhs in zip(mapping, popped):
+            lhs = list(mapping[perms.pop_tamari_perm(p)].entries)
+            yield lhs != rhs and {"n": n, "perm": str(p), "via_perms": lhs, "via_vectors": rhs}
 
 
 @_check("congruence", "pidown-confluence", max_n=CONFLUENCE_MAX_N, trials_per_n=1000, seed=0)
@@ -641,15 +661,24 @@ def check_pidown_confluence(max_n, trials_per_n, seed):
 
 @_check("congruence", "pidown-projects-to-312-avoiders", cap=_scan_cap, max_n=CONFLUENCE_MAX_N)
 def check_pidown_projects(max_n):
-    """pi_down lands on a 312-avoider and fixes 312-avoiders."""
+    """pi_down lands on a 312-avoider and fixes 312-avoiders: _pi_down_rows
+    over S_n in lexicographic order, judged by membership in the words of
+    the phi recursion through int64 keys in radix n + 1, which fit for n <= 9."""
+    import numpy as np
+
+    def keys(X):  # radix n + 1 over the n columns of words on 1..n
+        return brackets._mixed_radix_keys(X.T, X.shape[1] + 1, len(X))
+
     for n in range(1, max_n + 1):
-        for w in itertools.permutations(range(1, n + 1)):
-            p = perms.Permutation(w)
-            q = perms.pi_down(p)
-            yield not perms.avoids(q, "312") and {"n": n, "perm": str(p), "pi_down": str(q)}
-            yield perms.avoids(p, "312") and q != p and {
-                "n": n, "perm": str(p), "failure": "moved a 312-avoider"
-            }
+        words = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+        S = np.fromiter(words, dtype=np.int8).reshape(-1, n)
+        Q = perms._pi_down_rows(S)
+        avoider_keys = keys(perms._av312_words(n))
+        lands = np.isin(keys(Q), avoider_keys)
+        moved = np.isin(keys(S), avoider_keys) & (Q != S).any(axis=1)
+        for r, (landed, moved_r) in enumerate(zip(lands.tolist(), moved.tolist())):
+            yield not landed and {"n": n, "perm": _word_text(S[r]), "pi_down": _word_text(Q[r])}
+            yield moved_r and {"n": n, "perm": _word_text(S[r]), "failure": "moved a 312-avoider"}
 
 
 @_check("congruence", "ascents-count-up-covers", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
@@ -777,6 +806,8 @@ def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
             raise ValueError(f"{option}={value} bounds no check in suite {suite!r}")
     for name in sorted(checks):
         checks[name].resolve(opts)  # refused past its cap
+    import numpy  # noqa: F401  (loaded here, so that no check's time includes it)
+
     report = VerificationReport(suite=suite, options=opts)
     for name in sorted(checks):
         start = time.perf_counter()

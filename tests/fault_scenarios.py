@@ -2,14 +2,16 @@
 
 Each scenario returns None if the fault was refused as expected, else what
 went wrong; no assert statements, so `python -O tests/fault_scenarios.py
-census` (or `bijection`, `petersen` or `oracle`) checks the same and exits 1
-on a miss.
+census` (or `bijection`, `petersen`, `oracle` or `down-covers`) checks the
+same and exits 1 on a miss.
 """
 
 import itertools
 import sys
 
-from tamaripop import perms, pop, verification
+import numpy as np
+
+from tamaripop import brackets, perms, pop, verification
 
 _array_pop = pop._pop_rows
 
@@ -131,20 +133,51 @@ def petersen_fault():
     return None if counterexample == expected else f"expected {expected}, got {counterexample}"
 
 
+def _drop_last_pair(upper, lower):
+    return upper[:-1], lower[:-1]
+
+
+def _repeat_first_pair(upper, lower):
+    return np.concatenate((upper[:1], upper)), np.concatenate((lower[:1], lower))
+
+
+def _covers_fault(check, edit):
+    """The counterexample of check with every (upper, lower) result of
+    brackets._lower_covers, the covers of the path table, passed through
+    edit; None if the check passed."""
+    real = brackets._lower_covers
+    brackets._lower_covers = lambda mus, ctx: edit(*real(mus, ctx))
+    try:
+        passed, counterexample, _ = check(verification.VerifyOptions())
+    finally:
+        brackets._lower_covers = real
+    return None if passed else counterexample
+
+
 def oracle_fault():
-    """Drop the last lower cover that pop_generic meets: the pop-oracle
+    """Drop the last lower cover of every lattice: the pop-oracle
     equivalence check must fail, first at the top NNEE of Tam(NENE), whose
     one lower cover is its Pop image NENE."""
-    real = pop._cover_steps
-    pop._cover_steps = lambda steps, dist, down: real(steps, dist, down)[:-1]
-    try:
-        passed, counterexample, _ = verification.check_pop_oracle(verification.VerifyOptions())
-    finally:
-        pop._cover_steps = real
+    got = _covers_fault(verification.check_pop_oracle, _drop_last_pair)
     expected = {"nu": "NENE", "path": "NNEE", "meet_of_covers": "NNEE", "entrywise_formula": "NENE"}
-    if passed:
-        return "an oracle missing a lower cover passed the pop-oracle check"
-    return None if counterexample == expected else f"expected {expected}, got {counterexample}"
+    return None if got == expected else f"expected {expected}, got {got}"
+
+
+# A cover edit and the covers it leaves NNEE in Tam(NENE), whose one descent
+# is lowered to its one lower cover NENE, (0,1,1,2,2)
+DOWN_COVER_FAULTS = [
+    (_repeat_first_pair, [[0, 1, 1, 2, 2], [0, 1, 1, 2, 2]]),
+    (_drop_last_pair, []),
+]
+
+
+def down_cover_fault(edit, covers):
+    """The down-cover check must fail at NNEE in Tam(NENE), listing covers."""
+    got = _covers_fault(verification.check_down_cover_candidates, edit)
+    expected = {
+        "nu": "NENE", "path": "NNEE", "covers_down": covers, "candidates": [[0, 1, 1, 2, 2]]
+    }
+    return None if got == expected else f"expected {expected}, got {got}"
 
 
 if __name__ == "__main__":
@@ -153,5 +186,8 @@ if __name__ == "__main__":
         "bijection": bijection_fault,
         "petersen": petersen_fault,
         "oracle": oracle_fault,
+        "down-covers": lambda: next(
+            filter(None, (down_cover_fault(*case) for case in DOWN_COVER_FAULTS)), None
+        ),
     }
     sys.exit(scenarios[sys.argv[1]]())

@@ -330,6 +330,15 @@ def test_array_pop_matches_pop_tamari_perm_on_every_312_avoider(n):
     assert perms._pop_words(W).tolist() == expected
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_array_pi_down_matches_pi_down_on_all_of_s_n(n):
+    S = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    before = S.copy()
+    expected = [list(pi_down(Permutation(tuple(w))).word) for w in S.tolist()]
+    assert perms._pi_down_rows(S).tolist() == expected
+    assert np.array_equal(S, before)  # the input is left as it is
+
+
 def test_bijection_identity_goes_to_bottom():
     mapping = tamari_perm_bijection(4)
     ident = Permutation((1, 2, 3, 4))

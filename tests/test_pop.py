@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fault_scenarios import oracle_fault
+from fault_scenarios import DOWN_COVER_FAULTS, down_cover_fault, oracle_fault
 from tamaripop.brackets import (
     BracketVector,
+    _decode,
+    _path_rows,
     _vector_rows,
     enumerate_vectors,
     meet,
@@ -31,7 +33,6 @@ from tamaripop.pop import (
     concat_irreducible,
     count_t_sortable,
     decompose_irreducible,
-    delta_set,
     eta,
     hash_map,
     pop_generic,
@@ -52,7 +53,6 @@ def _vec(text, entries):
 
 def test_descents_and_eta_worked_example():
     v = _vec("ENNEEEENNE", (1, 0, 1, 3, 3, 3, 2, 2, 3, 4, 4))
-    assert delta_set(v) == {0, 5}
     assert eta(v, 0) == 0
     assert eta(v, 5) == 2
     assert eta(v, 3) == 3  # not a descent, unchanged
@@ -158,6 +158,32 @@ def test_oracle_missing_a_lower_cover_fails_the_pop_oracle_check():
 def test_oracle_fault_fails_under_python_optimize():
     proc = _run_optimized(SCENARIOS, "oracle")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("edit, covers", DOWN_COVER_FAULTS, ids=["repeated", "missing"])
+def test_a_repeated_or_missing_cover_fails_the_down_cover_check(edit, covers):
+    assert down_cover_fault(edit, covers) is None
+
+
+def _assert_array_meet_is_pop_generic(ctx):
+    """The meet the pop-oracle check computes over the path table of Tam(nu)
+    is pop_generic of every path."""
+    mus, V, upper, lower = _path_rows(ctx)
+    meet = V.copy()
+    np.minimum.at(meet, upper, V[lower])
+    assert [_decode(row, ctx) for row in meet.tolist()] == [pop_generic(mu, ctx) for mu in mus]
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_array_meet_of_covers_is_pop_generic_on_every_short_nu(ell):
+    for bits in itertools.product("NE", repeat=ell):
+        _assert_array_meet_is_pop_generic(NuContext.from_text("".join(bits)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.text("NE", min_size=9, max_size=14))
+def test_array_meet_of_covers_is_pop_generic_on_random_nu(text):
+    _assert_array_meet_is_pop_generic(NuContext.from_text(text))
 
 
 @settings(max_examples=60, deadline=None)

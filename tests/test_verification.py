@@ -292,6 +292,7 @@ def test_every_bounded_check_refuses_through_its_cap(monkeypatch, check):
     # max_n = 10, as n or as a path length, in the cap, before anything is built
     monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)
     monkeypatch.setattr(paths, "enumerate_tam", _no_build)
+    monkeypatch.setattr(brackets, "enumerate_tam", _no_build)
     monkeypatch.setattr(brackets, "_vector_rows", _no_build)
     monkeypatch.setattr(perms, "_phi_words", _no_build)
     monkeypatch.setattr(pop, "_build_census", _no_build)
@@ -336,6 +337,7 @@ def test_pidown_projects_refuses_n_past_its_scan_bound_before_scanning(monkeypat
         raise AssertionError("scanned S_n past the bound")
 
     monkeypatch.setattr(perms, "pi_down", no_scan)
+    monkeypatch.setattr(perms, "_pi_down_rows", no_scan)
     with pytest.raises(BoundExceeded, match="^n=10 exceeds the bound 9 of the scan of S_n$"):
         verification.check_pidown_projects.counted(VerifyOptions(max_n=10))
 
@@ -364,7 +366,9 @@ def test_pop_oracle_refuses_ell_past_the_path_length_bound_before_enumerating(ca
         raise AssertionError("enumerated a pop-oracle lattice past the element bound")
 
     monkeypatch.setattr(paths, "enumerate_tam", no_enumeration)
+    monkeypatch.setattr(brackets, "enumerate_tam", no_enumeration)
     monkeypatch.setattr(brackets, "enumerate_vectors", no_enumeration)
+    monkeypatch.setattr(brackets, "_vector_rows", no_enumeration)
     code = main(["verify", "--suite", "pop-oracle", "--max-n", "25"])
     captured = capsys.readouterr()
     assert code == 2
@@ -380,7 +384,9 @@ def test_pop_oracle_refuses_a_corpus_past_the_element_bound_as_a_whole(capsys, m
         raise AssertionError("enumerated a pop-oracle lattice past the corpus bound")
 
     monkeypatch.setattr(paths, "enumerate_tam", no_enumeration)
+    monkeypatch.setattr(brackets, "enumerate_tam", no_enumeration)
     monkeypatch.setattr(brackets, "enumerate_vectors", no_enumeration)
+    monkeypatch.setattr(brackets, "_vector_rows", no_enumeration)
     code = main(["verify", "--suite", "pop-oracle", "--max-n", max_n])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -394,7 +400,9 @@ def test_pop_oracle_corpus_bound_reads_the_lowered_element_bound(capsys, monkeyp
     enumerated = []
     monkeypatch.setattr(paths, "MAX_ELEMENTS", 100)
     monkeypatch.setattr(paths, "enumerate_tam", lambda ctx, **kw: enumerated.append(ctx))
+    monkeypatch.setattr(brackets, "enumerate_tam", lambda ctx, **kw: enumerated.append(ctx))
     monkeypatch.setattr(brackets, "enumerate_vectors", lambda ctx: enumerated.append(ctx))
+    monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: enumerated.append(ctx))
     code = main(["verify", "--suite", "pop-oracle", "--max-n", "6"])
     captured = capsys.readouterr()
     assert enumerated == []
