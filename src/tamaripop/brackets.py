@@ -22,10 +22,12 @@ from .paths import (
     BoundExceeded,
     LatticePath,
     NuContext,
+    _Paths,
     _check_elements,
     _check_endpoint,
     _check_key_bound,
     _count_tam,
+    _east_steps,
     enumerate_tam,
 )
 
@@ -150,6 +152,48 @@ def _decode(entries: Sequence[int], ctx: NuContext) -> LatticePath:
         text = "(" + ",".join(map(str, entries)) + ")"
         raise ValueError(f"{text} is not a valid vector for nu={ctx.nu}")
     return LatticePath(steps)
+
+
+def _slot_rows(east, ctx: NuContext):
+    """_slot_entries of every row of the bool east-step matrix east, whose
+    rows must be members of Tam(nu), as one matrix: int16 while ell fits,
+    int32 past that.
+
+    Slot-filling is a stack of empty slots: reaching height k pushes slots
+    fixed_positions[k-1]+1 .. fixed_positions[k], and each point pops the
+    top one.  An empty slot holds the slot under it on the stack until it
+    is filled: s - 1 within a pushed run, and for the lowest slot of a run
+    the top when the run was pushed.  So all rows step together, holding
+    only their top and height besides the matrix.
+    """
+    import numpy as np
+
+    m, ell = east.shape
+    fixed = np.array(ctx.fixed_positions, dtype=np.intp)
+    lowest = np.append(0, fixed[:-1] + 1)  # the lowest slot of each height's run
+    V = np.tile(np.arange(-1, ell, dtype=np.int16 if ell < 2**15 else np.int32), m)
+    at = np.arange(m) * (ell + 1)  # where row r starts in V
+    V[at + fixed[0]] = 0
+    top = np.full(m, fixed[0] - 1, dtype=np.intp)
+    k = np.zeros(m, dtype=np.intp)
+    for i in range(ell):
+        north = np.flatnonzero(~east[:, i])
+        k[north] += 1
+        V[at[north] + lowest[k[north]]] = top[north]
+        top[north] = fixed[k[north]]
+        slot = at + top
+        top = V[slot]
+        V[slot] = k
+    return V.reshape(m, ell + 1)
+
+
+def _decode_rows(V):
+    """_decode of every row of a matrix of valid vectors, as one bool
+    east-step matrix: in each sorted row, a repeated height is an east step."""
+    import numpy as np
+
+    heights = np.sort(V, axis=1)
+    return heights[:, 1:] == heights[:, :-1]
 
 
 def meet(v1: BracketVector, v2: BracketVector) -> BracketVector:
@@ -343,8 +387,9 @@ def _incomparable(down, rows):
 def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     """(upper, lower) indices into mus, all of Tam(nu) in lexicographic order
     with N < E, of every cover: the lower covers of paths._cover_steps,
-    applied to all paths at once on their int64 step keys (E = 1, first
-    step most significant), which ascend in that order.
+    applied to all paths at once on the rows of their east-step matrix
+    (paths._east_steps) and on the int64 step keys of the rows (E = 1,
+    first step most significant), which ascend in that order.
 
     For a north step at j, the shifted subpath D runs from point j to the
     first later point whose horizontal distance is at most that of point j
@@ -357,10 +402,9 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     import numpy as np
 
     ell = ctx.ell
-    text = "".join(mu.steps for mu in mus).encode()
-    east = (np.frombuffer(text, dtype=np.uint8) == ord("E")).reshape(len(mus), ell)
+    east = _east_steps(mus, ell)
     weight = np.int64(1) << np.arange(ell - 1, -1, -1, dtype=np.int64)  # weight of step i
-    keys = _mixed_radix_keys(east.T, 2, len(mus))
+    keys = _mixed_radix_keys(east.T, 2, len(east))
     x = np.cumsum(east, axis=1, dtype=np.int8)
     y = np.cumsum(~east, axis=1, dtype=np.int8)
     dist = np.empty((len(keys), ell + 1), dtype=np.int8)
@@ -385,27 +429,27 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
 
 
 def _path_rows(ctx: NuContext):
-    """Tam(nu) as one path table (mus, V, upper, lower): enumerate_tam, its
-    _slot_entries vectors as int16 rows and its _lower_covers row pairs.
-    Raises BoundExceeded before enumerating when keys would pass int64."""
-    import numpy as np
-
+    """Tam(nu) as one path table (mus, V, upper, lower): the enumerate_tam
+    sequence, the _slot_rows of its step matrix as int16 rows and its
+    _lower_covers row pairs, with no LatticePath built.  Raises
+    BoundExceeded before enumerating when the step keys of _lower_covers
+    would pass int64."""
     _check_key_bound(2, ctx.ell + 1, f"a path of {ctx.ell} steps")
     mus = enumerate_tam(ctx)
     upper, lower = _lower_covers(mus, ctx)
-    V = np.array([_slot_entries(mu.steps, ctx) for mu in mus], dtype=np.int16)
-    return mus, V, upper, lower
+    return mus, _slot_rows(mus.east, ctx), upper, lower
 
 
 def _lattice_tables(ctx: NuContext):
     """Enumerated lattice with its covers, packed order rows and vectors.
 
     Returns (mus, V, down, covers): the paths and int16 vectors of
-    _path_rows; the packed down-sets, a uint64 array of m rows of
+    _path_rows, mus over its step matrix with the rows reordered, so no
+    LatticePath is built; the packed down-sets, a uint64 array of m rows of
     ceil(m / 64) words in which bit i of row j (bit i % 64 of word i // 64)
-    is set iff element i <= element j; and the covers, an int
-    array of (upper, lower) row pairs sorted by upper row.  Elements are
-    sorted by (entry sum, entries).  The order is the reflexive-transitive
+    is set iff element i <= element j; and the covers, an int array of
+    (upper, lower) row pairs sorted by upper row.  Elements are sorted by
+    (entry sum, entries).  The order is the reflexive-transitive
     closure of the path covers, ORed in one entry-sum level at a time (a
     cover that does not lower the entry sum is a RuntimeError), so it never
     reads the vectors' componentwise order.
@@ -421,7 +465,7 @@ def _lattice_tables(ctx: NuContext):
     sums = V.sum(axis=1, dtype=np.int64)
     order = np.lexsort((*V.T[::-1], sums))  # by entry sum, then entries
     V, sums = V[order], sums[order]
-    mus = [mus[i] for i in order.tolist()]
+    mus = _Paths(mus.east[order])
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
     by_upper = np.argsort(rank[upper], kind="stable")

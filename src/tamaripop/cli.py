@@ -15,7 +15,7 @@ import sys
 
 from . import brackets, perms, pop, series, verification
 from .brackets import BracketVector
-from .paths import NuContext, _check_n, east_staircase, enumerate_tam
+from .paths import NuContext, _check_n, _step_texts, east_staircase, enumerate_tam
 
 __all__ = ["main"]
 
@@ -34,9 +34,14 @@ def _cmd_enum(args) -> int:
     if args.n is not None:
         _check_n(args.n, args.force)  # before E(NE)^(n-1) is built
     ctx = _context_from_args(args)
-    for mu in enumerate_tam(ctx, force=args.force):
-        vec = brackets.path_to_vector(mu, ctx)
-        _emit({"nu": ctx.nu.steps, "path": mu.steps, "vector": list(vec.entries)})
+    east = enumerate_tam(ctx, force=args.force).east
+    # the lines of _emit, written directly: keys sorted, and an int list's str is its JSON
+    head = f'{{"nu": "{ctx.nu.steps}", "path": "'
+    block = 1 << 13  # rows per slot-fill
+    for first in range(0, len(east), block):
+        rows = east[first : first + block]
+        lines = zip(_step_texts(rows), brackets._slot_rows(rows, ctx).tolist())
+        sys.stdout.write("".join([f'{head}{steps}", "vector": {v}}}\n' for steps, v in lines]))
     return 0
 
 

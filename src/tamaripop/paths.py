@@ -13,17 +13,23 @@ _distances, gives it for every point of a path, negative below nu, so it also
 decides membership.  One helper on step strings, _cover_steps, takes D from a
 north step j to the first later point with the distance of point j, for both
 cover directions and for pop.pop_generic; only covers_up and covers_down wrap
-its strings in LatticePath objects, the ones they return.  An enumeration
-past MAX_ELEMENTS elements is refused unless forced.
+its strings in LatticePath objects, the ones they return.
+
+enumerate_tam holds Tam(nu) as one bool matrix of east steps, a row per
+element, built column by column without recursion; it builds a LatticePath
+only for an element read from it, and brackets runs its path tables on the
+matrix itself.  An enumeration past MAX_ELEMENTS elements, or whose matrix
+would pass MAX_STEP_BYTES, is refused unless forced.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from math import comb
-from typing import Iterator, Literal
+from typing import Literal
 
 __all__ = [
     "BoundExceeded",
@@ -45,6 +51,10 @@ Step = Literal["N", "E"]
 #: The most elements an enumeration may produce unless forced: C_13 = |Tam_13|.
 MAX_ELEMENTS = 742_900
 
+#: The most bytes the step matrix of an enumeration may take unless forced,
+#: one byte per step of each element: 1,024 steps for every element admitted.
+MAX_STEP_BYTES = MAX_ELEMENTS * 1024
+
 
 class BoundExceeded(ValueError):
     """An enumeration request exceeded the configured safety bound; it is
@@ -56,10 +66,20 @@ class BoundExceeded(ValueError):
 
 
 def _check_elements(ctx: NuContext, force: bool = False) -> None:
-    """BoundExceeded, unless forced, as soon as the count of Tam(nu) passes MAX_ELEMENTS."""
-    if not force and _count_tam(ctx, stop_past=MAX_ELEMENTS) > MAX_ELEMENTS:
+    """BoundExceeded, unless forced, as soon as the count of Tam(nu) passes
+    MAX_ELEMENTS, or when its step matrix would pass MAX_STEP_BYTES."""
+    if force:
+        return
+    m = _count_tam(ctx, stop_past=MAX_ELEMENTS)
+    if m > MAX_ELEMENTS:
         raise BoundExceeded(
             f"Tam(nu) of a {ctx.ell}-step nu has more than {MAX_ELEMENTS} elements", liftable=True
+        )
+    if m * ctx.ell > MAX_STEP_BYTES:
+        raise BoundExceeded(
+            f"the step matrix of Tam(nu) for a {ctx.ell}-step nu would take {m * ctx.ell} bytes, "
+            f"more than {MAX_STEP_BYTES}",
+            liftable=True,
         )
 
 
@@ -221,30 +241,96 @@ def lies_weakly_above(mu: LatticePath, ctx: NuContext) -> bool:
     return min(_distances(mu, ctx)) >= 0
 
 
-def enumerate_tam(ctx: NuContext, *, force: bool = False) -> list[LatticePath]:
-    """All elements of Tam(nu), in lexicographic order with N < E."""
+def enumerate_tam(ctx: NuContext, *, force: bool = False) -> Sequence[LatticePath]:
+    """All elements of Tam(nu), in lexicographic order with N < E, as a
+    read-only sequence over the rows of one _east_rows matrix.  Its len is
+    the row count, and a LatticePath is built only for an element indexed
+    or iterated over."""
     _check_elements(ctx, force)
-    rightmost = ctx._rightmost
-    n_nu = ctx.n_nu
-    ell = ctx.ell
-    out: list[LatticePath] = []
-    buf: list[str] = []
+    return _Paths(_east_rows(ctx))
 
-    def rec(x: int, y: int) -> None:
-        if len(buf) == ell:
-            out.append(LatticePath("".join(buf)))
-            return
-        if y < n_nu:
-            buf.append("N")
-            rec(x, y + 1)
-            buf.pop()
-        if x < rightmost[y]:
-            buf.append("E")
-            rec(x + 1, y)
-            buf.pop()
 
-    rec(0, 0)
-    return out
+def _east_rows(ctx: NuContext):
+    """Tam(nu) as one read-only bool matrix, a row per element in
+    lexicographic order with N < E and a column per step, True at east
+    steps, built one column at a time without recursion.
+
+    The rows sharing a prefix of i steps form one block, whose size is the
+    number of ways to finish a path from the prefix's end point; column i
+    splits each block into its north part, then its east part, where the
+    step stays weakly above nu.  The matrix is stored transposed, so that
+    every column is contiguous.
+    """
+    import numpy as np
+
+    # the points weakly above nu, numbered height by height: first[y] + x is (x, y)
+    first = list(accumulate([0] + [width + 1 for width in ctx._rightmost]))
+    # after[p]: the point a north step from p reaches, then an east step,
+    # or -1 where the step leaves the region; both are numbered after p
+    after = [
+        (first[y + 1] + x if y < ctx.n_nu else -1, first[y] + x + 1 if x < width else -1)
+        for y, width in enumerate(ctx._rightmost)
+        for x in range(width + 1)
+    ]
+    finish = [1] * len(after)  # the paths from each point to the end, the last point
+    for p in range(len(after) - 2, -1, -1):
+        finish[p] = sum(finish[q] for q in after[p] if q >= 0)
+    steps, finish = np.array(after, dtype=np.intp), np.array(finish, dtype=np.int64)
+    out = np.empty((ctx.ell, int(finish[0])), dtype=bool)
+    ends = np.zeros(1, dtype=np.intp)  # the end point of each block's prefix
+    for i in range(ctx.ell):
+        kids = steps[ends].ravel()
+        kept = np.flatnonzero(kids >= 0)  # odd where the step is east
+        ends = kids[kept]
+        out[i] = np.repeat((kept & 1).astype(bool), finish[ends])
+    out.flags.writeable = False
+    return out.T
+
+
+def _step_texts(east) -> Iterator[str]:
+    """The step string of each row of a bool east-step matrix, converted a
+    block of about 64 KB of rows at a time."""
+    import numpy as np
+
+    m, ell = east.shape
+    letters = np.frombuffer(b"NE", dtype=np.uint8)
+    block = max(1, (1 << 16) // ell)
+    for first in range(0, m, block):
+        text = letters[east[first : first + block].view(np.uint8)].tobytes().decode()
+        yield from (text[k : k + ell] for k in range(0, len(text), ell))
+
+
+class _Paths(Sequence[LatticePath]):
+    """Read-only sequence of the paths whose steps are the rows of the bool
+    east-step matrix east (True at an east step); enumerate_tam's result."""
+
+    __slots__ = ("east",)
+
+    def __init__(self, east) -> None:
+        self.east = east
+
+    def __len__(self) -> int:
+        return len(self.east)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Paths(self.east[index])
+        return LatticePath(next(_step_texts(self.east[index][None])))
+
+    def __iter__(self) -> Iterator[LatticePath]:
+        return map(LatticePath, _step_texts(self.east))
+
+
+def _east_steps(mus: Sequence[LatticePath], ell: int):
+    """The bool east-step matrix of paths of ell steps, a row per path: the
+    matrix behind an enumerate_tam sequence, else one built from the step
+    strings."""
+    import numpy as np
+
+    if isinstance(mus, _Paths):
+        return mus.east
+    text = "".join(mu.steps for mu in mus).encode()
+    return (np.frombuffer(text, dtype=np.uint8) == ord("E")).reshape(len(mus), ell)
 
 
 def _count_tam(ctx: NuContext, stop_past: int | None = None) -> int:

@@ -237,10 +237,10 @@ def _check_one_bijection(nu_text: str) -> dict | None:
         return {"nu": nu_text, "failure": "path_to_vector image differs from enumerate_vectors"}
     if (V[1:] == V[:-1]).all(axis=1).any():  # V is sorted, so equal rows are adjacent
         return {"nu": nu_text, "failure": "path_to_vector is not injective"}
-    for mu, v in zip(mus, V.tolist()):
-        back = brackets.vector_to_path(BracketVector(tuple(v), ctx))
-        if back != mu:
-            return {"nu": nu_text, "failure": "vector_to_path does not invert", "path": mu.steps}
+    wrong = np.flatnonzero((brackets._decode_rows(V) != mus.east).any(axis=1))
+    if len(wrong):
+        path = mus[int(wrong[0])].steps
+        return {"nu": nu_text, "failure": "vector_to_path does not invert", "path": path}
 
     pair = brackets._first_order_difference(V, down)
     if pair is not None:

@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 from tamaripop.brackets import (
     BracketVector,
     _check_key_bound,
+    _decode,
+    _decode_rows,
     _lattice_tables,
     _lower_covers,
+    _slot_entries,
+    _slot_rows,
     _unpack_bits,
     enumerate_vectors,
     is_valid,
@@ -114,6 +118,29 @@ def test_non_members_are_rejected_on_random_nu(data):
     for f in (lies_weakly_above, path_to_vector, covers_down, covers_up):
         with pytest.raises(ValueError, match=f"^endpoint mismatch: {re.escape(mismatch)}$"):
             f(longer, ctx)
+
+
+def _assert_array_maps_match_the_scalar_maps(text):
+    """_slot_rows equals _slot_entries and _decode_rows equals _decode, row
+    for row, over all of Tam(text)."""
+    ctx = NuContext.from_text(text)
+    mus = enumerate_tam(ctx)
+    V = _slot_rows(mus.east, ctx)
+    assert V.tolist() == [_slot_entries(mu.steps, ctx) for mu in mus]
+    decoded = ["".join(row) for row in np.where(_decode_rows(V), "E", "N").tolist()]
+    assert decoded == [_decode(v, ctx).steps for v in V.tolist()]
+
+
+def test_array_slot_fill_and_decode_match_the_scalar_maps_on_every_short_nu():
+    for ell in range(1, 9):
+        for bits in itertools.product("NE", repeat=ell):
+            _assert_array_maps_match_the_scalar_maps("".join(bits))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text("NE", min_size=9, max_size=14))
+def test_array_slot_fill_and_decode_match_the_scalar_maps_on_random_nu(text):
+    _assert_array_maps_match_the_scalar_maps(text)
 
 
 def test_leq_matches_cover_order():

@@ -251,6 +251,26 @@ def test_enum_refuses_a_lattice_by_its_elements_not_its_steps(capsys, monkeypatc
     assert len(out.splitlines()) == 201
 
 
+def test_enum_lists_a_lattice_of_long_paths(capsys):
+    # 1,501 steps, past the default recursion limit of a recursion over the steps
+    code, out, _ = run(capsys, "enum", "--nu", "E" * 1500 + "N")
+    lines = out.splitlines()
+    assert (code, len(lines)) == (0, 1501)
+    assert json.loads(lines[-1]) == {
+        "nu": "E" * 1500 + "N", "path": "E" * 1500 + "N", "vector": [0] * 1501 + [1]
+    }
+
+
+def test_enum_refuses_a_step_matrix_past_its_byte_bound_before_allocating():
+    # E^100000 N has only 100,001 elements, but its step matrix would take 10 GB
+    proc = _run_in_512_mb("enum", "--nu", "E" * 100000 + "N")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the step matrix of Tam(nu) for a 100001-step nu would take 10000200001 bytes, "
+        "more than 760729600; pass --force to override\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, hint",
     [

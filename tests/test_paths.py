@@ -1,5 +1,6 @@
 """Lattice path primitives: parsing, geometry, covers, enumeration."""
 
+import itertools
 import re
 
 import pytest
@@ -96,6 +97,50 @@ def test_enumeration_counts_are_catalan(n):
     assert len(enumerate_tam(NuContext.from_path(east_staircase(n)))) == CATALAN[n]
 
 
+def _tam_by_recursion(ctx):
+    """Step strings of Tam(nu) in lexicographic order with N < E, by a
+    recursion over the steps: the oracle of enumerate_tam."""
+    out = []
+
+    def extend(prefix, x, y):
+        if len(prefix) == ctx.ell:
+            out.append(prefix)
+            return
+        if y < ctx.n_nu:
+            extend(prefix + "N", x, y + 1)
+        if x < ctx._rightmost[y]:
+            extend(prefix + "E", x + 1, y)
+
+    extend("", 0, 0)
+    return out
+
+
+def test_enumeration_matches_the_recursion_on_every_short_nu():
+    for ell in range(1, 11):
+        for bits in itertools.product("NE", repeat=ell):
+            ctx = NuContext.from_text("".join(bits))
+            assert [mu.steps for mu in enumerate_tam(ctx)] == _tam_by_recursion(ctx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text("NE", min_size=11, max_size=16), st.integers(0, 2**16))
+def test_enumeration_matches_the_recursion_on_random_nu(text, seed):
+    ctx = NuContext.from_text(text)
+    expected = _tam_by_recursion(ctx)
+    mus = enumerate_tam(ctx)
+    assert len(mus) == len(expected) == _count_tam(ctx)
+    assert [mu.steps for mu in mus] == expected
+    i = seed % len(expected)
+    assert (mus[i].steps, mus[i - len(expected)].steps) == (expected[i], expected[i])
+    assert [mu.steps for mu in mus[i::3]] == expected[i::3]
+    assert not mus.east.flags.writeable
+
+
+def test_enumeration_stores_steps_not_int64_keys_past_62_steps():
+    mus = enumerate_tam(NuContext.from_text("E" * 100 + "N"))
+    assert [mu.steps for mu in mus] == ["E" * k + "N" + "E" * (100 - k) for k in range(101)]
+
+
 def test_enumeration_members_lie_above():
     ctx = NuContext.from_text("ENNEEE")
     for mu in enumerate_tam(ctx):
@@ -164,6 +209,7 @@ def test_element_bound_counts_elements_not_steps(monkeypatch):
         raise AssertionError("enumerated past the element bound")
 
     monkeypatch.setattr(paths, "LatticePath", no_enumeration)
+    monkeypatch.setattr(paths, "_east_rows", no_enumeration)
     monkeypatch.setattr(brackets, "_vector_rows", no_enumeration)
     message = r"^Tam\(nu\) of a 26-step nu has more than 742900 elements$"
     for enumerate_ in (enumerate_tam, enumerate_vectors):

@@ -26,7 +26,7 @@ def _check_with(monkeypatch, edit, consistent_order=False):
     """Run the check on a fresh build of the tables changed by edit(V, O),
     where O is the unpacked order matrix, O[i, j] = i <= j; with
     consistent_order, O is recomputed as the componentwise order of the new
-    V, the vector enumeration returns the new V and vector_to_path decodes
+    V, the vector enumeration returns the new V and the array decode decodes
     each new row to its old path.  O goes back to the tables packed, and the
     cover edges stay those of the real lattice."""
     mus, V, down, covers = brackets._lattice_tables(NuContext.from_text(NU))
@@ -35,8 +35,7 @@ def _check_with(monkeypatch, edit, consistent_order=False):
     if consistent_order:
         O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
         monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: V)
-        path_of = {tuple(v): mu for v, mu in zip(V.tolist(), mus)}
-        monkeypatch.setattr(brackets, "vector_to_path", lambda vec: path_of[vec.entries])
+        monkeypatch.setattr(brackets, "_decode_rows", lambda rows: mus.east)
     down = brackets._pack_bits(O.T)
     monkeypatch.setattr(brackets, "_lattice_tables", lambda ctx: (mus, V, down, covers))
     return verification._check_one_bijection(NU)
@@ -125,17 +124,35 @@ def test_vector_set_that_differs_from_the_enumeration(monkeypatch):
 
 def test_vector_to_path_that_does_not_invert(monkeypatch):
     mus, V, *_ = brackets._lattice_tables(NuContext.from_text(NU))
-    real = brackets.vector_to_path
+    real = brackets._decode_rows
 
-    def broken(vec):
-        return mus[0] if list(vec.entries) == V[2].tolist() else real(vec)
+    def broken(rows):
+        east = real(rows)
+        east[(rows == V[2]).all(axis=1)] = mus.east[0]  # V[2] decodes to mus[0]
+        return east
 
-    monkeypatch.setattr(brackets, "vector_to_path", broken)
+    monkeypatch.setattr(brackets, "_decode_rows", broken)
     assert verification._check_one_bijection(NU) == {
         "nu": NU,
         "failure": "vector_to_path does not invert",
         "path": mus[2].steps,
     }
+
+
+def test_bijection_check_builds_no_path_and_calls_no_scalar_map(monkeypatch):
+    def per_element(*args):
+        raise AssertionError("built a path or ran a scalar map per element")
+
+    NuContext.from_text("ENNEEEENNE")  # cached before LatticePath is patched
+    for module, name in (
+        (paths, "LatticePath"),
+        (brackets, "LatticePath"),
+        (brackets, "_slot_entries"),
+        (brackets, "_decode"),
+        (brackets, "vector_to_path"),
+    ):
+        monkeypatch.setattr(module, name, per_element)
+    assert verification._check_one_bijection("ENNEEEENNE") is None
 
 
 @settings(max_examples=100, deadline=None)
