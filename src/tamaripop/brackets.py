@@ -27,7 +27,6 @@ from .paths import (
     _check_endpoint,
     _check_key_bound,
     _count_tam,
-    _east_steps,
     enumerate_tam,
 )
 
@@ -384,12 +383,12 @@ def _incomparable(down, rows):
     return ~below & (above == 0)
 
 
-def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
-    """(upper, lower) indices into mus, all of Tam(nu) in lexicographic order
-    with N < E, of every cover: the lower covers of paths._cover_steps,
-    applied to all paths at once on the rows of their east-step matrix
-    (paths._east_steps) and on the int64 step keys of the rows (E = 1,
-    first step most significant), which ascend in that order.
+def _lower_covers(mus: _Paths, ctx: NuContext):
+    """(upper, lower) indices into mus, the enumerate_tam sequence of all of
+    Tam(nu) in lexicographic order with N < E, of every cover: the lower
+    covers of paths._cover_steps, applied to all paths at once on the rows
+    of its east-step matrix mus.east and on the int64 step keys of the rows
+    (E = 1, first step most significant), which ascend in that order.
 
     For a north step at j, the shifted subpath D runs from point j to the
     first later point whose horizontal distance is at most that of point j
@@ -402,7 +401,7 @@ def _lower_covers(mus: Sequence[LatticePath], ctx: NuContext):
     import numpy as np
 
     ell = ctx.ell
-    east = _east_steps(mus, ell)
+    east = mus.east
     weight = np.int64(1) << np.arange(ell - 1, -1, -1, dtype=np.int64)  # weight of step i
     keys = _mixed_radix_keys(east.T, 2, len(east))
     x = np.cumsum(east, axis=1, dtype=np.int8)

@@ -15,7 +15,7 @@ import sys
 
 from . import brackets, perms, pop, series, verification
 from .brackets import BracketVector
-from .paths import NuContext, _check_n, _step_texts, east_staircase, enumerate_tam
+from .paths import NuContext, _check_n, _row_blocks, _step_texts, east_staircase, enumerate_tam
 
 __all__ = ["main"]
 
@@ -37,9 +37,7 @@ def _cmd_enum(args) -> int:
     east = enumerate_tam(ctx, force=args.force).east
     # the lines of _emit, written directly: keys sorted, and an int list's str is its JSON
     head = f'{{"nu": "{ctx.nu.steps}", "path": "'
-    block = 1 << 13  # rows per slot-fill
-    for first in range(0, len(east), block):
-        rows = east[first : first + block]
+    for rows in _row_blocks(east):  # slot-filled a block at a time
         lines = zip(_step_texts(rows), brackets._slot_rows(rows, ctx).tolist())
         sys.stdout.write("".join([f'{head}{steps}", "vector": {v}}}\n' for steps, v in lines]))
     return 0

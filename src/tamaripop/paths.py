@@ -67,7 +67,8 @@ class BoundExceeded(ValueError):
 
 def _check_elements(ctx: NuContext, force: bool = False) -> None:
     """BoundExceeded, unless forced, as soon as the count of Tam(nu) passes
-    MAX_ELEMENTS, or when its step matrix would pass MAX_STEP_BYTES."""
+    MAX_ELEMENTS, or when its step matrix, a byte per step of each element
+    and the least any enumeration of it holds, would pass MAX_STEP_BYTES."""
     if force:
         return
     m = _count_tam(ctx, stop_past=MAX_ELEMENTS)
@@ -77,8 +78,8 @@ def _check_elements(ctx: NuContext, force: bool = False) -> None:
         )
     if m * ctx.ell > MAX_STEP_BYTES:
         raise BoundExceeded(
-            f"the step matrix of Tam(nu) for a {ctx.ell}-step nu would take {m * ctx.ell} bytes, "
-            f"more than {MAX_STEP_BYTES}",
+            f"an enumeration of Tam(nu) for a {ctx.ell}-step nu would take at least "
+            f"{m * ctx.ell} bytes, more than {MAX_STEP_BYTES}",
             liftable=True,
         )
 
@@ -251,9 +252,9 @@ def enumerate_tam(ctx: NuContext, *, force: bool = False) -> Sequence[LatticePat
 
 
 def _east_rows(ctx: NuContext):
-    """Tam(nu) as one read-only bool matrix, a row per element in
-    lexicographic order with N < E and a column per step, True at east
-    steps, built one column at a time without recursion.
+    """Tam(nu) as one bool matrix, a row per element in lexicographic order
+    with N < E and a column per step, True at east steps, built one column
+    at a time without recursion.
 
     The rows sharing a prefix of i steps form one block, whose size is the
     number of ways to finish a path from the prefix's end point; column i
@@ -283,31 +284,44 @@ def _east_rows(ctx: NuContext):
         kept = np.flatnonzero(kids >= 0)  # odd where the step is east
         ends = kids[kept]
         out[i] = np.repeat((kept & 1).astype(bool), finish[ends])
-    out.flags.writeable = False
     return out.T
 
 
+def _row_blocks(east) -> Iterator:
+    """The rows of a bool east-step matrix in blocks of at most 8,192 rows
+    and about 4 MB of steps, so that what a caller builds per block stays
+    small whatever ell is."""
+    block = max(1, min(1 << 13, (1 << 22) // east.shape[1]))
+    return (east[first : first + block] for first in range(0, len(east), block))
+
+
 def _step_texts(east) -> Iterator[str]:
-    """The step string of each row of a bool east-step matrix, converted a
-    block of about 64 KB of rows at a time."""
+    """The step string of each row of a bool east-step matrix, converted
+    one _row_blocks block at a time."""
     import numpy as np
 
-    m, ell = east.shape
+    ell = east.shape[1]
     letters = np.frombuffer(b"NE", dtype=np.uint8)
-    block = max(1, (1 << 16) // ell)
-    for first in range(0, m, block):
-        text = letters[east[first : first + block].view(np.uint8)].tobytes().decode()
+    for rows in _row_blocks(east):
+        text = letters[rows.view(np.uint8)].tobytes().decode()
         yield from (text[k : k + ell] for k in range(0, len(text), ell))
 
 
 class _Paths(Sequence[LatticePath]):
     """Read-only sequence of the paths whose steps are the rows of the bool
-    east-step matrix east (True at an east step); enumerate_tam's result."""
+    east-step matrix east (True at an east step), which it makes read-only;
+    enumerate_tam's result.  Two are equal when their matrices are."""
 
     __slots__ = ("east",)
 
     def __init__(self, east) -> None:
+        east.flags.writeable = False
         self.east = east
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Paths):
+            return NotImplemented
+        return self.east.shape == other.east.shape and bool((self.east == other.east).all())
 
     def __len__(self) -> int:
         return len(self.east)
@@ -319,18 +333,6 @@ class _Paths(Sequence[LatticePath]):
 
     def __iter__(self) -> Iterator[LatticePath]:
         return map(LatticePath, _step_texts(self.east))
-
-
-def _east_steps(mus: Sequence[LatticePath], ell: int):
-    """The bool east-step matrix of paths of ell steps, a row per path: the
-    matrix behind an enumerate_tam sequence, else one built from the step
-    strings."""
-    import numpy as np
-
-    if isinstance(mus, _Paths):
-        return mus.east
-    text = "".join(mu.steps for mu in mus).encode()
-    return (np.frombuffer(text, dtype=np.uint8) == ord("E")).reshape(len(mus), ell)
 
 
 def _count_tam(ctx: NuContext, stop_past: int | None = None) -> int:

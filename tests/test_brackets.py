@@ -219,6 +219,7 @@ def _assert_tables_match_scalar_covers(text):
     packed rows are the dense reflexive-transitive closure of those covers."""
     ctx = NuContext.from_text(text)
     mus, _, down, covers = _lattice_tables(ctx)
+    assert not mus.east.flags.writeable  # reordered, yet read-only like enumerate_tam
     index = {mu.steps: i for i, mu in enumerate(mus)}
     lower = [[index[c.steps] for c in covers_down(mu, ctx)] for mu in mus]
     assert set(map(tuple, covers.tolist())) == {(i, j) for i, js in enumerate(lower) for j in js}
@@ -252,7 +253,7 @@ def test_array_covers_and_closure_match_the_scalar_route_on_random_nu(text):
 
 def test_array_cover_that_leaves_the_paths_is_an_error():
     ctx = NuContext.from_text("ENENE")
-    mus = [mu for mu in enumerate_tam(ctx) if mu.steps != "ENENE"]  # drop the bottom
+    mus = enumerate_tam(ctx)[:-1]  # drop the bottom, ENENE, the last row in N < E order
     with pytest.raises(RuntimeError, match="lower cover outside"):
         _lower_covers(mus, ctx)
 

@@ -266,8 +266,8 @@ def test_enum_refuses_a_step_matrix_past_its_byte_bound_before_allocating():
     proc = _run_in_512_mb("enum", "--nu", "E" * 100000 + "N")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: the step matrix of Tam(nu) for a 100001-step nu would take 10000200001 bytes, "
-        "more than 760729600; pass --force to override\n"
+        "error: an enumeration of Tam(nu) for a 100001-step nu would take at least 10000200001 "
+        "bytes, more than 760729600; pass --force to override\n"
     )
 
 

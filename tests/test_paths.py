@@ -3,6 +3,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,15 @@ def test_enumeration_matches_the_recursion_on_random_nu(text, seed):
     assert not mus.east.flags.writeable
 
 
+def test_enumeration_is_read_only_and_equal_by_its_rows():
+    ctx = NuContext.from_text("ENENNE")
+    mus = enumerate_tam(ctx)
+    assert mus == enumerate_tam(ctx) and mus[1:] != mus[:-1]
+    assert not mus.east.flags.writeable and not mus[::2].east.flags.writeable
+    with pytest.raises(TypeError):
+        hash(mus)
+
+
 def test_enumeration_stores_steps_not_int64_keys_past_62_steps():
     mus = enumerate_tam(NuContext.from_text("E" * 100 + "N"))
     assert [mu.steps for mu in mus] == ["E" * k + "N" + "E" * (100 - k) for k in range(101)]
@@ -203,6 +213,7 @@ def test_enumeration_bound():
 def test_element_bound_counts_elements_not_steps(monkeypatch):
     wide = NuContext.from_text("E" * 13 + "N" * 13)  # 26 steps, 10,400,600 elements
     long = NuContext.from_text("E" * 200 + "N")  # 201 steps, 201 elements
+    longer = NuContext.from_text("E" * 100000 + "N")  # 100,001 elements, 10 GB at a byte per step
     assert len(enumerate_tam(long)) == len(enumerate_vectors(long)) == 201
 
     def no_enumeration(*args):
@@ -215,6 +226,19 @@ def test_element_bound_counts_elements_not_steps(monkeypatch):
     for enumerate_ in (enumerate_tam, enumerate_vectors):
         with pytest.raises(BoundExceeded, match=message):
             enumerate_(wide)
+    message = r"^an enumeration of Tam\(nu\) for a 100001-step nu would take at least 10000200001 bytes, "
+    for enumerate_ in (enumerate_tam, enumerate_vectors):
+        with pytest.raises(BoundExceeded, match=message + r"more than 760729600$"):
+            enumerate_(longer)
+
+
+@pytest.mark.parametrize(
+    "shape, sizes",
+    [((20000, 24), [8192, 8192, 3616]), ((5, 1 << 21), [2, 2, 1]), ((2, 1 << 23), [1, 1])],
+)
+def test_row_blocks_hold_at_most_8192_rows_and_about_4_mb_of_steps(shape, sizes):
+    east = np.zeros(shape, dtype=bool)
+    assert [len(rows) for rows in paths._row_blocks(east)] == sizes
 
 
 def test_element_bound_read_as_n(monkeypatch):
