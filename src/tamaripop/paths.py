@@ -276,13 +276,16 @@ def _east_rows(ctx: NuContext):
     finish = [1] * len(after)  # the paths from each point to the end, the last point
     for p in range(len(after) - 2, -1, -1):
         finish[p] = sum(finish[q] for q in after[p] if q >= 0)
-    steps, finish = np.array(after, dtype=np.intp), np.array(finish, dtype=np.int64)
+    # int32 point ids (the point list stays far below 2**31 entries) keep the
+    # last columns' index arrays, one entry per row there, small
+    steps, finish = np.array(after, dtype=np.int32), np.array(finish, dtype=np.int64)
     out = np.empty((ctx.ell, int(finish[0])), dtype=bool)
-    ends = np.zeros(1, dtype=np.intp)  # the end point of each block's prefix
+    ends = np.zeros(1, dtype=np.int32)  # the end point of each block's prefix
     for i in range(ctx.ell):
         kids = steps[ends].ravel()
         kept = np.flatnonzero(kids >= 0)  # odd where the step is east
         ends = kids[kept]
+        del kids
         out[i] = np.repeat((kept & 1).astype(bool), finish[ends])
     return out.T
 

@@ -8,11 +8,14 @@ runs at with its default, for example `max_n=11, max_t=5` or
 `seed` takes seed, and every other parameter is fixed.  It passes the
 resolved values to the generator as arguments and reports exactly those
 values as the check's params, so the report cannot disagree with the run.
-A registration may declare a cap, a function of all of its resolved
-params that raises BoundExceeded past the sizes the check can run at; the
-cap is the only place a check refuses a size.  Because the registry knows
-each check's options and its cap, run_suite refuses an unread max_n or
-max_t, or params past a cap, before any check runs.
+The cap, a function of all of the resolved params, is the only place a
+check refuses a size, by raising BoundExceeded.  A check that names no cap
+is held to the bounds of the parameters it declares: max_n to the element
+bound read as n (paths._check_n), max_t to series.MAX_ORDER.  A named cap
+replaces that default; it bounds more than the parameters themselves, such
+as an order matrix or the scan of S_n.  Because the registry knows each
+check's options and its cap, run_suite refuses an unread max_n or max_t,
+or params past a cap, before any check runs.
 The generator yields one verdict per case it examines: a small
 counterexample dict when the case fails, a falsy value when it holds.  The
 decorator turns it into a function of VerifyOptions returning
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -289,10 +293,12 @@ _OPTION_OF = {"max_n": "max_n", "max_ell": "max_n", "max_t": "max_t", "seed": "s
 
 def _check(suite: str, name: str, cap: Callable[..., None] | None = None, **declared):
     """Register a case generator as check `name` of `suite`, with every
-    parameter it runs at, its default and its cap, called with every
-    resolved parameter (see the module docstring).  Its `options` names the
-    options it reads, `resolve` its params, refused past the cap, and
-    `counted` the outcome and the number of verdicts examined."""
+    parameter it runs at and its default.  The cap is called with every
+    resolved parameter; a check that names none is held to its parameters'
+    bounds by _bounds, and a named cap replaces that default (see the module
+    docstring).  Its `options` names the options it reads, `resolve` its
+    params, refused past the cap, and `counted` the outcome and the number
+    of verdicts examined."""
     options = frozenset(_OPTION_OF[key] for key in declared if key in _OPTION_OF)
 
     def register(cases: Callable[..., Iterator]) -> Callable[[VerifyOptions], CheckOutcome]:
@@ -301,8 +307,7 @@ def _check(suite: str, name: str, cap: Callable[..., None] | None = None, **decl
             for key, default in declared.items():
                 value = getattr(opts, _OPTION_OF[key]) if key in _OPTION_OF else None
                 params[key] = default if value is None else value
-            if cap is not None:
-                cap(**params)
+            (cap or _bounds)(**params)
             return params
 
         def counted(opts: VerifyOptions) -> tuple[CheckOutcome, int]:
@@ -329,29 +334,24 @@ def _check(suite: str, name: str, cap: Callable[..., None] | None = None, **decl
     return register
 
 
-def _scan_cap(max_n: int) -> None:
-    if max_n > 9:  # the one scan of all of S_n; S_9 holds 362,880 permutations
-        raise paths.BoundExceeded(f"n={max_n} exceeds the bound 9 of the scan of S_n")
-
-
-def _n_cap(max_n: int, **_) -> None:
-    """The element bound, read as n, of a check that reads Tam_n for n <= max_n."""
-    _check_n(max_n)
-
-
-def _t_cap(max_t: int, **_) -> None:
-    """The series' order bound on the step count t of a check that loops over t <= max_t."""
-    if max_t > series.MAX_ORDER:
+def _bounds(max_n: int | None = None, max_t: int | None = None, **_) -> None:
+    """The cap of a check that names none: the element bound, read as n, on
+    max_n, and the series' order bound on the step count max_t."""
+    if max_n is not None:
+        _check_n(max_n)
+    if max_t is not None and max_t > series.MAX_ORDER:
         raise paths.BoundExceeded(f"max_t={max_t} exceeds the bound {series.MAX_ORDER}")
 
 
-def _n_t_cap(max_n: int, max_t: int) -> None:
-    _n_cap(max_n)
-    _t_cap(max_t)
+def _scan_cap(max_n: int) -> None:
+    """The one scan of all of S_n, held to the element bound: n! <= MAX_ELEMENTS."""
+    largest = next(k for k in itertools.count() if math.factorial(k + 1) > paths.MAX_ELEMENTS)
+    if max_n > largest:
+        raise paths.BoundExceeded(f"n={max_n} exceeds the bound {largest} of the scan of S_n")
 
 
 def _n_plus_one_cap(max_n: int) -> None:
-    """The same for a check that reads Tam_(n+1)."""
+    """The element bound, read as n, of a check that reads Tam_(n+1)."""
     _check_n(max_n, shift=1)
 
 
@@ -492,7 +492,7 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
             }
 
 
-@_check("theorem-1", "census-matches-series", cap=_n_t_cap, max_n=CENSUS_MAX_N, max_t=5)
+@_check("theorem-1", "census-matches-series", max_n=CENSUS_MAX_N, max_t=5)
 def check_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         h = series.h_series(t, max_n)
@@ -501,9 +501,7 @@ def check_census_matches_series(max_n, max_t):
             yield counted != h[n] and {"n": n, "t": t, "census": counted, "series": h[n]}
 
 
-@_check(
-    "theorem-1", "irreducible-census-matches-series", cap=_n_t_cap, max_n=STRUCTURE_MAX_N, max_t=4
-)
+@_check("theorem-1", "irreducible-census-matches-series", max_n=STRUCTURE_MAX_N, max_t=4)
 def check_irreducible_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
@@ -513,9 +511,7 @@ def check_irreducible_census_matches_series(max_n, max_t):
             yield counted != g[n] and {"n": n, "t": t, "census": counted, "series": g[n]}
 
 
-@_check(
-    "theorem-1", "series-recurrence-vs-rational", cap=_t_cap, max_t=SERIES_MAX_T, order=SERIES_ORDER
-)
+@_check("theorem-1", "series-recurrence-vs-rational", max_t=SERIES_MAX_T, order=SERIES_ORDER)
 def check_series_recurrence_vs_rational(max_t, order):
     for t in range(1, max_t + 1):
         yield series.h_series(t, order) != series.h_series_rational(t, order) and {
@@ -526,9 +522,7 @@ def check_series_recurrence_vs_rational(max_t, order):
         }
 
 
-@_check(
-    "theorem-1", "series-geometric-identity", cap=_t_cap, max_t=SERIES_MAX_T, order=SERIES_ORDER
-)
+@_check("theorem-1", "series-geometric-identity", max_t=SERIES_MAX_T, order=SERIES_ORDER)
 def check_series_geometric_identity(max_t, order):
     """1 + H_t = 1 / (1 - G_t)."""
     one = series.IntSeries.one(order)
@@ -538,9 +532,7 @@ def check_series_geometric_identity(max_t, order):
         yield lhs != rhs and {"t": t}
 
 
-@_check(
-    "theorem-1", "series-irreducible-recursion", cap=_t_cap, max_t=SERIES_MAX_T, order=SERIES_ORDER
-)
+@_check("theorem-1", "series-irreducible-recursion", max_t=SERIES_MAX_T, order=SERIES_ORDER)
 def check_series_irreducible_recursion(max_t, order):
     """G_t = z * ((1 + sum_{n<t} C_n z^n) G_t + 1)."""
     one = series.IntSeries.one(order)
@@ -552,7 +544,7 @@ def check_series_irreducible_recursion(max_t, order):
         yield g != z * ((one + h_small) * g + one) and {"t": t}
 
 
-@_check("decomposition", "decomposition-round-trip", cap=_n_cap, max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "decomposition-round-trip", max_n=STRUCTURE_MAX_N)
 def check_decomposition_round_trip(max_n):
     for n, v, _ in _census_rows(1, max_n):
         parts = pop.decompose_irreducible(v)
@@ -563,7 +555,7 @@ def check_decomposition_round_trip(max_n):
         yield pop.concat_irreducible(parts).entries != v.entries and {**case, "failure": "round trip"}
 
 
-@_check("decomposition", "decomposition-sortability", cap=_n_cap, max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "decomposition-sortability", max_n=STRUCTURE_MAX_N)
 def check_decomposition_sortability(max_n):
     """Sortability time equals the max over irreducible components."""
     for n, v, time_ in _census_rows(1, max_n):
@@ -573,7 +565,7 @@ def check_decomposition_sortability(max_n):
         }
 
 
-@_check("decomposition", "all-elements-sort-within-n", cap=_n_cap, max_n=STRUCTURE_MAX_N)
+@_check("decomposition", "all-elements-sort-within-n", max_n=STRUCTURE_MAX_N)
 def check_all_sort_within_n(max_n):
     """Everything in Tam_n is n-sortable."""
     for n in range(1, max_n + 1):
@@ -582,7 +574,7 @@ def check_all_sort_within_n(max_n):
         yield counted != total and {"n": n, "t": n, "count": counted, "catalan": total}
 
 
-@_check("hash", "hash-validity-and-monotonicity", cap=_n_cap, max_n=STRUCTURE_MAX_N)
+@_check("hash", "hash-validity-and-monotonicity", max_n=STRUCTURE_MAX_N)
 def check_hash_validity_monotonicity(max_n):
     for n, v, time_ in _census_rows(2, max_n):
         reduced = pop.hash_map(v)
@@ -595,7 +587,7 @@ def check_hash_validity_monotonicity(max_n):
         }
 
 
-@_check("hash", "hash-bijection-on-irreducibles", cap=_n_cap, max_n=9)
+@_check("hash", "hash-bijection-on-irreducibles", max_n=9)
 def check_hash_bijection(max_n):
     for n in range(2, max_n + 1):
         images = [
@@ -607,7 +599,7 @@ def check_hash_bijection(max_n):
         }
 
 
-@_check("hash", "hash-sortability-threshold", cap=_n_cap, max_n=STRUCTURE_MAX_N)
+@_check("hash", "hash-sortability-threshold", max_n=STRUCTURE_MAX_N)
 def check_hash_sortability_threshold(max_n):
     """time(v) = max(time(v#), b_0 - x_r + 1) for irreducible v, where 2 x_r
     is the length of the last irreducible component of v#."""
@@ -692,7 +684,7 @@ def check_ascents_count_up_covers(max_n):
             }
 
 
-@_check("characterization", "pop-image-equals-characterization", cap=_n_cap, max_n=9)
+@_check("characterization", "pop-image-equals-characterization", max_n=9)
 def check_characterization(max_n):
     import numpy as np
 
@@ -709,7 +701,7 @@ def check_characterization(max_n):
         yield len(image) != motzkin and {"n": n, "size": len(image), "motzkin": motzkin}
 
 
-@_check("theorem-2", "pop-image-size-is-motzkin", cap=_n_cap, max_n=CENSUS_MAX_N)
+@_check("theorem-2", "pop-image-size-is-motzkin", max_n=CENSUS_MAX_N)
 def check_pop_image_motzkin(max_n):
     for n in range(1, max_n + 1):
         size = len(pop.pop_image(n))
@@ -728,7 +720,7 @@ def check_qpolynomial_formula(max_n):
         yield coeffs != expected and {"n": n, "histogram": coeffs, "formula": expected}
 
 
-@_check("theorem-2", "qpolynomial-matches-permutation-ascents", cap=_n_cap, max_n=QPOLY_MAX_N)
+@_check("theorem-2", "qpolynomial-matches-permutation-ascents", max_n=QPOLY_MAX_N)
 def check_qpolynomial_permutations(max_n):
     """Ascent histogram over the permutation Pop image matches the polynomial."""
     for n in range(1, max_n + 1):
@@ -788,7 +780,7 @@ def suite_names() -> list[str]:
 def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
     """Run a named suite (or "all"); checks execute in sorted name order.
 
-    A max_n or max_t that no check reads, or a max_n past a check's cap, is
+    A max_n or max_t that no check reads, or one past a check's cap, is
     refused before any check runs (seed always has a value, so it is not).
     """
     if suite == "all":

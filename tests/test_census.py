@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from fault_scenarios import CENSUS_FAULTS, census_fault
 
-from tamaripop import brackets, pop
+from tamaripop import brackets, paths, pop
 from tamaripop.brackets import BracketVector, _vector_rows, enumerate_vectors
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.series import catalan, h_series
@@ -95,6 +95,16 @@ def test_census_build_holds_little_beyond_its_rows():
     census, census_peak = _traced_peak(lambda: pop._Census(11))
     assert rows_peak <= 2.5 * rows.nbytes
     assert census_peak <= 4 * census.rows.nbytes
+
+
+@pytest.mark.parametrize("text", ["NE" * 11, "NE" * 12, "E" + "NE" * 12])
+def test_east_rows_hold_little_beyond_their_matrix(text):
+    # 58,786 to 742,900 rows of 22 to 25 steps.  These builds peak near 2.2x
+    # to 2.4x of the bool matrix; with intp point ids and the kids held
+    # through the last column's repeat they peaked at 2.9x to 3.2x
+    paths._east_rows(NuContext.from_text("NENE"))  # numpy's lazy imports are not the build
+    east, peak = _traced_peak(lambda: paths._east_rows(NuContext.from_text(text)))
+    assert peak <= 2.6 * east.nbytes
 
 
 def test_vector_rows_refuse_a_wrong_row_count(monkeypatch):

@@ -5,6 +5,7 @@ fails a check that examined no case."""
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -283,19 +284,13 @@ def test_no_check_starts_when_a_selected_cap_refuses_max_n(capsys, monkeypatch, 
     assert captured.err == f"error: {message}\n"
 
 
-# The registered checks that call nothing bounded, so they declare no cap
-UNCAPPED = {
-    "pidown-confluence",
-    "a055151-row-sums-motzkin",
-    "series-recurrence-vs-rational",
-    "series-geometric-identity",
-    "series-irreducible-recursion",
-}
-CAPPED = sorted(
-    (name, check)
+# Every (check, bounded option) pair of the registry; the max_n cases keep
+# the check's bare name as their id
+BOUNDED = sorted(
+    (name, option, check)
     for table in verification._SUITES.values()
     for name, check in table.items()
-    if name not in UNCAPPED
+    for option in check.options - {"seed"}
 )
 
 
@@ -303,18 +298,56 @@ def _no_build(*args, **kwargs):
     raise AssertionError("built a table past a cap")
 
 
-@pytest.mark.parametrize("check", [check for _, check in CAPPED], ids=[name for name, _ in CAPPED])
-def test_every_bounded_check_refuses_through_its_cap(monkeypatch, check):
-    # the element bound lowered to C_3 = 5 elements refuses every size at
-    # max_n = 10, as n or as a path length, in the cap, before anything is built
-    monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)
+@pytest.mark.parametrize(
+    "option, check",
+    [(option, check) for _, option, check in BOUNDED],
+    ids=[name if option == "max_n" else f"{name}-{option}" for name, option, _ in BOUNDED],
+)
+def test_every_bounded_check_refuses_through_its_cap(monkeypatch, option, check):
+    # past max_n: the element bound lowered to C_3 = 5 elements refuses
+    # every size at max_n = 10, as n or as a path length, in the cap, before
+    # anything is built; past max_t: the series' order bound, whatever max_n
+    # the check reads at its default
     monkeypatch.setattr(paths, "enumerate_tam", _no_build)
     monkeypatch.setattr(brackets, "enumerate_tam", _no_build)
     monkeypatch.setattr(brackets, "_vector_rows", _no_build)
     monkeypatch.setattr(perms, "_phi_words", _no_build)
     monkeypatch.setattr(pop, "_build_census", _no_build)
-    with pytest.raises(BoundExceeded):
-        check.resolve(VerifyOptions(max_n=10))
+    if option == "max_n":
+        monkeypatch.setattr(paths, "MAX_ELEMENTS", 5)
+        with pytest.raises(BoundExceeded):
+            check.resolve(VerifyOptions(max_n=10))
+    else:
+        over = series.MAX_ORDER + 1
+        message = f"^max_t={over} exceeds the bound {series.MAX_ORDER}$"
+        with pytest.raises(BoundExceeded, match=message):
+            check.resolve(VerifyOptions(max_t=over))
+
+
+@pytest.mark.parametrize(
+    "check, max_n, work",
+    [
+        (verification.check_a055151_row_sums, 100000, (series, "a055151")),
+        (verification.check_pidown_confluence, 300, (perms, "pi_down")),
+    ],
+    ids=["a055151-row-sums-motzkin", "pidown-confluence"],
+)
+def test_a_check_without_a_named_cap_refuses_past_its_bounds_at_once(monkeypatch, check, max_n, work):
+    monkeypatch.setattr(*work, _no_build)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=f"^n={max_n} exceeds the enumeration bound 13$"):
+        check(VerifyOptions(max_n=max_n))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_scan_of_s_n_reads_the_element_bound(capsys, monkeypatch):
+    # C_5 = 42 <= 100 < C_6 = 132 puts the element bound, read as n, at 5,
+    # and 4! <= 100 < 5! the scan's at 4
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 100)
+    code = main(["verify", "--suite", "congruence", "--max-n", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: n=5 exceeds the bound 4 of the scan of S_n\n"
 
 
 @pytest.mark.parametrize(
