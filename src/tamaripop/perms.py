@@ -4,8 +4,13 @@ The pop-stack map reverses every maximal descending run.  On the sublattice
 of 312-avoiding permutations, Pop is the pop-stack map followed by the
 projection pi_down to the minimal element of the sylvester class, computed
 by repeatedly swapping an adjacent descent (c, a) that has a later witness b
-with a < b < c.  These scalar maps on one Permutation are the public API and
-the test reference for the arrays below.
+with a < b < c, the leftmost such corner first.  These scalar maps on one
+Permutation are the public API and the test reference for the arrays below;
+each runs on a plain word list and builds one Permutation, at the end.
+After a swap at i, pi_down resumes its corner scan at i - 1, not at 0: no
+position k <= i - 2 was a corner, and the swap changes neither w[k], w[k+1]
+nor the set of values in w[k+2:], so none becomes one.  The swaps, and so
+the result, are those of a rescan from 0 after every swap.
 
 The 312-avoiders of size n have one form: the read-only int8 matrices (W, V)
 of _phi_words, one recursion on the position of the value 1, in which row i
@@ -27,7 +32,6 @@ Permutations are words on 1..n; text form is a digit string for n <= 9
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,18 +125,21 @@ def perm_stats(p: Permutation) -> PermStats:
     return PermStats(desc, asc, peaks, tuple(runs))
 
 
-def pop_stack(p: Permutation) -> Permutation:
-    """Reverse every maximal descending run."""
-    w = p.word
-    n = len(w)
+def _pop_stack_word(w) -> list[int]:
+    """pop_stack on a word, as a new list."""
     out: list[int] = []
     start = 0
-    for i in range(n - 1):
-        if w[i] < w[i + 1]:
-            out.extend(reversed(w[start : i + 1]))
-            start = i + 1
-    out.extend(reversed(w[start:]))
-    return Permutation(tuple(out))
+    for i in range(1, len(w)):
+        if w[i - 1] < w[i]:
+            out += w[start:i][::-1]
+            start = i
+    out += w[start:][::-1]
+    return out
+
+
+def pop_stack(p: Permutation) -> Permutation:
+    """Reverse every maximal descending run."""
+    return Permutation(tuple(_pop_stack_word(p.word)))
 
 
 def weak_order_covers_down(p: Permutation) -> set[Permutation]:
@@ -150,17 +157,23 @@ def weak_order_covers_down(p: Permutation) -> set[Permutation]:
 def avoids(p: Permutation, pattern: str) -> bool:
     """Pattern avoidance for 231 and 312, in O(n): a word avoids 231 iff one
     pass through a stack sorts it (Knuth, TAOCP vol. 1, section 2.2.1), and
-    avoids 312 iff its reverse-complement r_map avoids 231."""
+    avoids 312 iff its reverse-complement r_map avoids 231.  The pass below
+    is that pass on the reverse-complement, read from the right with every
+    comparison flipped, so the 312 test builds no second word; the 231 test
+    runs it on r_map's word."""
     if pattern not in ("231", "312"):
         raise ValueError(f"unsupported pattern {pattern!r}; know ['231', '312']")
-    stack, wanted = [], 1  # wanted: the next value the sorted output needs
-    for x in (p if pattern == "231" else r_map(p)).word:
-        while stack and stack[-1] < x:
+    w = p.word
+    if pattern == "231":
+        w = [len(w) + 1 - x for x in reversed(w)]
+    stack, wanted = [], len(w)  # wanted: the next value the output, n down to 1, needs
+    for x in reversed(w):
+        while stack and stack[-1] > x:
             if stack.pop() != wanted:
                 return False
-            wanted += 1
+            wanted -= 1
         stack.append(x)
-    return True  # the stack decreases upward, so it empties in order
+    return True  # the stack increases upward, so it empties in order
 
 
 def _sorted_rows(X):
@@ -196,35 +209,51 @@ def _swap_candidates(w: list[int]) -> list[int]:
     return out
 
 
-def _clear_corners(p: Permutation, choose: Callable[[list[int]], int]) -> Permutation:
-    """Swap at the candidate position that choose picks until none is left."""
+def _pi_down_word(w: list[int]) -> list[int]:
+    """pi_down on the word list w, in place, and return it: swap the leftmost
+    corner, then resume the scan at the position before the swap (see the
+    module docstring).  Position n - 2 has no later witness, and a descent
+    c > a with c = a + 1 has no value between."""
+    i, end = 0, len(w) - 2
+    while i < end:
+        c, a = w[i], w[i + 1]
+        if c > a + 1:
+            for b in w[i + 2 :]:
+                if a < b < c:
+                    w[i], w[i + 1] = a, c
+                    i = max(i - 2, -1)  # so the step below resumes at i - 1
+                    break
+        i += 1
+    return w
+
+
+def pi_down(p: Permutation) -> Permutation:
+    """Minimal element of the sylvester class: clear 31bar2 corners, leftmost
+    first, resuming the scan just before each swap."""
+    return Permutation(tuple(_pi_down_word(list(p.word))))
+
+
+def pi_down_random(p: Permutation, rng: random.Random) -> Permutation:
+    """Same map with a randomly chosen applicable swap at each step, every
+    candidate found by a full rescan."""
     w = list(p.word)
     while cands := _swap_candidates(w):
-        i = choose(cands)
+        i = rng.choice(cands)
         w[i], w[i + 1] = w[i + 1], w[i]
     return Permutation(tuple(w))
 
 
-def pi_down(p: Permutation) -> Permutation:
-    """Minimal element of the sylvester class: clear 31bar2 corners, leftmost first."""
-    return _clear_corners(p, min)
-
-
-def pi_down_random(p: Permutation, rng: random.Random) -> Permutation:
-    """Same map with a randomly chosen applicable swap at each step."""
-    return _clear_corners(p, rng.choice)
-
-
 def pop_tamari_perm(p: Permutation) -> Permutation:
-    """Pop on the 312-avoiding sublattice: pop-stack, then project down."""
+    """Pop on the 312-avoiding sublattice: pop-stack, then project down, on
+    one word list, so the result is the one Permutation built."""
     if not avoids(p, "312"):
         raise ValueError(f"{p} contains a 312 pattern; not in the sublattice")
-    return pi_down(pop_stack(p))
+    return Permutation(tuple(_pi_down_word(_pop_stack_word(p.word))))
 
 
 def _pi_down_rows(A):
     """pi_down of every row of the word matrix A, in A's row order: swap the
-    leftmost corner (_swap_candidates' rule) of every row that has one, a
+    leftmost corner (pi_down's rule) of every row that has one, a
     round at a time, until no row has one.  A itself is left as it is."""
     import numpy as np
 

@@ -303,13 +303,16 @@ def count_t_sortable(n: int, t: int, *, force: bool = False) -> int:
 
 
 def _image_rows(n: int, force: bool):
-    """The census context and the distinct Pop images as census rows."""
+    """The census context and the distinct Pop images as census rows, in
+    census order: the rows some row's Pop target hits."""
     import numpy as np
 
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     census = _census(n, force)
-    return census.ctx, census.rows[np.unique(census.pop_idx)]
+    hit = np.zeros(len(census.rows), dtype=bool)
+    hit[census.pop_idx] = True
+    return census.ctx, census.rows[hit]
 
 
 def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:
@@ -362,8 +365,9 @@ def pop_polynomial(n: int, *, force: bool = False) -> PopPolynomial:
     import numpy as np
 
     ctx, rows = _image_rows(n, force)
-    exps, counts = np.unique(_up_cover_counts(rows, ctx.n_nu), return_counts=True)
-    return PopPolynomial(dict(zip(exps.tolist(), counts.tolist())))
+    counts = np.bincount(_up_cover_counts(rows, ctx.n_nu))
+    exps = np.flatnonzero(counts)
+    return PopPolynomial(dict(zip(exps.tolist(), counts[exps].tolist())))
 
 
 # ---------------------------------------------------------------------------

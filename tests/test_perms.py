@@ -131,6 +131,60 @@ def test_pi_down_confluence(word, seed):
     assert pi_down_random(p, rng) == pi_down(p)
 
 
+def _pi_down_full_rescan(p):
+    """pi_down by its definition: rescan every position for the leftmost
+    corner after every swap."""
+    w = list(p.word)
+    while True:
+        corners = [
+            i for i in range(len(w) - 1)
+            if w[i] > w[i + 1] and any(w[i + 1] < b < w[i] for b in w[i + 2 :])
+        ]
+        if not corners:
+            return Permutation(tuple(w))
+        i = corners[0]
+        w[i], w[i + 1] = w[i + 1], w[i]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pi_down_resuming_at_the_swap_matches_a_full_rescan_on_all_of_s_n(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        p = Permutation(w)
+        assert pi_down(p) == _pi_down_full_rescan(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_pi_down_resuming_at_the_swap_matches_a_full_rescan(word):
+    p = Permutation(tuple(word))
+    assert pi_down(p) == _pi_down_full_rescan(p)
+
+
+def _phi_word(n, rng):
+    """A 312-avoiding word on 1..n: the value 1 at a uniform position k,
+    then (phi(k - 1) + 1, 1, phi(n - k) + k)."""
+    if n == 0:
+        return []
+    k = rng.randint(1, n)
+    left, right = _phi_word(k - 1, rng), _phi_word(n - k, rng)
+    return [x + 1 for x in left] + [1] + [x + k for x in right]
+
+
+def test_pi_down_on_a_long_312_avoider_matches_a_full_rescan():
+    p = Permutation(tuple(_phi_word(300, random.Random(0))))
+    assert avoids(p, "312")
+    q = pop_stack(p)
+    assert not avoids(q, "312")  # so pi_down has corners to clear
+    assert pi_down(q) == _pi_down_full_rescan(q)
+    assert pi_down(p) == _pi_down_full_rescan(p) == p
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pop_tamari_perm_is_pi_down_after_pop_stack(n):
+    for p in enumerate_av312(n):
+        assert pop_tamari_perm(p) == pi_down(pop_stack(p))
+
+
 def test_pop_tamari_requires_312_avoidance():
     with pytest.raises(ValueError):
         pop_tamari_perm(P("312"))
