@@ -38,7 +38,7 @@ from functools import lru_cache
 from .brackets import BracketVector, _lattice_tables
 from .brackets import _first_order_difference, _order_matrix_guard
 from .paths import _check_n
-from .pop import POP_BLOCK_ROWS, _east_staircase_ctx
+from .pop import _east_staircase_ctx, _pop_blocks
 
 __all__ = [
     "PermStats",
@@ -279,16 +279,15 @@ def _pi_down_rows(A):
 
 def _pop_words(W):
     """pop_tamari_perm of every row of the 312-avoider matrix W, in W's row
-    order, POP_BLOCK_ROWS rows at a time.  Pop-stack sends position i to
+    order, one pop._pop_blocks block at a time.  Pop-stack sends position i to
     start(i) + end(i) - i, its mirror image in its descending run; then
     _pi_down_rows."""
     import numpy as np
 
-    m, n = W.shape
+    n = W.shape[1]
     out = np.empty_like(W)
     cols = np.arange(n, dtype=np.int8)
-    for top in range(0, m, POP_BLOCK_ROWS):
-        A = W[top : top + POP_BLOCK_ROWS]
+    for top, A in _pop_blocks(W):
         edge = np.pad(A[:, :-1] < A[:, 1:], ((0, 0), (1, 1)), constant_values=True)
         start = np.maximum.accumulate(np.where(edge[:, :-1], cols, 0), axis=1)
         end = np.minimum.accumulate(np.where(edge[:, 1:], cols, n - 1)[:, ::-1], axis=1)

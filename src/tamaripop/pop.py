@@ -18,14 +18,15 @@ Tam_n.  The production census is array-native: every vector of the lattice
 is one row of the int8 matrix that brackets._vector_rows fills in place
 (the enumeration behind enumerate_vectors too), Pop is the eta formula
 applied to all rows with a descent at i, one index i at a time, on blocks
-of POP_BLOCK_ROWS rows, each block's images are mapped to rows by integer
-keys and a sorted search, and sortability times follow the int32
-Pop-target array; no full-size image matrix is held.  The q-polynomial
-counts the up-covers of the image rows from their entry multiplicities,
-all rows at once.  The scalar functions above serve single vectors and are
-the test oracle for the census (up_cover_count, through the path covers,
-for the q-polynomial); the irreducible-decomposition recursion is only a
-check.
+of about POP_BLOCK_BYTES of rows, each block's images are mapped to rows by
+integer keys and a sorted search, and the int8 sortability times are the
+fixpoint of 1 + times[pop_idx] off the minimum, gathered through the int32
+Pop targets; no full-size image matrix or index copy is held.  The
+q-polynomial counts the up-covers of the image rows from their entry
+multiplicities, one height at a time over all rows.  The scalar functions
+above serve single vectors and are the test oracle for the census
+(up_cover_count, through the path covers, for the q-polynomial); the
+irreducible-decomposition recursion is only a check.
 """
 
 from __future__ import annotations
@@ -190,38 +191,47 @@ def _pop_rows(rows, ctx: NuContext):
 
 
 def _times_to_bottom(pop_idx, bottom, max_steps: int):
-    """int8 steps each row takes along pop_idx to reach a bottom row.  A Pop
-    that strictly lowers the entry sum gets there within the spread of the
-    sums, so a row not there after max_steps steps is a RuntimeError, not a
-    hang; max_steps must stay below 128, the int8 limit."""
+    """int8 steps each row takes along pop_idx to reach a bottom row: the
+    fixpoint of 0 on bottom rows and 1 + times[pop_idx] elsewhere, gathered
+    through the int32 pop_idx.  Pass k leaves min(time, k) in each row, so
+    the passes stop at the first whose maximum is below k.  A Pop that
+    strictly lowers the entry sum gets there within the spread of the sums,
+    so a row not there after max_steps steps is a RuntimeError, not a hang;
+    max_steps must stay below 127, so that pass max_steps + 1 fits int8."""
     import numpy as np
 
-    step = pop_idx.astype(np.intp)  # numpy gathers fastest through intp indices
-    times = np.zeros(len(step), dtype=np.int8)
-    cur = np.arange(len(step))
-    for _ in range(max_steps):
-        if bottom[cur].all():
-            break
-        times += ~bottom[cur]
-        cur = step[cur]
-    if not bottom[cur].all():
-        raise RuntimeError(f"Pop orbits miss the minimum after {max_steps} steps")
-    return times
+    times = np.zeros(len(pop_idx), dtype=np.int8)
+    for k in range(1, max_steps + 2):
+        times = times[pop_idx]
+        times += 1
+        times[bottom] = 0
+        if times.max() < k:
+            return times
+    raise RuntimeError(f"Pop orbits miss the minimum after {max_steps} steps")
 
 
-#: Rows per block when _pop_targets maps Pop images to rows: the image
-#: matrix and its keys exist one block at a time.
-POP_BLOCK_ROWS = 1 << 16
+#: Bytes of int8 rows per block when _pop_targets and perms._pop_words run
+#: Pop: a block's image matrix and its per-row keys and indices stay a small
+#: fraction of the rows, whatever their width.
+POP_BLOCK_BYTES = 1 << 18
+
+
+def _pop_blocks(rows, entry_bytes: int = 0):
+    """(start, block) over the rows of a matrix, about POP_BLOCK_BYTES at a
+    time (at least one row), counting entry_bytes per entry, or else the
+    rows' own itemsize: the one block rule of the array Pop kernels."""
+    step = max(1, POP_BLOCK_BYTES // max(1, rows.shape[1] * (entry_bytes or rows.itemsize)))
+    return ((start, rows[start : start + step]) for start in range(0, len(rows), step))
 
 
 def _pop_targets(rows, ctx: NuContext):
     """int32 row of Pop(rows[r]) for every row r of the census matrix rows.
 
-    Pop runs on blocks of POP_BLOCK_ROWS rows, and a block's images are
-    found by int64 keys over the free columns, which must strictly increase
-    down rows.  A key names a row only once every image entry lies in
-    heights[c]..n_nu and every fixed column holds its height, so both are
-    checked per image row.
+    Pop runs on _pop_blocks blocks of about POP_BLOCK_BYTES of rows, and a
+    block's images are found by int64 keys over the free columns, which must
+    strictly increase down rows.  A key names a row only once every image
+    entry lies in heights[c]..n_nu and every fixed column holds its height,
+    so both are checked per image row.
     """
     import numpy as np
 
@@ -238,8 +248,8 @@ def _pop_targets(rows, ctx: NuContext):
     for k, c in enumerate(ctx.fixed_positions):
         top[c] = k
     pop_idx = np.empty(len(rows), dtype=np.int32)
-    for start in range(0, len(rows), POP_BLOCK_ROWS):
-        image = _pop_rows(rows[start : start + POP_BLOCK_ROWS], ctx)
+    for start, block in _pop_blocks(rows):
+        image = _pop_rows(block, ctx)
         ok = np.ones(len(image), dtype=bool)
         for c, col in enumerate(image.T):
             ok &= (ctx.heights[c] <= col) & (col <= top[c])
@@ -261,7 +271,7 @@ class _Census:
     lexicographic order), pop_idx[r] (int32, from _pop_targets) the row of
     Pop(rows[r]) and times[r] (int8) its sortability time.  Entry sums are
     int16.  Besides the rows, no array of more than 8 bytes per row is
-    held, and no image matrix of more than POP_BLOCK_ROWS rows.
+    held, and no image matrix of more than about POP_BLOCK_BYTES.
     """
 
     def __init__(self, n: int):
@@ -318,7 +328,8 @@ def _image_rows(n: int, force: bool):
 def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:
     """Distinct Pop images over all vectors for E(NE)^(n-1)."""
     ctx, rows = _image_rows(n, force)
-    return {BracketVector(tuple(e), ctx) for e in rows.tolist()}
+    blocks = _pop_blocks(rows, 8)  # tolist spends a pointer, 8 bytes, on each entry
+    return {BracketVector(tuple(e), ctx) for _, block in blocks for e in block.tolist()}
 
 
 def up_cover_count(vec: BracketVector) -> int:
@@ -343,13 +354,14 @@ class PopPolynomial:
 
 def _up_cover_counts(rows, n_nu: int):
     """up_cover_count of every row of a matrix of valid vectors: the number
-    of heights k < n_nu that occur at least twice in the row."""
+    of heights k < n_nu that occur at least twice in the row, counted with
+    one compare per height."""
     import numpy as np
 
-    width = n_nu + 1
-    flat = rows.astype(np.intp) + width * np.arange(len(rows))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=width * len(rows)).reshape(len(rows), width)
-    return (counts[:, :-1] >= 2).sum(axis=1)
+    counts = np.zeros(len(rows), dtype=np.int32)
+    for k in range(n_nu):
+        counts += (rows == k).sum(axis=1, dtype=np.int32) >= 2
+    return counts
 
 
 def pop_polynomial(n: int, *, force: bool = False) -> PopPolynomial:

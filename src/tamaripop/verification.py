@@ -435,7 +435,10 @@ def check_pop_oracle(max_ell, random_paths, seed):
     for ctx in _corpus(max_ell, random_paths, seed):
         mus, V, upper, lower = brackets._path_rows(ctx)
         meet = V.copy()
-        np.minimum.at(meet, upper, V[lower])
+        order = np.argsort(upper, kind="stable")  # each row's covers in one run
+        runs = np.flatnonzero(np.diff(upper[order], prepend=-1))
+        top = upper[order[runs]]
+        meet[top] = np.minimum(meet[top], np.minimum.reduceat(V[lower[order]], runs))
         popped = pop._pop_rows(V, ctx)
         for r, same in enumerate((meet == popped).all(axis=1).tolist()):
             yield not same and {
@@ -478,11 +481,12 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
         below, candidate = V[lower], V[upper]
         column = np.argmax(below != candidate, axis=1)  # the one column a cover changes
         candidate[np.arange(len(upper)), column] = popped[upper, column]
-        hits = np.zeros(V.shape, dtype=np.int32)  # covers per (row, column)
-        np.add.at(hits, (upper, column), 1)
+        changed = upper[(below != candidate).any(axis=1)]
+        del below, candidate  # before the int64 counts, one per entry of V
+        hits = np.bincount(upper * V.shape[1] + column, minlength=V.size)  # covers per (row, column)
         descents = np.pad(V[:, :-1] > V[:, 1:], ((0, 0), (0, 1)))
-        bad = (hits != descents).any(axis=1)
-        bad[upper[(below != candidate).any(axis=1)]] = True
+        bad = (hits.reshape(V.shape) != descents).any(axis=1)
+        bad[changed] = True
         lowers = np.eye(V.shape[1], dtype=bool)  # row i: the candidate of descent i
         for r, wrong in enumerate(bad.tolist()):
             yield wrong and {

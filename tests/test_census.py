@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from fault_scenarios import CENSUS_FAULTS, census_fault
 
-from tamaripop import brackets, paths, pop
+from tamaripop import brackets, paths, perms, pop
 from tamaripop.brackets import BracketVector, _vector_rows, enumerate_vectors
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.series import catalan, h_series
@@ -65,15 +65,42 @@ def test_vector_rows_widen_past_int8_heights():
     assert [v.entries for v in enumerate_vectors(ctx)] == list(_iter_entry_tuples(ctx))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_array_census_matches_scalar_route(n):
-    census = pop._Census(n)
+def _assert_census_matches_scalar_route(census):
     ctx = census.ctx
     entries = list(map(tuple, census.rows.tolist()))
     assert entries == list(_iter_entry_tuples(ctx))
     for e, target, time_ in zip(entries, census.pop_idx.tolist(), census.times.tolist()):
         assert entries[target] == pop._pop_entries(e, ctx.heights, ctx.fixed_positions)
         assert time_ == pop.sortability_time(BracketVector(e, ctx))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_array_census_matches_scalar_route(n):
+    _assert_census_matches_scalar_route(pop._Census(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pop_blocks_of_a_few_rows_match_the_scalar_routes(monkeypatch, n):
+    # 40 bytes: 2 to 20 census rows and 5 to 40 words a block, where the
+    # default rule takes 2 blocks for Tam_10 and 1 for the words of size 8
+    monkeypatch.setattr(pop, "POP_BLOCK_BYTES", 40)
+    blocks = []
+    real = pop._pop_rows
+    monkeypatch.setattr(pop, "_pop_rows", lambda rows, ctx: blocks.append(len(rows)) or real(rows, ctx))
+    census = pop._Census(n)
+    m, step = len(census.rows), 40 // (2 * n)  # rows of 2n int8 entries
+    assert blocks == [min(step, m - start) for start in range(0, m, step)]
+    _assert_census_matches_scalar_route(census)
+    ctx = census.ctx
+    image = {pop._pop_entries(e, ctx.heights, ctx.fixed_positions) for e in _iter_entry_tuples(ctx)}
+    pop._build_census.cache_clear()
+    try:
+        assert pop.pop_image(n) == {BracketVector(e, ctx) for e in image}
+    finally:
+        pop._build_census.cache_clear()
+    W = perms._av312_words(n)
+    expected = [list(perms.pop_tamari_perm(perms.Permutation(tuple(w))).word) for w in W.tolist()]
+    assert perms._pop_words(W).tolist() == expected
 
 
 def _traced_peak(build):
@@ -87,14 +114,29 @@ def _traced_peak(build):
 
 def test_census_build_holds_little_beyond_its_rows():
     # Tam_11: 58,786 rows of 22 int8 entries.  These builds peak near 2.0x
-    # and 3.4x of that; one with full-size temporaries (a list of columns
-    # and caps, a whole image matrix) peaked at 3.3x and 4.7x
+    # and 2.2x of that.  One with full-size temporaries (a list of columns
+    # and caps, a whole image matrix) peaked at 3.3x and 4.7x, and one that
+    # walked the Pop orbits through three intp index arrays and found Pop
+    # targets 65,536 rows a block peaked at 3.4x for the census
     pop._Census(4)  # numpy's lazy imports are not the census
     ctx = pop._east_staircase_ctx(11)
     rows, rows_peak = _traced_peak(lambda: _vector_rows(ctx))
     census, census_peak = _traced_peak(lambda: pop._Census(11))
     assert rows_peak <= 2.5 * rows.nbytes
-    assert census_peak <= 4 * census.rows.nbytes
+    assert census_peak <= 2.4 * census.rows.nbytes
+
+
+def test_image_and_q_polynomial_hold_little_beyond_the_image():
+    # on a built Tam_11 census, the 2,188 image vectors and their counts peak
+    # near 0.79x of its rows; with one tolist over the whole image and an
+    # intp copy of it bincounted, they peaked at 1.06x
+    pop._build_census.cache_clear()
+    try:
+        census = pop._census(11)
+        _, peak = _traced_peak(lambda: (pop.pop_image(11), pop.pop_polynomial(11)))
+    finally:
+        pop._build_census.cache_clear()
+    assert peak <= 0.85 * census.rows.nbytes
 
 
 @pytest.mark.parametrize("text", ["NE" * 11, "NE" * 12, "E" + "NE" * 12])
