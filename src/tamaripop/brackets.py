@@ -212,44 +212,48 @@ def leq(v1: BracketVector, v2: BracketVector) -> bool:
 def _vector_rows(ctx: NuContext):
     """All valid vectors as one numpy matrix, rows in lexicographic order.
 
-    Built one column at a time over all rows, in one Fortran-ordered matrix
-    of _count_tam(ctx) rows allocated up front: before column i is filled,
-    columns < i of the first r rows hold their entries and columns >= i
-    their caps.  Assigning v at column i caps columns i+1..fixed_positions[v]
-    at v, which is exactly condition (3).  A cap at column i comes from some
-    v with fixed_positions[v] >= i, so it is at least heights[i]: a free
-    column admits heights[i]..cap (see _split_rows), a fixed column its
-    single value.  Besides the matrix, the build holds only a few arrays of
-    one entry per row, none of more than 8 bytes.  Rows are int8 while n_nu
-    fits, int16 past that.
+    Built one free column at a time over all rows, in one Fortran-ordered
+    matrix of _count_tam(ctx) rows allocated up front: before column i is
+    filled, the free columns < i of the first r rows hold their entries and
+    the free columns >= i their caps.  Assigning v at column i caps the free
+    columns i+1..fixed_positions[v] at v, which is condition (3) there; on a
+    fixed column fixed_positions[y] <= fixed_positions[v] it holds at once,
+    as y <= v.  So fixed columns are never capped or re-gathered by
+    _split_rows: they hold n_nu until the last split and are then written
+    with their heights.  A cap at column i comes from some v with
+    fixed_positions[v] >= i, so it is at least heights[i]: a free column
+    admits heights[i]..cap (see _split_rows).  Besides the matrix, the build
+    holds only a few arrays of one entry per row, none of more than 8
+    bytes.  Rows are int8 while n_nu fits, int16 past that.
     """
     import numpy as np
 
     ell, n_nu = ctx.ell, ctx.n_nu
     dtype = np.int8 if n_nu < 128 else np.int16
     fixed = np.array(ctx.fixed_positions, dtype=np.int16)
-    fixed_value = {pos: k for k, pos in enumerate(ctx.fixed_positions)}
+    free = sorted(set(range(ell + 1)) - set(ctx.fixed_positions))
     out = np.full((_count_tam(ctx), ell + 1), n_nu, dtype=dtype, order="F")
     r = 1  # rows so far
-    for i in range(ell + 1):
-        if i in fixed_value:
-            out[:r, i] = fixed_value[i]
-        else:
-            r = _split_rows(out, r, i, ctx.heights[i])
+    for i in free:
+        r = _split_rows(out, r, i, ctx.heights[i], free)
         limit = fixed[out[:r, i]]
-        for c in range(i + 1, int(limit.max()) + 1):
-            np.minimum(out[:r, c], np.where(limit >= c, out[:r, i], n_nu), out=out[:r, c])
+        top = int(limit.max())
+        for c in free:
+            if i < c <= top:
+                np.minimum(out[:r, c], np.where(limit >= c, out[:r, i], n_nu), out=out[:r, c])
         del limit  # not held through the next split
     if r != len(out):
         raise RuntimeError(f"counted {len(out)} vectors for {ctx.nu} but built {r}")
+    for k, c in enumerate(ctx.fixed_positions):
+        out[:, c] = k
     return out
 
 
-def _split_rows(out, r: int, i: int, low: int) -> int:
+def _split_rows(out, r: int, i: int, low: int, free) -> int:
     """Replace each of the first r rows of out by one copy per value
     low..cap of column i, which holds its cap, in order, and return the new
-    row count.  Every other column is re-gathered in place through one
-    parent index, intp because numpy gathers through int32 indices about
+    row count.  The other columns in free are re-gathered in place through
+    one parent index, intp because numpy gathers through int32 indices about
     four times slower; column i becomes the values."""
     import numpy as np
 
@@ -267,7 +271,7 @@ def _split_rows(out, r: int, i: int, low: int) -> int:
     steps[0] = low
     steps[starts] = 1 - counts[:-1]
     del counts, ends, starts
-    for c in range(out.shape[1]):
+    for c in free:
         if c != i:
             out[:size, c] = out[:r, c][parent]
     np.cumsum(steps, dtype=out.dtype, out=out[:size, i])

@@ -16,9 +16,10 @@ The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
 Tam_n.  The production census is array-native: every vector of the lattice
 is one row of the int8 matrix that brackets._vector_rows fills in place
-(the enumeration behind enumerate_vectors too), Pop is the eta formula
-applied to all rows with a descent at i, one index i at a time, on blocks
-of about POP_BLOCK_BYTES of rows, each block's images are mapped to rows by
+(the enumeration behind enumerate_vectors too), Pop is the eta formula on
+whole columns, one free index i at a time and written where i is a descent
+(on valid rows the fixed columns carry nothing), on blocks of about
+POP_BLOCK_BYTES of rows, each block's images are mapped to rows by
 integer keys and a sorted search, and the int8 sortability times are the
 fixpoint of 1 + times[pop_idx] off the minimum, gathered through the int32
 Pop targets; no full-size image matrix or index copy is held.  The
@@ -162,31 +163,46 @@ def _east_staircase_ctx(n: int) -> NuContext:
 
 
 def _pop_rows(rows, ctx: NuContext):
-    """Pop of every row at once: the eta formula of _eta_at, one index at a
-    time.  For the rows with a descent at i, x climbs from heights[i] and
-    one running maximum of e[i+1..fixed[x]] grows with it; the last
-    admissible x below e[i] is eta_i."""
+    """Pop of every row at once: the eta formula of _eta_at on whole
+    columns, one free index i at a time, in the rows' own dtype and layout.
+
+    The rows must be valid vectors, each fixed column at its height.  Then
+    fixed columns carry nothing: a fixed index i < ell never starts a
+    descent (e[i] = k < heights[i+1] <= e[i+1]), and a fixed column
+    fixed[y] <= fixed[x] holds y <= x, so it never fails eta's test.  For a
+    free i, x climbs from heights[i] while one running maximum of the free
+    columns i+1..fixed[x] grows with it, read in place; eta_i is the last
+    admissible x below e[i], written where i is a descent.  A descent with
+    no admissible x is a RuntimeError, lowest i first, then first row.
+    """
     import numpy as np
 
     heights, fixed = ctx.heights, ctx.fixed_positions
+    fixed_columns = set(fixed)
     out = rows.copy(order="K")
+    eta_i = np.empty(len(rows), dtype=rows.dtype)
+    run = np.empty(len(rows), dtype=rows.dtype)  # max of the free e[i+1..seen]
     for i in range(ctx.ell):
-        sel = np.flatnonzero(rows[:, i] > rows[:, i + 1])
-        if not len(sel):
+        if i in fixed_columns:
             continue
-        b = rows[sel, i]
-        eta_i = np.full(len(sel), -1, dtype=rows.dtype)
-        run = np.full(len(sel), -1, dtype=rows.dtype)  # max e[i+1..seen]
+        b = rows[:, i]
+        descent = b > rows[:, i + 1]
+        if not descent.any():
+            continue
+        eta_i.fill(-1)
+        run.fill(-1)
         seen = i
         for x in range(heights[i], int(b.max())):
             for j in range(seen + 1, fixed[x] + 1):
-                np.maximum(run, rows[sel, j], out=run)
+                if j not in fixed_columns:
+                    np.maximum(run, rows[:, j], out=run)
             seen = max(seen, fixed[x])
-            eta_i[(x < b) & (run <= x)] = x
-        if (eta_i < 0).any():
-            bad = tuple(rows[sel[np.argmax(eta_i < 0)]].tolist())
-            raise RuntimeError(f"no admissible value at index {i} of {bad}; input vector invalid?")
-        out[sel, i] = eta_i
+            np.copyto(eta_i, x, where=(run <= x) & (x < b))
+        bad = descent & (eta_i < 0)
+        if bad.any():
+            e = tuple(rows[int(np.argmax(bad))].tolist())
+            raise RuntimeError(f"no admissible value at index {i} of {e}; input vector invalid?")
+        np.copyto(out[:, i], eta_i, where=descent)
     return out
 
 

@@ -29,6 +29,8 @@ from tamaripop.paths import (
     parse_path,
 )
 from tamaripop.pop import (
+    _pop_entries,
+    _pop_rows,
     _up_cover_counts,
     concat_irreducible,
     count_t_sortable,
@@ -195,6 +197,44 @@ def test_pop_routes_agree_and_lower_the_sum_on_random_nu(text):
         popped = pop_vector(v)
         assert pop_generic(mu, ctx) == vector_to_path(popped)
         assert sum(popped.entries) < sum(v.entries) or v.entries == ctx.bottom_entries()
+
+
+def _assert_pop_rows_is_pop_entries(M, ctx):
+    """_pop_rows(M) is _pop_entries row by row, in M's dtype, with M kept."""
+    before = M.copy()
+    popped = _pop_rows(M, ctx)
+    assert popped.dtype == M.dtype
+    np.testing.assert_array_equal(M, before)
+    expected = [list(_pop_entries(e, ctx.heights, ctx.fixed_positions)) for e in map(tuple, M.tolist())]
+    assert popped.tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.text("NE", min_size=1, max_size=12))
+def test_array_pop_is_the_scalar_pop_on_both_layouts(text):
+    # the census's Fortran int8 rows and the pop-oracle's C-ordered int16 table
+    ctx = NuContext.from_text(text)
+    rows = _vector_rows(ctx)
+    assert rows.flags.f_contiguous and rows.dtype == np.int8
+    _assert_pop_rows_is_pop_entries(rows, ctx)
+    V = _path_rows(ctx)[1]
+    assert V.flags.c_contiguous and V.dtype == np.int16
+    _assert_pop_rows_is_pop_entries(V, ctx)
+
+
+def test_both_pop_kernels_refuse_a_descent_with_no_admissible_value():
+    # (0,0,0,0,1,0) over ENENE: heights[4] = 2 leaves nothing below e[4] = 1
+    ctx = NuContext.from_text("ENENE")
+    message = re.escape("no admissible value at index 4 of (0, 0, 0, 0, 1, 0); input vector invalid?")
+    with pytest.raises(RuntimeError, match=message):
+        _pop_entries((0, 0, 0, 0, 1, 0), ctx.heights, ctx.fixed_positions)
+    valid = _vector_rows(ctx)
+    rows = np.concatenate((valid, [[0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 1, 0]])).astype(np.int8)
+    with pytest.raises(RuntimeError, match=message):
+        _pop_rows(rows, ctx)  # the first row in row order
+    # the lowest index first, here in the later row (0,0,1,0,2,2)
+    with pytest.raises(RuntimeError, match=re.escape("index 2 of (0, 0, 1, 0, 2, 2);")):
+        _pop_rows(np.concatenate((rows, [[0, 0, 1, 0, 2, 2]])).astype(np.int8), ctx)
 
 
 def test_pop_is_decreasing():
