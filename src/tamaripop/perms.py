@@ -1,16 +1,14 @@
 """Pop-stack sorting on the weak order and its 312-avoiding sublattice.
 
 The pop-stack map reverses every maximal descending run.  On the sublattice
-of 312-avoiding permutations, Pop is the pop-stack map followed by the
-projection pi_down to the minimal element of the sylvester class, computed
-by repeatedly swapping an adjacent descent (c, a) that has a later witness b
-with a < b < c, the leftmost such corner first.  These scalar maps on one
-Permutation are the public API and the test reference for the arrays below;
-each runs on a plain word list and builds one Permutation, at the end.
-After a swap at i, pi_down resumes its corner scan at i - 1, not at 0: no
-position k <= i - 2 was a corner, and the swap changes neither w[k], w[k+1]
-nor the set of values in w[k+2:], so none becomes one.  The swaps, and so
-the result, are those of a rescan from 0 after every swap.
+of 312-avoiding permutations, Pop is the pop-stack map followed by pi_down,
+the least element of the sylvester class: the words with one binary search
+tree, letters inserted from the right (Hivert-Novelli-Thibon 2005, Reading
+2006).  It is the tree's postorder (left, right, root), so value y lands at
+position y - 1 - L(y) + R(y), 0-based: L(y) counts y's ancestors below y and
+R(y) is the size of y's right subtree.  These scalar maps on one Permutation
+are the public API and the test reference for the arrays below; each runs
+on a plain word list and builds one Permutation, at the end.
 
 The 312-avoiders of size n have one form: the read-only int8 matrices (W, V)
 of _phi_words, one recursion on the position of the value 1, in which row i
@@ -79,17 +77,14 @@ class Permutation:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse "53412" (digits, n <= 9) or "10,2,1,..." (comma-separated)."""
+    """Parse "53412" (n <= 9) or "10, 2, 1, ..." (comma-separated), in ASCII digits."""
     text = text.strip()
     if not text:
         raise ValueError("empty permutation text")
-    if "," in text:
-        word = tuple(int(part) for part in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"not a permutation word: {text!r}")
-        word = tuple(int(ch) for ch in text)
-    return Permutation(word)
+    parts = [part.strip() for part in text.split(",")] if "," in text else list(text)
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"not a permutation word: {text!r}")
+    return Permutation(tuple(map(int, parts)))
 
 
 def format_permutation(p: Permutation) -> str:
@@ -209,33 +204,33 @@ def _swap_candidates(w: list[int]) -> list[int]:
     return out
 
 
-def _pi_down_word(w: list[int]) -> list[int]:
-    """pi_down on the word list w, in place, and return it: swap the leftmost
-    corner, then resume the scan at the position before the swap (see the
-    module docstring).  Position n - 2 has no later witness, and a descent
-    c > a with c = a + 1 has no value between."""
-    i, end = 0, len(w) - 2
-    while i < end:
-        c, a = w[i], w[i + 1]
-        if c > a + 1:
-            for b in w[i + 2 :]:
-                if a < b < c:
-                    w[i], w[i + 1] = a, c
-                    i = max(i - 2, -1)  # so the step below resumes at i - 1
-                    break
-        i += 1
-    return w
+def _pi_down_word(w) -> list[int]:
+    """pi_down on a word, as a new list, by one monotone stack of values
+    whose positions fall upward.  The z that pops y is the first value above
+    y placed after it, so R(y) = z - 1 - y, and the values left below y are
+    L(y); the sentinel n + 1 at position n pops the rest."""
+    n = len(w)
+    where = [0] * (n + 1) + [n]  # where[x]: the position of x
+    for i, x in enumerate(w):
+        where[x] = i
+    out, stack = [0] * n, []
+    for z in range(1, n + 2):
+        while stack and where[stack[-1]] < where[z]:
+            y = stack.pop()
+            out[z - 2 - len(stack)] = y  # y - 1 - L(y) + R(y)
+        stack.append(z)
+    return out
 
 
 def pi_down(p: Permutation) -> Permutation:
-    """Minimal element of the sylvester class: clear 31bar2 corners, leftmost
-    first, resuming the scan just before each swap."""
-    return Permutation(tuple(_pi_down_word(list(p.word))))
+    """Minimal element of the sylvester class: the postorder of the binary
+    search tree of p's letters inserted from the right, in O(n)."""
+    return Permutation(tuple(_pi_down_word(p.word)))
 
 
 def pi_down_random(p: Permutation, rng: random.Random) -> Permutation:
-    """Same map with a randomly chosen applicable swap at each step, every
-    candidate found by a full rescan."""
+    """pi_down by swaps: swap a random corner, a descent c > a with a later
+    b, a < b < c, every candidate found by a full rescan, until none is left."""
     w = list(p.word)
     while cands := _swap_candidates(w):
         i = rng.choice(cands)
@@ -252,29 +247,29 @@ def pop_tamari_perm(p: Permutation) -> Permutation:
 
 
 def _pi_down_rows(A):
-    """pi_down of every row of the word matrix A, in A's row order: swap the
-    leftmost corner (pi_down's rule) of every row that has one, a
-    round at a time, until no row has one.  A itself is left as it is."""
+    """pi_down of every row of the word matrix A, as a new matrix.  With P
+    the position of each value, the x < y with P[x] above max P(x..y] are
+    the ancestors of y below it, L(y), and the y > x that pass the same test
+    are x's right subtree, R(x); value y + 1 goes to column y - L(y) + R(y)."""
     import numpy as np
 
-    n = A.shape[1]
+    m, n = A.shape
+    rows = np.arange(m)
+    P = np.empty(A.shape, dtype=A.dtype, order="F")
+    for i in range(n):
+        P[rows, A[:, i] - 1] = i
+    shift = np.zeros_like(P)  # R - L
+    for x in range(n - 1):
+        run = np.zeros(m, dtype=A.dtype)  # max P(x..y]; positions are >= 0
+        for y in range(x + 1, n):
+            np.maximum(run, P[:, y], out=run)
+            under = P[:, x] > run
+            shift[:, x] += under
+            shift[:, y] -= under
     out = np.empty_like(A)
-    rows = np.arange(len(A))
-    while True:
-        # a corner: a descent c > a at i, i + 1, with a later b, a < b < c
-        corner = A[:, :-2] > A[:, 1:-1]
-        witness = np.zeros_like(corner)
-        for d in range(2, n):  # b at i + d
-            b = A[:, d:]
-            witness[:, : n - d] |= (A[:, 1 : n - d + 1] < b) & (b < A[:, : n - d])
-        corner &= witness
-        active = corner.any(axis=1)
-        out[rows[~active]] = A[~active]
-        if not active.any():
-            return out
-        A, rows = A[active], rows[active]  # a copy, so the swaps never reach the input
-        i, r = corner[active].argmax(axis=1), np.arange(len(rows))
-        A[r, i], A[r, i + 1] = A[r, i + 1], A[r, i]
+    for y in range(n):
+        out[rows, y + shift[:, y]] = y + 1
+    return out
 
 
 def _pop_words(W):

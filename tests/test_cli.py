@@ -87,6 +87,24 @@ def test_pop_perm_rejects_312_containing(capsys):
     assert "312" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["\uff11\uff12", "1_0,9,8,7,6,5,4,3,2,1", "1,,2", "12\u0663"],
+    ids=["full-width-digits", "underscore", "empty-part", "arabic-indic-digit"],
+)
+def test_pop_perm_refuses_a_word_that_is_not_ascii_digits(capsys, text):
+    code, out, err = run(capsys, "pop", "--perm", text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not a permutation word: {text!r}\n"
+
+
+def test_pop_perm_allows_spaces_around_commas(capsys):
+    code, out, _ = run(capsys, "pop", "--perm", " 2, 1 ")
+    assert code == 0
+    assert json.loads(out) == {"perm": [2, 1], "pop": [1, 2]}
+
+
 def test_sortable_agrees_with_series(capsys):
     code, out, _ = run(capsys, "sortable", "--n", "6", "--t", "2")
     assert code == 0

@@ -179,6 +179,33 @@ def test_pi_down_on_a_long_312_avoider_matches_a_full_rescan():
     assert pi_down(p) == _pi_down_full_rescan(p) == p
 
 
+def _bst_parents(word):
+    """The parent of each value in the binary search tree of word, its
+    letters inserted from the right one at a time from the root down."""
+    root = word[-1]
+    parent, child = {root: None}, {}  # child[(node, x > node)]
+    for x in reversed(word[:-1]):
+        node = root
+        while (node, x > node) in child:
+            node = child[(node, x > node)]
+        child[(node, x > node)], parent[x] = x, node
+    return parent
+
+
+def test_pi_down_is_the_312_avoider_with_the_same_search_tree_on_long_words():
+    # each sylvester class holds exactly one 312-avoider, so these two facts pin pi_down
+    rng = random.Random(0)
+    words = [list(range(1, 501)), list(range(500, 0, -1))]
+    for _ in range(50):
+        word = list(range(1, rng.randint(1, 500) + 1))
+        rng.shuffle(word)
+        words.append(word)
+    for word in words:
+        q = pi_down(Permutation(tuple(word)))
+        assert avoids(q, "312")
+        assert _bst_parents(list(q.word)) == _bst_parents(word)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pop_tamari_perm_is_pi_down_after_pop_stack(n):
     for p in enumerate_av312(n):
