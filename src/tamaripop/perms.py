@@ -176,9 +176,12 @@ def _sorted_rows(X):
     import numpy as np
 
     X = X[np.lexsort(X.T[::-1])] if X.shape[1] else X[:1]
-    keep = np.ones(len(X), dtype=bool)
-    keep[1:] = (X[1:] != X[:-1]).any(axis=1)
-    X = X[keep]
+    keep = np.zeros(len(X), dtype=bool)
+    keep[:1] = True
+    for col in X.T:
+        keep[1:] |= col[1:] != col[:-1]
+    if not keep.all():
+        X = X[keep]
     X.flags.writeable = False
     return X
 
@@ -321,9 +324,14 @@ def _r_rows(W):
 
 
 def _descents_peaks(W):
-    """The number of descents and the number of peaks of every row of W."""
+    """The number of descents and the number of peaks of every row of W, as
+    int8 vectors (the words are far shorter than 128 letters); a peak is an
+    ascent followed by a descent."""
+    import numpy as np
+
     desc = W[:, :-1] > W[:, 1:]
-    return desc.sum(axis=1), (~desc[:, :-1] & desc[:, 1:]).sum(axis=1)
+    peaks = desc[:, 1:] > desc[:, :-1]
+    return desc.sum(axis=1, dtype=np.int8), peaks.sum(axis=1, dtype=np.int8)
 
 
 def count_231_equal_descents_peaks(n: int, k: int) -> int:
@@ -381,12 +389,16 @@ def _phi_words(n: int):
 def _inversion_indicators(words):
     """Inversion sets of words on 1..n as an int8 matrix (len(words), C(n, 2)):
     column k is 1 when the k-th value pair a < b, in itertools.combinations
-    order, appears as b before a."""
+    order, appears as b before a.  The positions are cast to int8 before
+    the two C(n, 2)-column gathers, and the result is a view of their one
+    bool comparison, so every (len(words), C(n, 2)) array takes a byte per
+    entry."""
     import numpy as np
 
-    pos = np.argsort(np.array(words, dtype=np.int8), axis=1)  # pos[r, v-1]: where v sits
+    W = np.asarray(words, dtype=np.int8)
+    pos = np.argsort(W, axis=1).astype(np.int8)  # pos[r, v-1]: where v sits
     a, b = np.triu_indices(pos.shape[1], 1)
-    return (pos[:, b] < pos[:, a]).astype(np.int8)
+    return (pos[:, b] < pos[:, a]).view(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +439,9 @@ def tamari_perm_bijection(n: int) -> dict[Permutation, BracketVector]:
     disagreement is a RuntimeError naming both words and both vectors of
     the differing pair (i, j) of table rows with the least i, then the least
     j.  Past the order-matrix bound (n >= 11) it raises BoundExceeded before
-    enumerating a word.
+    enumerating a word.  The dict is filled in W's row order, one
+    pop._pop_blocks(W, 8) block of rows at a time, so no list of every row
+    is held next to it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -435,5 +449,7 @@ def tamari_perm_bijection(n: int) -> dict[Permutation, BracketVector]:
     W, V = _verified_bijection(n)
     ctx = _east_staircase_ctx(n)
     return {
-        Permutation(tuple(w)): BracketVector(tuple(v), ctx) for w, v in zip(W.tolist(), V.tolist())
+        Permutation(tuple(w)): BracketVector(tuple(v), ctx)
+        for top, block in _pop_blocks(W, 8)
+        for w, v in zip(block.tolist(), V[top : top + len(block)].tolist())
     }

@@ -235,7 +235,9 @@ POP_BLOCK_BYTES = 1 << 18
 def _pop_blocks(rows, entry_bytes: int = 0):
     """(start, block) over the rows of a matrix, about POP_BLOCK_BYTES at a
     time (at least one row), counting entry_bytes per entry, or else the
-    rows' own itemsize: the one block rule of the array Pop kernels."""
+    rows' own itemsize: the one block rule of the array Pop kernels, and
+    with entry_bytes 8, a pointer per entry, the tolist block rule of
+    pop_image and perms.tamari_perm_bijection."""
     step = max(1, POP_BLOCK_BYTES // max(1, rows.shape[1] * (entry_bytes or rows.itemsize)))
     return ((start, rows[start : start + step]) for start in range(0, len(rows), step))
 

@@ -3,7 +3,8 @@
 Each scenario returns None if the fault was refused as expected, else what
 went wrong; no assert statements, so `python -O tests/fault_scenarios.py
 census` (or `bijection`, `petersen`, `oracle` or `down-covers`) checks the
-same and exits 1 on a miss.
+same and exits 1 on a miss; without one of those names it prints a usage
+line to stderr and exits 2.
 """
 
 import itertools
@@ -190,4 +191,7 @@ if __name__ == "__main__":
             filter(None, (down_cover_fault(*case) for case in DOWN_COVER_FAULTS)), None
         ),
     }
+    if len(sys.argv) != 2 or sys.argv[1] not in scenarios:
+        print(f"usage: fault_scenarios.py {{{'|'.join(scenarios)}}}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(scenarios[sys.argv[1]]())

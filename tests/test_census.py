@@ -171,6 +171,15 @@ def test_census_fault_raises_under_python_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("args", [(), ("no-such-group",)], ids=["bare", "unknown"])
+def test_fault_scenarios_without_a_known_group_print_usage(args):
+    proc = _run_optimized(SCENARIOS, *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    groups = "census|bijection|petersen|oracle|down-covers"
+    assert proc.stderr == f"usage: fault_scenarios.py {{{groups}}}\n"
+
+
 def test_sortable_agrees_with_series_under_python_optimize():
     proc = _run_optimized("-m", "tamaripop.cli", "sortable", "--n", "6", "--t", "2")
     assert proc.returncode == 0, proc.stderr
