@@ -210,54 +210,50 @@ def leq(v1: BracketVector, v2: BracketVector) -> bool:
 
 
 def _vector_rows(ctx: NuContext):
-    """All valid vectors as one numpy matrix, rows in lexicographic order.
+    """All valid vectors as one numpy matrix, rows in lexicographic order, of
+    their free columns only: column q is index ctx.free_positions[q], and
+    condition (1) fixes the other entries (_whole_rows writes them back).
 
-    Built one free column at a time over all rows, in one Fortran-ordered
-    matrix of _count_tam(ctx) rows allocated up front: before column i is
-    filled, the free columns < i of the first r rows hold their entries and
-    the free columns >= i their caps.  Assigning v at column i caps the free
-    columns i+1..fixed_positions[v] at v, which is condition (3) there; on a
-    fixed column fixed_positions[y] <= fixed_positions[v] it holds at once,
-    as y <= v.  So fixed columns are never capped or re-gathered by
-    _split_rows: they hold n_nu until the last split and are then written
-    with their heights.  A cap at column i comes from some v with
-    fixed_positions[v] >= i, so it is at least heights[i]: a free column
-    admits heights[i]..cap (see _split_rows).  Besides the matrix, the build
-    holds only a few arrays of one entry per row, none of more than 8
-    bytes.  Rows are int8 while n_nu fits, int16 past that.
+    Built one column at a time over all rows, in one Fortran-ordered matrix
+    of _count_tam(ctx) rows allocated up front: before column q is filled,
+    the columns < q of the first r rows hold their entries and the others
+    their caps.  Assigning v at column q caps the free indices up to
+    fixed_positions[v], columns q+1.._rightmost[v]-1, at v: condition (3),
+    which a fixed index fixed_positions[y] <= fixed_positions[v] meets, y <= v.
+    A cap at index i is at least heights[i], so a column admits
+    heights[i]..cap (see _split_rows).  Besides the matrix, the build holds
+    a few arrays of at most 8 bytes a row.  Rows are int8 while n_nu fits,
+    int16 past that.
     """
     import numpy as np
 
-    ell, n_nu = ctx.ell, ctx.n_nu
+    n_nu = ctx.n_nu
     dtype = np.int8 if n_nu < 128 else np.int16
-    fixed = np.array(ctx.fixed_positions, dtype=np.int16)
-    free = sorted(set(range(ell + 1)) - set(ctx.fixed_positions))
-    out = np.full((_count_tam(ctx), ell + 1), n_nu, dtype=dtype, order="F")
+    rightmost = np.array(ctx._rightmost, dtype=np.int16)
+    out = np.full((_count_tam(ctx), len(ctx.free_positions)), n_nu, dtype=dtype, order="F")
     r = 1  # rows so far
-    for i in free:
-        r = _split_rows(out, r, i, ctx.heights[i], free)
-        limit = fixed[out[:r, i]]
-        top = int(limit.max())
-        for c in free:
-            if i < c <= top:
-                np.minimum(out[:r, c], np.where(limit >= c, out[:r, i], n_nu), out=out[:r, c])
+    for q, i in enumerate(ctx.free_positions):
+        r = _split_rows(out, r, q, ctx.heights[i])
+        limit = rightmost[out[:r, q]]
+        for c in range(q + 1, int(limit.max())):
+            np.minimum(out[:r, c], np.where(limit > c, out[:r, q], n_nu), out=out[:r, c])
         del limit  # not held through the next split
     if r != len(out):
         raise RuntimeError(f"counted {len(out)} vectors for {ctx.nu} but built {r}")
-    for k, c in enumerate(ctx.fixed_positions):
-        out[:, c] = k
     return out
 
 
-def _split_rows(out, r: int, i: int, low: int, free) -> int:
+def _split_rows(out, r: int, q: int, low: int) -> int:
     """Replace each of the first r rows of out by one copy per value
-    low..cap of column i, which holds its cap, in order, and return the new
-    row count.  The other columns in free are re-gathered in place through
-    one parent index, intp because numpy gathers through int32 indices about
-    four times slower; column i becomes the values."""
+    low..cap of column q, which holds its cap, in order, and return the new
+    row count.  The other columns are re-gathered in place through one
+    parent index, intp because numpy gathers through int32 indices about
+    four times slower; column q becomes the values."""
     import numpy as np
 
-    counts = out[:r, i].astype(np.int32)
+    if out[:r, q].max() == low:  # one value a row, which column q holds
+        return r
+    counts = out[:r, q].astype(np.int32)
     counts -= low - 1
     ends = np.cumsum(counts, dtype=np.int32)
     size = int(ends[-1])
@@ -271,18 +267,25 @@ def _split_rows(out, r: int, i: int, low: int, free) -> int:
     steps[0] = low
     steps[starts] = 1 - counts[:-1]
     del counts, ends, starts
-    for c in free:
-        if c != i:
+    for c in range(out.shape[1]):
+        if c != q:
             out[:size, c] = out[:r, c][parent]
-    np.cumsum(steps, dtype=out.dtype, out=out[:size, i])
+    np.cumsum(steps, dtype=out.dtype, out=out[:size, q])
     return size
 
 
+def _whole_rows(rows, ctx: NuContext):
+    """The whole vectors of rows of free columns: height k goes in before column _rightmost[k]."""
+    import numpy as np
+
+    return np.insert(rows, ctx._rightmost, np.arange(ctx.n_nu + 1, dtype=rows.dtype), axis=1)
+
+
 def enumerate_vectors(ctx: NuContext) -> list[BracketVector]:
-    """All valid vectors for nu, in lexicographic order on entries: the rows
-    of _vector_rows, the one vector enumeration of the package."""
+    """All valid vectors for nu, in lexicographic order on entries: the
+    _whole_rows of _vector_rows, the one vector enumeration of the package."""
     _check_elements(ctx)
-    return [BracketVector(tuple(e), ctx) for e in _vector_rows(ctx).tolist()]
+    return [BracketVector(tuple(e), ctx) for e in _whole_rows(_vector_rows(ctx), ctx).tolist()]
 
 
 def _mixed_radix_keys(columns, base: int, length: int):

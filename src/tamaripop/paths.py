@@ -186,14 +186,15 @@ class NuContext:
     """Precomputed tables for a fixed base path nu.
 
     heights[i] is the height of nu after i steps; fixed_positions[k] is the
-    largest index i with heights[i] == k (one per height 0..n_nu); and
-    _rightmost[y] is the largest abscissa of nu at height y, which drives
-    every horizontal-distance computation.
+    largest index i with heights[i] == k (one per height 0..n_nu), and
+    free_positions the others, in order; _rightmost[y] is the largest
+    abscissa of nu at height y, which drives every horizontal-distance computation.
     """
 
     nu: LatticePath
     heights: tuple[int, ...]
     fixed_positions: tuple[int, ...]
+    free_positions: tuple[int, ...]
     n_nu: int
     ell: int
     _rightmost: tuple[int, ...]
@@ -206,7 +207,8 @@ class NuContext:
         for i, h in enumerate(heights):
             fixed[h] = i
         rightmost = tuple(fixed[y] - y for y in range(n_nu + 1))
-        return cls(nu, heights, tuple(fixed), n_nu, nu.ell, rightmost)
+        free = tuple(i for i, step in enumerate(nu.steps) if step == "E")
+        return cls(nu, heights, tuple(fixed), free, n_nu, nu.ell, rightmost)
 
     @classmethod
     def from_text(cls, text: str) -> "NuContext":

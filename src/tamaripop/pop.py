@@ -14,17 +14,17 @@ path, is the tests' scalar oracle of the array meet.
 
 The census machinery (sortability times, Pop images, q-polynomials) works
 over nu = E(NE)^(n-1), whose lattice is isomorphic to the Tamari lattice
-Tam_n.  The production census is array-native: every vector of the lattice
-is one row of the int8 matrix that brackets._vector_rows fills in place
-(the enumeration behind enumerate_vectors too), Pop is the eta formula on
-whole columns, one free index i at a time and written where i is a descent
-(on valid rows the fixed columns carry nothing), on blocks of about
-POP_BLOCK_BYTES of rows, each block's images are mapped to rows by
-integer keys and a sorted search, and the int8 sortability times are the
-fixpoint of 1 + times[pop_idx] off the minimum, gathered through the int32
-Pop targets; no full-size image matrix or index copy is held.  The
-q-polynomial counts the up-covers of the image rows from their entry
-multiplicities, one height at a time over all rows.  The scalar functions
+Tam_n.  The production census is array-native: the free entries of every
+vector of the lattice (the fixed ones are its heights) are one row of the
+int8 matrix that brackets._vector_rows fills in place (the enumeration
+behind enumerate_vectors too), Pop is the eta formula on whole columns, one
+free index i at a time and written where i is a descent, on blocks of about
+POP_BLOCK_BYTES of rows, each block's images are mapped to rows by integer
+keys and a sorted search, and the int8 sortability times are the fixpoint
+of 1 + times[pop_idx] off the minimum, gathered through the int32 Pop
+targets; no full-size image matrix or index copy is held.  The q-polynomial
+counts the up-covers of the image rows from their entry multiplicities, one
+height at a time over all rows.  The scalar functions
 above serve single vectors and are the test oracle for the census
 (up_cover_count, through the path covers, for the q-polynomial); the
 irreducible-decomposition recursion is only a check.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .brackets import BracketVector, vector_to_path
-from .brackets import _decode, _mixed_radix_keys, _slot_entries, _vector_rows
+from .brackets import _decode, _mixed_radix_keys, _slot_entries, _vector_rows, _whole_rows
 from .paths import (
     LatticePath,
     NuContext,
@@ -163,46 +163,40 @@ def _east_staircase_ctx(n: int) -> NuContext:
 
 
 def _pop_rows(rows, ctx: NuContext):
-    """Pop of every row at once: the eta formula of _eta_at on whole
-    columns, one free index i at a time, in the rows' own dtype and layout.
-
-    The rows must be valid vectors, each fixed column at its height.  Then
-    fixed columns carry nothing: a fixed index i < ell never starts a
-    descent (e[i] = k < heights[i+1] <= e[i+1]), and a fixed column
-    fixed[y] <= fixed[x] holds y <= x, so it never fails eta's test.  For a
-    free i, x climbs from heights[i] while one running maximum of the free
-    columns i+1..fixed[x] grows with it, read in place; eta_i is the last
-    admissible x below e[i], written where i is a descent.  A descent with
-    no admissible x is a RuntimeError, lowest i first, then first row.
+    """Pop of every row at once, on the free columns of valid vectors as
+    _vector_rows stores them: the eta formula of _eta_at on whole columns,
+    one column q (free index i < ell) at a time, in the rows' own dtype and
+    layout.  A fixed entry fixed[y] <= fixed[x] holds y <= x, so it never
+    fails eta's test: x climbs from heights[i] while one running maximum of
+    the columns q+1.._rightmost[x]-1 grows with it, read in place; eta_i is
+    the last admissible x below e[i], written where i is a descent.  A
+    descent with no admissible x is a RuntimeError naming the whole vector,
+    lowest i first, then first row.
     """
     import numpy as np
 
-    heights, fixed = ctx.heights, ctx.fixed_positions
-    fixed_columns = set(fixed)
+    free, heights, rightmost = ctx.free_positions, ctx.heights, ctx._rightmost
     out = rows.copy(order="K")
     eta_i = np.empty(len(rows), dtype=rows.dtype)
-    run = np.empty(len(rows), dtype=rows.dtype)  # max of the free e[i+1..seen]
-    for i in range(ctx.ell):
-        if i in fixed_columns:
-            continue
-        b = rows[:, i]
-        descent = b > rows[:, i + 1]
+    run = np.empty(len(rows), dtype=rows.dtype)  # max of the columns q+1..seen-1
+    for q, i in enumerate(free):
+        b = rows[:, q]
+        descent = b > (rows[:, q + 1] if i + 1 in free else heights[i + 1])  # e[i+1]
         if not descent.any():
             continue
         eta_i.fill(-1)
         run.fill(-1)
-        seen = i
+        seen = q + 1
         for x in range(heights[i], int(b.max())):
-            for j in range(seen + 1, fixed[x] + 1):
-                if j not in fixed_columns:
-                    np.maximum(run, rows[:, j], out=run)
-            seen = max(seen, fixed[x])
+            for c in range(seen, rightmost[x]):
+                np.maximum(run, rows[:, c], out=run)
+            seen = rightmost[x]  # at least q + 1: i < fixed[heights[i]]
             np.copyto(eta_i, x, where=(run <= x) & (x < b))
         bad = descent & (eta_i < 0)
         if bad.any():
-            e = tuple(rows[int(np.argmax(bad))].tolist())
+            e = tuple(_whole_rows(rows[int(np.argmax(bad)), None], ctx)[0].tolist())
             raise RuntimeError(f"no admissible value at index {i} of {e}; input vector invalid?")
-        np.copyto(out[:, i], eta_i, where=descent)
+        np.copyto(out[:, q], eta_i, where=descent)
     return out
 
 
@@ -243,50 +237,48 @@ def _pop_blocks(rows, entry_bytes: int = 0):
 
 
 def _pop_targets(rows, ctx: NuContext):
-    """int32 row of Pop(rows[r]) for every row r of the census matrix rows.
+    """int32 row of Pop(rows[r]) for every row r of the census matrix rows,
+    the free columns of _vector_rows.
 
     Pop runs on _pop_blocks blocks of about POP_BLOCK_BYTES of rows, and a
-    block's images are found by int64 keys over the free columns, which must
+    block's images are found by int64 keys over the columns, which must
     strictly increase down rows.  A key names a row only once every image
-    entry lies in heights[c]..n_nu and every fixed column holds its height,
-    so both are checked per image row.
+    entry lies in heights[i]..n_nu, for its free index i, so that is
+    checked per image row.
     """
     import numpy as np
 
-    free = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))
+    low = [ctx.heights[i] for i in ctx.free_positions]
     radix = ctx.n_nu + 1
 
-    def keys(m):  # mixed radix over the free columns
-        return _mixed_radix_keys((m[:, c] for c in free), radix, len(m))
+    def keys(m):  # mixed radix over the columns
+        return _mixed_radix_keys(m.T, radix, len(m))
 
     row_keys = keys(rows)
     if (row_keys[1:] <= row_keys[:-1]).any():
         raise RuntimeError(f"census rows for {ctx.nu} are not strictly increasing")
-    top = [ctx.n_nu] * (ctx.ell + 1)  # column c of a valid vector lies in heights[c]..top[c]
-    for k, c in enumerate(ctx.fixed_positions):
-        top[c] = k
     pop_idx = np.empty(len(rows), dtype=np.int32)
     for start, block in _pop_blocks(rows):
         image = _pop_rows(block, ctx)
         ok = np.ones(len(image), dtype=bool)
-        for c, col in enumerate(image.T):
-            ok &= (ctx.heights[c] <= col) & (col <= top[c])
+        for h, col in zip(low, image.T):
+            ok &= (h <= col) & (col <= ctx.n_nu)
         image_keys = keys(image)
         found = pop_idx[start : start + len(image)]
         found[:] = np.searchsorted(row_keys, image_keys)
         np.minimum(found, len(rows) - 1, out=found)
         ok &= row_keys[found] == image_keys
         if not ok.all():
-            r = int(np.argmin(ok))
-            raise RuntimeError(f"Pop image {tuple(image[r].tolist())} is not a census row")
+            e = tuple(_whole_rows(image[int(np.argmin(ok)), None], ctx)[0].tolist())
+            raise RuntimeError(f"Pop image {e} is not a census row")
     return pop_idx
 
 
 class _Census:
     """All vectors for E(NE)^(n-1) with Pop targets and sortability times.
 
-    rows is the int8 matrix of _vector_rows (one valid vector per row,
-    lexicographic order), pop_idx[r] (int32, from _pop_targets) the row of
+    rows is the int8 matrix of _vector_rows (the free columns of one valid
+    vector per row, lexicographic order), pop_idx[r] (int32, from _pop_targets) the row of
     Pop(rows[r]) and times[r] (int8) its sortability time.  Entry sums are
     int16.  Besides the rows, no array of more than 8 bytes per row is
     held, and no image matrix of more than about POP_BLOCK_BYTES.
@@ -299,7 +291,7 @@ class _Census:
         self.ctx = ctx
         rows = _vector_rows(ctx)
         pop_idx = _pop_targets(rows, ctx)
-        sums = rows.sum(axis=1, dtype=np.int16)
+        sums = rows.sum(axis=1, dtype=np.int16) + ctx.n_nu * (ctx.n_nu + 1) // 2  # fixed: 0..n_nu
         bottom = sums == sum(ctx.bottom_entries())  # the minimum is the only vector of least sum
         if (sums[pop_idx] >= sums)[~bottom].any():
             raise RuntimeError("Pop must strictly decrease non-minimal vectors")
@@ -331,7 +323,7 @@ def count_t_sortable(n: int, t: int, *, force: bool = False) -> int:
 
 
 def _image_rows(n: int, force: bool):
-    """The census context and the distinct Pop images as census rows, in
+    """The census context and the distinct Pop images as whole vectors, in
     census order: the rows some row's Pop target hits."""
     import numpy as np
 
@@ -340,7 +332,7 @@ def _image_rows(n: int, force: bool):
     census = _census(n, force)
     hit = np.zeros(len(census.rows), dtype=bool)
     hit[census.pop_idx] = True
-    return census.ctx, census.rows[hit]
+    return census.ctx, _whole_rows(census.rows[hit], census.ctx)
 
 
 def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:

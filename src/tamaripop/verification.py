@@ -235,9 +235,9 @@ def _check_one_bijection(nu_text: str) -> dict | None:
     mus, V, down, covers = brackets._lattice_tables(ctx)
     m = len(mus)
 
-    rows = brackets._vector_rows(ctx)
+    rows = brackets._vector_rows(ctx)  # V's free columns; the fixed ones are checked below
     rows = rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1, dtype=np.int64)))]  # V's order
-    if not np.array_equal(rows, V):
+    if not np.array_equal(rows, V[:, ctx.free_positions]):
         return {"nu": nu_text, "failure": "path_to_vector image differs from enumerate_vectors"}
     if (V[1:] == V[:-1]).all(axis=1).any():  # V is sorted, so equal rows are adjacent
         return {"nu": nu_text, "failure": "path_to_vector is not injective"}
@@ -270,7 +270,7 @@ def _check_one_bijection(nu_text: str) -> dict | None:
             "column": fixed[k],
         }
     candidates = _first_upper_covers(covers, m)
-    pair = _min_closure_failure(np.delete(V, fixed, axis=1), down, candidates, nu_text)
+    pair = _min_closure_failure(V[:, ctx.free_positions], down, candidates, nu_text)
     if pair is not None:
         return {
             "nu": nu_text,
@@ -366,7 +366,8 @@ def _census_rows(first_n: int, max_n: int):
     """(n, vector, sortability time) for every element of Tam_n, first_n <= n <= max_n."""
     for n in range(first_n, max_n + 1):
         census = pop._census(n)
-        for e, time_ in zip(census.rows.tolist(), census.times.tolist()):
+        rows = brackets._whole_rows(census.rows, census.ctx).tolist()
+        for e, time_ in zip(rows, census.times.tolist()):
             yield n, BracketVector(tuple(e), census.ctx), time_
 
 
@@ -439,7 +440,7 @@ def check_pop_oracle(max_ell, random_paths, seed):
         runs = np.flatnonzero(np.diff(upper[order], prepend=-1))
         top = upper[order[runs]]
         meet[top] = np.minimum(meet[top], np.minimum.reduceat(V[lower[order]], runs))
-        popped = pop._pop_rows(V, ctx)
+        popped = brackets._whole_rows(pop._pop_rows(V[:, ctx.free_positions], ctx), ctx)
         for r, same in enumerate((meet == popped).all(axis=1).tolist()):
             yield not same and {
                 "nu": ctx.nu.steps, "path": mus[r].steps,
@@ -456,13 +457,13 @@ def check_pop_entry_lower_bound(max_ell, random_paths, seed):
     import numpy as np
 
     for ctx in _corpus(max_ell, random_paths, seed):
-        fixed = ctx.fixed_positions
-        free = np.array([i for i in range(fixed[-1]) if i not in fixed], dtype=np.intp)
+        free = np.array(ctx.free_positions, dtype=np.intp)  # each below ell, which is fixed
         rows = brackets._vector_rows(ctx)
-        low = pop._pop_rows(rows, ctx)[:, free] < rows[:, free + 1]
+        whole = brackets._whole_rows(rows, ctx)
+        low = pop._pop_rows(rows, ctx) < whole[:, free + 1]
         for r, bad in enumerate(low.any(axis=1).tolist()):
             yield bad and {
-                "nu": ctx.nu.steps, "vector": rows[r].tolist(), "index": int(free[low[r].argmax()])
+                "nu": ctx.nu.steps, "vector": whole[r].tolist(), "index": int(free[low[r].argmax()])
             }
 
 
@@ -477,7 +478,7 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
 
     for ctx in _corpus(max_ell, random_paths, seed):
         mus, V, upper, lower = brackets._path_rows(ctx)
-        popped = pop._pop_rows(V, ctx)
+        popped = brackets._whole_rows(pop._pop_rows(V[:, ctx.free_positions], ctx), ctx)
         below, candidate = V[lower], V[upper]
         column = np.argmax(below != candidate, axis=1)  # the one column a cover changes
         candidate[np.arange(len(upper)), column] = popped[upper, column]
@@ -510,8 +511,8 @@ def check_irreducible_census_matches_series(max_n, max_t):
     for t in range(1, max_t + 1):
         g = series.g_series(t, max_n)
         for n in range(1, max_n + 1):
-            census = pop._census(n)  # irreducible rows: first entry equals last
-            counted = int(((census.rows[:, 0] == census.rows[:, -1]) & (census.times <= t)).sum())
+            census = pop._census(n)  # irreducible rows: first entry equals the last, n - 1
+            counted = int(((census.rows[:, 0] == n - 1) & (census.times <= t)).sum())
             yield counted != g[n] and {"n": n, "t": t, "census": counted, "series": g[n]}
 
 
@@ -597,7 +598,7 @@ def check_hash_bijection(max_n):
         images = [
             pop.hash_map(v).entries for _, v, _ in _census_rows(n, n) if v.entries[0] == v.entries[-1]
         ]
-        target = sorted(map(tuple, pop._census(n - 1).rows.tolist()))
+        target = sorted(v.entries for _, v, _ in _census_rows(n - 1, n - 1))
         yield (sorted(images) != target or len(set(images)) != len(images)) and {
             "n": n, "failure": "hash not bijective on irreducibles"
         }
@@ -633,8 +634,9 @@ def check_pop_commutes(max_n):
 
     for n in range(1, max_n + 1):
         mapping = perms.tamari_perm_bijection(n)
-        V = np.array([v.entries for v in mapping.values()])
-        popped = pop._pop_rows(V, pop._east_staircase_ctx(n)).tolist()
+        ctx = pop._east_staircase_ctx(n)
+        V = np.array([v.entries for v in mapping.values()])[:, ctx.free_positions]
+        popped = brackets._whole_rows(pop._pop_rows(V, ctx), ctx).tolist()
         for p, rhs in zip(mapping, popped):
             lhs = list(mapping[perms.pop_tamari_perm(p)].entries)
             yield lhs != rhs and {"n": n, "perm": str(p), "via_perms": lhs, "via_vectors": rhs}

@@ -23,18 +23,17 @@ def _identity_pop(rows, ctx):
 
 def _off_lattice_pop(rows, ctx):
     out = _array_pop(rows, ctx)
-    out[-1, 1] += 1  # the fixed entry of height 0 becomes 1: no census row
+    out[-1, -1] -= 1  # the last free entry falls below its height n_nu: no census row
     return out
 
 
 def _aliasing_pop(rows, ctx):
-    """The last image row moved to another with the same int64 key: one free
-    entry lowered by 1 and the next free entry raised by the radix n_nu + 1.
-    Only a check of the entries themselves, not of keys, refuses it."""
+    """The last image row moved to another with the same int64 key: its first
+    free entry lowered by 1 and the next raised by the radix n_nu + 1.  Only
+    a check of the entries themselves, not of keys, refuses it."""
     out = _array_pop(rows, ctx)
-    a, b = sorted(set(range(ctx.ell + 1)) - set(ctx.fixed_positions))[:2]
-    out[-1, a] -= 1
-    out[-1, b] += ctx.n_nu + 1
+    out[-1, 0] -= 1
+    out[-1, 1] += ctx.n_nu + 1
     return out
 
 

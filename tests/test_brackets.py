@@ -18,7 +18,10 @@ from tamaripop.brackets import (
     _lower_covers,
     _slot_entries,
     _slot_rows,
+    _split_rows,
     _unpack_bits,
+    _vector_rows,
+    _whole_rows,
     enumerate_vectors,
     is_valid,
     leq,
@@ -37,6 +40,8 @@ from tamaripop.paths import (
     lies_weakly_above,
     staircase,
 )
+from tamaripop.pop import _pop_entries, _pop_rows
+from test_census import _traced_peak
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -275,3 +280,38 @@ def test_key_bound_refuses_keys_past_int64(base, width):
     message = f"keys needs {base}^{width} keys, more than int64 holds"
     with pytest.raises(BoundExceeded, match=f"^{re.escape(message)}$"):
         _check_key_bound(base, width, "keys")
+
+
+@pytest.mark.parametrize("text", ["N", "NNN", "NNNE", "EN", "EEEN", "E" * 9 + "N"])
+def test_free_column_rows_on_base_paths_with_few_free_columns(text):
+    # no free column (N, NNN), one forced to its height n_nu (NNNE), and one
+    # per east step of E^k N, all at height 0
+    ctx = NuContext.from_text(text)
+    assert ctx.free_positions == tuple(i for i, step in enumerate(text) if step == "E")
+    rows = _vector_rows(ctx)
+    m = len(enumerate_tam(ctx))
+    assert rows.shape == (m, text.count("E"))
+    expected = sorted(list(path_to_vector(mu, ctx).entries) for mu in enumerate_tam(ctx))
+    assert _whole_rows(rows, ctx).tolist() == expected  # in lexicographic order
+    popped = _pop_rows(rows, ctx)
+    assert popped.shape == rows.shape
+    pops = [list(_pop_entries(tuple(e), ctx.heights, ctx.fixed_positions)) for e in expected]
+    assert _whole_rows(popped, ctx).tolist() == pops
+
+
+def test_split_rows_returns_at_once_where_every_cap_is_low():
+    # the last free column of E(NE)^(n-1) has height n_nu, so each row admits
+    # one value there: no parent index (8 bytes a row) is built, nothing moves
+    rng = np.random.default_rng(0)
+    out = np.asfortranarray(rng.integers(0, 5, size=(100_000, 3), dtype=np.int8))
+    out[:, 1] = 4
+    before = out.copy()
+    r, peak = _traced_peak(lambda: _split_rows(out, 60_000, 1, 4))
+    assert r == 60_000
+    np.testing.assert_array_equal(out, before)
+    assert peak < 10_000
+    # one cap above low still splits: row 0 into values 3 and 4
+    out[1, 1] = 3
+    assert _split_rows(out, 2, 1, 3) == 3
+    (a, _, b), (c, _, d) = before[:2].tolist()
+    assert out[:3].tolist() == [[a, 3, b], [a, 4, b], [c, 3, d]]

@@ -13,7 +13,7 @@ import pytest
 from fault_scenarios import CENSUS_FAULTS, census_fault
 
 from tamaripop import brackets, paths, perms, pop
-from tamaripop.brackets import BracketVector, _vector_rows, enumerate_vectors
+from tamaripop.brackets import BracketVector, _vector_rows, _whole_rows, enumerate_vectors
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.series import catalan, h_series
 
@@ -57,7 +57,9 @@ def _run_optimized(*args):
 def test_vector_rows_match_backtracking_on_every_short_word(ell):
     for bits in itertools.product("NE", repeat=ell):
         ctx = NuContext.from_text("".join(bits))
-        assert list(map(tuple, _vector_rows(ctx).tolist())) == list(_iter_entry_tuples(ctx))
+        rows = _vector_rows(ctx)
+        assert rows.shape[1] == len(ctx.free_positions) == bits.count("E")
+        assert list(map(tuple, _whole_rows(rows, ctx).tolist())) == list(_iter_entry_tuples(ctx))
 
 
 def test_vector_rows_widen_past_int8_heights():
@@ -67,7 +69,7 @@ def test_vector_rows_widen_past_int8_heights():
 
 def _assert_census_matches_scalar_route(census):
     ctx = census.ctx
-    entries = list(map(tuple, census.rows.tolist()))
+    entries = list(map(tuple, _whole_rows(census.rows, ctx).tolist()))
     assert entries == list(_iter_entry_tuples(ctx))
     for e, target, time_ in zip(entries, census.pop_idx.tolist(), census.times.tolist()):
         assert entries[target] == pop._pop_entries(e, ctx.heights, ctx.fixed_positions)
@@ -81,14 +83,14 @@ def test_array_census_matches_scalar_route(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pop_blocks_of_a_few_rows_match_the_scalar_routes(monkeypatch, n):
-    # 40 bytes: 2 to 20 census rows and 5 to 40 words a block, where the
-    # default rule takes 2 blocks for Tam_10 and 1 for the words of size 8
+    # 40 bytes: 5 to 40 census rows and 5 to 40 words a block, where the
+    # default rule takes 1 block for the Tam_8 census and the words of size 8
     monkeypatch.setattr(pop, "POP_BLOCK_BYTES", 40)
     blocks = []
     real = pop._pop_rows
     monkeypatch.setattr(pop, "_pop_rows", lambda rows, ctx: blocks.append(len(rows)) or real(rows, ctx))
     census = pop._Census(n)
-    m, step = len(census.rows), 40 // (2 * n)  # rows of 2n int8 entries
+    m, step = len(census.rows), 40 // n  # rows of n free int8 entries
     assert blocks == [min(step, m - start) for start in range(0, m, step)]
     _assert_census_matches_scalar_route(census)
     ctx = census.ctx
@@ -113,30 +115,41 @@ def _traced_peak(build):
 
 
 def test_census_build_holds_little_beyond_its_rows():
-    # Tam_11: 58,786 rows of 22 int8 entries.  These builds peak near 2.0x
-    # and 2.2x of that.  One with full-size temporaries (a list of columns
-    # and caps, a whole image matrix) peaked at 3.3x and 4.7x, and one that
+    # Tam_11: 58,786 vectors of 22 entries, held as 11 free int8 columns.
+    # Against m (ell + 1) bytes, the whole vectors at a byte an entry, these
+    # builds peak near 1.36x and 1.75x.  With all 22 columns stored they
+    # peaked near 2.0x and 2.1x; with full-size temporaries (a list of
+    # columns and caps, a whole image matrix) at 3.3x and 4.7x, and one that
     # walked the Pop orbits through three intp index arrays and found Pop
     # targets 65,536 rows a block peaked at 3.4x for the census
     pop._Census(4)  # numpy's lazy imports are not the census
     ctx = pop._east_staircase_ctx(11)
+    whole = 58786 * 22
     rows, rows_peak = _traced_peak(lambda: _vector_rows(ctx))
     census, census_peak = _traced_peak(lambda: pop._Census(11))
-    assert rows_peak <= 2.5 * rows.nbytes
-    assert census_peak <= 2.4 * census.rows.nbytes
+    assert rows.nbytes == census.rows.nbytes == whole // 2
+    assert rows_peak <= 1.45 * whole
+    assert census_peak <= 1.85 * whole
 
 
 def test_image_and_q_polynomial_hold_little_beyond_the_image():
     # on a built Tam_11 census, the 2,188 image vectors and their counts peak
-    # near 0.79x of its rows; with one tolist over the whole image and an
-    # intp copy of it bincounted, they peaked at 1.06x
+    # near 0.16x of m (ell + 1) bytes above what the calls leave held, the
+    # image set; a bound on that difference does not move with what the
+    # interpreter's freelists hold from earlier tests, as the peak does
     pop._build_census.cache_clear()
     try:
-        census = pop._census(11)
-        _, peak = _traced_peak(lambda: (pop.pop_image(11), pop.pop_polynomial(11)))
+        pop._census(11)
+        tracemalloc.start()
+        try:
+            image, poly = pop.pop_image(11), pop.pop_polynomial(11)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     finally:
         pop._build_census.cache_clear()
-    assert peak <= 0.85 * census.rows.nbytes
+    assert len(image) == poly.total() == 2188
+    assert peak - held <= 0.2 * 58786 * 22
 
 
 @pytest.mark.parametrize("text", ["NE" * 11, "NE" * 12, "E" + "NE" * 12])

@@ -37,6 +37,18 @@ def test_enum_explicit_base_path(capsys):
     assert [json.loads(line)["path"] for line in out.splitlines()] == ["NNEE", "NENE"]
 
 
+@pytest.mark.parametrize(
+    "nu, line",
+    [
+        ("N", '{"nu": "N", "path": "N", "vector": [0, 1]}'),
+        ("NNN", '{"nu": "NNN", "path": "NNN", "vector": [0, 1, 2, 3]}'),
+        ("NNNE", '{"nu": "NNNE", "path": "NNNE", "vector": [0, 1, 2, 3, 3]}'),
+    ],
+)
+def test_enum_on_a_base_path_without_free_choices(capsys, nu, line):
+    assert run(capsys, "enum", "--nu", nu) == (0, line + "\n", "")
+
+
 def test_enum_bound_exit_code(capsys):
     code, out, err = run(capsys, "enum", "--n", "20")
     assert code == 2

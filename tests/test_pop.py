@@ -15,6 +15,7 @@ from tamaripop.brackets import (
     _decode,
     _path_rows,
     _vector_rows,
+    _whole_rows,
     enumerate_vectors,
     meet,
     path_to_vector,
@@ -200,41 +201,45 @@ def test_pop_routes_agree_and_lower_the_sum_on_random_nu(text):
 
 
 def _assert_pop_rows_is_pop_entries(M, ctx):
-    """_pop_rows(M) is _pop_entries row by row, in M's dtype, with M kept."""
+    """_pop_rows(M) is _pop_entries row by row on the whole vectors, in M's
+    dtype, with M kept."""
     before = M.copy()
     popped = _pop_rows(M, ctx)
     assert popped.dtype == M.dtype
     np.testing.assert_array_equal(M, before)
-    expected = [list(_pop_entries(e, ctx.heights, ctx.fixed_positions)) for e in map(tuple, M.tolist())]
-    assert popped.tolist() == expected
+    whole = map(tuple, _whole_rows(M, ctx).tolist())
+    expected = [list(_pop_entries(e, ctx.heights, ctx.fixed_positions)) for e in whole]
+    assert _whole_rows(popped, ctx).tolist() == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.text("NE", min_size=1, max_size=12))
 def test_array_pop_is_the_scalar_pop_on_both_layouts(text):
-    # the census's Fortran int8 rows and the pop-oracle's C-ordered int16 table
+    # the census's Fortran int8 rows and a C-ordered int16 copy of the free
+    # columns of the pop-oracle's table
     ctx = NuContext.from_text(text)
     rows = _vector_rows(ctx)
     assert rows.flags.f_contiguous and rows.dtype == np.int8
     _assert_pop_rows_is_pop_entries(rows, ctx)
-    V = _path_rows(ctx)[1]
+    V = np.ascontiguousarray(_path_rows(ctx)[1][:, ctx.free_positions])
     assert V.flags.c_contiguous and V.dtype == np.int16
     _assert_pop_rows_is_pop_entries(V, ctx)
 
 
 def test_both_pop_kernels_refuse_a_descent_with_no_admissible_value():
-    # (0,0,0,0,1,0) over ENENE: heights[4] = 2 leaves nothing below e[4] = 1
-    ctx = NuContext.from_text("ENENE")
-    message = re.escape("no admissible value at index 4 of (0, 0, 0, 0, 1, 0); input vector invalid?")
+    # (0,2,1,0,2,1,2) over EEENEN, fixed columns at their heights: e[1] = 2 >
+    # e[2] = 1, but e[2] = 1 > 0 rules out x = 0 and e[4] = 2 > 1 rules out x = 1
+    ctx = NuContext.from_text("EEENEN")
+    message = re.escape("no admissible value at index 1 of (0, 2, 1, 0, 2, 1, 2); input vector invalid?")
     with pytest.raises(RuntimeError, match=message):
-        _pop_entries((0, 0, 0, 0, 1, 0), ctx.heights, ctx.fixed_positions)
-    valid = _vector_rows(ctx)
-    rows = np.concatenate((valid, [[0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 1, 0]])).astype(np.int8)
+        _pop_entries((0, 2, 1, 0, 2, 1, 2), ctx.heights, ctx.fixed_positions)
+    valid = _vector_rows(ctx)  # the free columns 0, 1, 2 and 4
+    rows = np.concatenate((valid, [[0, 2, 1, 2], [1, 2, 1, 2]])).astype(np.int8)
     with pytest.raises(RuntimeError, match=message):
         _pop_rows(rows, ctx)  # the first row in row order
-    # the lowest index first, here in the later row (0,0,1,0,2,2)
-    with pytest.raises(RuntimeError, match=re.escape("index 2 of (0, 0, 1, 0, 2, 2);")):
-        _pop_rows(np.concatenate((rows, [[0, 0, 1, 0, 2, 2]])).astype(np.int8), ctx)
+    # the lowest index first, here in the later row (1,0,1,0,1,1,2)
+    with pytest.raises(RuntimeError, match=re.escape("index 0 of (1, 0, 1, 0, 1, 1, 2);")):
+        _pop_rows(np.concatenate((rows, [[1, 0, 1, 1]])).astype(np.int8), ctx)
 
 
 def test_pop_is_decreasing():
@@ -279,7 +284,7 @@ def test_pop_polynomial_small():
 
 
 def _assert_array_up_cover_counts_match_scalar(ctx):
-    rows = _vector_rows(ctx)
+    rows = _whole_rows(_vector_rows(ctx), ctx)
     expected = [up_cover_count(BracketVector(tuple(e), ctx)) for e in rows.tolist()]
     assert _up_cover_counts(rows, ctx.n_nu).tolist() == expected
 

@@ -27,15 +27,15 @@ def _check_with(monkeypatch, edit, consistent_order=False):
     """Run the check on a fresh build of the tables changed by edit(V, O),
     where O is the unpacked order matrix, O[i, j] = i <= j; with
     consistent_order, O is recomputed as the componentwise order of the new
-    V, the vector enumeration returns the new V and the array decode decodes
-    each new row to its old path.  O goes back to the tables packed, and the
-    cover edges stay those of the real lattice."""
+    V, the vector enumeration returns the free columns of the new V and the
+    array decode decodes each new row to its old path.  O goes back to the
+    tables packed, and the cover edges stay those of the real lattice."""
     mus, V, down, covers = brackets._lattice_tables(NuContext.from_text(NU))
     O = brackets._unpack_bits(down, len(mus)).T
     edit(V, O)
     if consistent_order:
         O = (V[:, None, :] <= V[None, :, :]).all(axis=2)
-        monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: V)
+        monkeypatch.setattr(brackets, "_vector_rows", lambda ctx: V[:, ctx.free_positions])
         monkeypatch.setattr(brackets, "_decode_rows", lambda rows: mus.east)
     down = brackets._pack_bits(O.T)
     monkeypatch.setattr(brackets, "_lattice_tables", lambda ctx: (mus, V, down, covers))
