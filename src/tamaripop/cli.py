@@ -181,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
             hint = "; pass --force to override"  # only enum, sortable and image take --force
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # asking for more than the process can get is a usage error too
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

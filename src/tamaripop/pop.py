@@ -22,16 +22,20 @@ free index i at a time and written where i is a descent, on blocks of about
 POP_BLOCK_BYTES of rows, each block's images are mapped to rows by integer
 keys and a sorted search, and the int8 sortability times are the fixpoint
 of 1 + times[pop_idx] off the minimum, gathered through the int32 Pop
-targets; no full-size image matrix or index copy is held.  The q-polynomial
-counts the up-covers of the image rows from their entry multiplicities, one
-height at a time over all rows.  The scalar functions
-above serve single vectors and are the test oracle for the census
-(up_cover_count, through the path covers, for the q-polynomial); the
-irreducible-decomposition recursion is only a check.
+targets; no full-size image matrix or index copy is held.  The Pop image
+is a read-only set view over the distinct image rows, which builds a
+BracketVector only for an element read.  The q-polynomial counts the
+up-covers of the image rows from their entry multiplicities, one height at
+a time over all rows.  The scalar functions above serve single vectors and
+are the test oracle for the census (up_cover_count, through the path
+covers, for the q-polynomial); the irreducible-decomposition recursion is
+only a check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -335,11 +339,42 @@ def _image_rows(n: int, force: bool):
     return census.ctx, _whole_rows(census.rows[hit], census.ctx)
 
 
-def pop_image(n: int, *, force: bool = False) -> set[BracketVector]:
-    """Distinct Pop images over all vectors for E(NE)^(n-1)."""
-    ctx, rows = _image_rows(n, force)
-    blocks = _pop_blocks(rows, 8)  # tolist spends a pointer, 8 bytes, on each entry
-    return {BracketVector(tuple(e), ctx) for _, block in blocks for e in block.tolist()}
+class _ImageSet(Set[BracketVector]):
+    """Read-only set of the vectors over ctx whose entries are the rows of
+    the matrix rows, which it makes read-only; pop_image's result.  The rows
+    are distinct and in lexicographic order, so membership is a binary
+    search over them, and a BracketVector is built only for an element read.
+    Set operators with other sets return builtin sets."""
+
+    __slots__ = ("ctx", "rows")
+
+    def __init__(self, ctx: NuContext, rows) -> None:
+        rows.flags.writeable = False
+        self.ctx, self.rows = ctx, rows
+
+    @classmethod
+    def _from_iterable(cls, it) -> set[BracketVector]:
+        return set(it)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[BracketVector]:
+        blocks = _pop_blocks(self.rows, 8)  # tolist spends a pointer, 8 bytes, on each entry
+        return (BracketVector(tuple(e), self.ctx) for _, block in blocks for e in block.tolist())
+
+    def __contains__(self, vec) -> bool:
+        if not isinstance(vec, BracketVector) or vec.ctx != self.ctx:
+            return False
+        rows, entries = self.rows, tuple(vec.entries)
+        r = bisect_left(range(len(rows)), entries, key=lambda i: tuple(rows[i].tolist()))
+        return r < len(rows) and tuple(rows[r].tolist()) == entries
+
+
+def pop_image(n: int, *, force: bool = False) -> Set[BracketVector]:
+    """Distinct Pop images over all vectors for E(NE)^(n-1), as a read-only
+    set view over the census image rows (_ImageSet)."""
+    return _ImageSet(*_image_rows(n, force))
 
 
 def up_cover_count(vec: BracketVector) -> int:

@@ -811,7 +811,7 @@ def run_suite(suite: str, opts: VerifyOptions, log=None) -> VerificationReport:
         start = time.perf_counter()
         try:
             (passed, counterexample, params), cases = checks[name].counted(opts)
-        except paths.BoundExceeded:  # a refused size is a usage error, not a failure
+        except (paths.BoundExceeded, MemoryError):  # a refused size is a usage error, not a failure
             raise
         except Exception as exc:  # a crash is a failed check, not a crashed run
             (passed, counterexample, params), cases = (False, {"error": repr(exc)}, {}), 0

@@ -98,6 +98,7 @@ def test_pop_blocks_of_a_few_rows_match_the_scalar_routes(monkeypatch, n):
     pop._build_census.cache_clear()
     try:
         assert pop.pop_image(n) == {BracketVector(e, ctx) for e in image}
+        assert [v.entries for v in pop.pop_image(n)] == sorted(image)  # blocks in census order
     finally:
         pop._build_census.cache_clear()
     W = perms._av312_words(n)
@@ -135,7 +136,7 @@ def test_census_build_holds_little_beyond_its_rows():
 def test_image_and_q_polynomial_hold_little_beyond_the_image():
     # on a built Tam_11 census, the 2,188 image vectors and their counts peak
     # near 0.16x of m (ell + 1) bytes above what the calls leave held, the
-    # image set; a bound on that difference does not move with what the
+    # image rows; a bound on that difference does not move with what the
     # interpreter's freelists hold from earlier tests, as the peak does
     pop._build_census.cache_clear()
     try:
@@ -150,6 +151,25 @@ def test_image_and_q_polynomial_hold_little_beyond_the_image():
         pop._build_census.cache_clear()
     assert len(image) == poly.total() == 2188
     assert peak - held <= 0.2 * 58786 * 22
+
+
+def test_pop_image_holds_its_rows_and_no_object_per_element():
+    # on a built Tam_11 census, the image is its 2,188 rows of 22 int8
+    # entries and a view over them, about 650 bytes more; a set of one
+    # BracketVector per row held 0.80 MB
+    pop._build_census.cache_clear()
+    try:
+        pop._census(11)
+        tracemalloc.start()
+        try:
+            image = pop.pop_image(11)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    finally:
+        pop._build_census.cache_clear()
+    assert len(image) == 2188
+    assert held <= 2188 * 22 + 4096
 
 
 @pytest.mark.parametrize("text", ["NE" * 11, "NE" * 12, "E" + "NE" * 12])

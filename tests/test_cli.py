@@ -216,7 +216,7 @@ def test_series_output_is_decimal_strings(capsys):
 
 def _run_in_512_mb(*argv):
     """The CLI in a child process under a 512 MB address-space limit, where a
-    late refusal of a huge size dies of MemoryError (exit 1) instead."""
+    late refusal of a huge size ends in an out-of-memory error line instead."""
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
@@ -321,6 +321,22 @@ def test_force_is_suggested_only_where_it_lifts_the_refusal(capsys, argv, hint):
     assert (code, out) == (2, "")
     suffix = "; pass --force to override" if hint else ""
     assert err == f"error: n={n} exceeds the enumeration bound 13{suffix}\n"
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        ((), "error: out of memory\n"),
+        (("Unable to allocate 9.31 GiB",), "error: out of memory: Unable to allocate 9.31 GiB\n"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_a_memory_error_is_one_error_line_and_exit_2(capsys, monkeypatch, args, err):
+    def out_of_memory(*_args, **_kwargs):
+        raise MemoryError(*args)
+
+    monkeypatch.setattr(pop, "pop_image", out_of_memory)
+    assert run(capsys, "image", "--n", "5") == (2, "", err)
 
 
 def test_image_with_qpoly(capsys):

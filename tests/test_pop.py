@@ -3,6 +3,7 @@
 import itertools
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +272,54 @@ def test_pop_image_members_are_pop_values():
     ctx = NuContext.from_path(east_staircase(n))
     image = {pop_vector(v).entries for v in enumerate_vectors(ctx)}
     assert {v.entries for v in pop_image(n)} == image
+
+
+def _image_view_misses(n):
+    """The parts of its contract that pop_image(n), a read-only set view,
+    breaks, or None; no assert statements, so a python -O child checks the
+    same."""
+    view, ctx = pop_image(n), NuContext.from_path(east_staircase(n))
+    vectors = enumerate_vectors(ctx)
+    scalar = {pop_vector(v) for v in vectors}
+    listed = list(view)
+    other_nu = NuContext.from_text("N" + ctx.nu.steps[1:])
+    outsiders = [v for v in vectors if v not in scalar][:1]  # none at n = 1
+    outsiders += [BracketVector(listed[0].entries, other_nu), listed[0].entries, None]
+    checks = {
+        "view == set": view == scalar,
+        "set == view": scalar == view,
+        "len is motzkin(n - 1)": len(view) == motzkin(n - 1),
+        "vectors over the census context": all(
+            type(v) is BracketVector and v.ctx == ctx for v in listed
+        ),
+        "distinct": len(set(listed)) == len(listed),
+        "census order": [v.entries for v in listed] == [v.entries for v in vectors if v in scalar],
+        "members are in": all(v in view for v in scalar),
+        "outsiders are not": not any(v in view for v in outsiders),
+        "operators give sets": type(view - set()) is set and view & scalar == scalar,
+        "read-only rows": not view.rows.flags.writeable,
+    }
+    try:
+        hash(view)
+        checks["unhashable"] = False
+    except TypeError:
+        checks["unhashable"] = True
+    failed = [name for name, ok in checks.items() if not ok]
+    return f"n={n}: {failed}" if failed else None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pop_image_is_a_read_only_set_view_of_the_scalar_image(n):
+    assert _image_view_misses(n) is None
+
+
+def test_pop_image_view_keeps_its_contract_under_python_optimize():
+    tests = str(Path(__file__).parent)
+    proc = _run_optimized("-c", (
+        f"import sys; sys.path.insert(0, {tests!r}); from test_pop import _image_view_misses; "
+        "sys.exit(next(filter(None, map(_image_view_misses, range(1, 9))), None))"
+    ))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_pop_polynomial_small():

@@ -284,6 +284,23 @@ def test_no_check_starts_when_a_selected_cap_refuses_max_n(capsys, monkeypatch, 
     assert captured.err == f"error: {message}\n"
 
 
+def test_a_memory_error_in_a_check_is_a_usage_error_not_a_failed_check(capsys, monkeypatch):
+    # any other crash is a failed check (exit 1); running out of memory is
+    # re-raised, as a refused size is, and verify ends its log of the checks
+    # run so far with one error line
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pop, "pop_image", out_of_memory)
+    with pytest.raises(MemoryError):
+        verification.run_suite("theorem-2", VerifyOptions(max_n=4))
+    code = main(["verify", "--suite", "theorem-2", "--max-n", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith("cases)\nerror: out of memory\n")
+    assert captured.err.count("error") == 1
+
+
 # Every (check, bounded option) pair of the registry; the max_n cases keep
 # the check's bare name as their id
 BOUNDED = sorted(
