@@ -28,8 +28,8 @@ BracketVector only for an element read.  The q-polynomial counts the
 up-covers of the image rows from their entry multiplicities, one height at
 a time over all rows.  The scalar functions above serve single vectors and
 are the test oracle for the census (up_cover_count, through the path
-covers, for the q-polynomial); the irreducible-decomposition recursion is
-only a check.
+covers, for the q-polynomial); the irreducible decomposition and the hash
+map are the tests' oracles of their census-row forms in verification.
 """
 
 from __future__ import annotations

@@ -16,16 +16,20 @@ replaces that default; it bounds more than the parameters themselves, such
 as an order matrix or the scan of S_n.  Because the registry knows each
 check's options and its cap, run_suite refuses an unread max_n or max_t,
 or params past a cap, before any check runs.
-The generator yields one verdict per case it examines: a small
-counterexample dict when the case fails, a falsy value when it holds.  The
-decorator turns it into a function of VerifyOptions returning
-(passed, counterexample, params) and counts the verdicts.  The first
-counterexample ends the check, and a check that yields no verdict at all
-fails with {"failure": "no cases examined"}: a check that examined nothing
-has shown nothing.  Checks are pure and deterministic for a fixed seed; a
-suite runs its checks in sorted name order so the assembled report is
-reproducible byte for byte (wall times and case counts are kept on the
-result objects and in stderr diagnostics, never in the stdout JSON).
+The generator yields verdicts in case order, one case or a block of cases
+at a time: a small counterexample dict when the case fails and a falsy value
+when it holds, or a _Block, a bool array that is True at each failing case
+of the block with a function that builds case i's counterexample, called
+before the generator resumes.  The decorator turns it into a function of
+VerifyOptions returning (passed, counterexample, params) and counts the
+cases.  The first failing case ends the check, found in a block by the
+array's own argmax, and a check that examined no case, even one that
+yielded only empty blocks, fails with {"failure": "no cases examined"}: a
+check that examined nothing has shown nothing.  Checks are pure and
+deterministic for a fixed seed; a suite runs its checks in sorted name
+order so the assembled report is reproducible byte for byte (wall times and
+case counts are kept on the result objects and in stderr diagnostics, never
+in the stdout JSON).
 
 The centerpiece equivalence used by the bijection suite: for a bijection
 phi from a finite poset P (order = reflexive-transitive closure of the
@@ -70,10 +74,9 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import brackets, paths, perms, pop, series
-from .brackets import BracketVector
 from .paths import NuContext, _check_n
 
 __all__ = [
@@ -285,6 +288,14 @@ def _check_one_bijection(nu_text: str) -> dict | None:
 
 CheckOutcome = tuple[bool, dict | None, dict]
 
+
+class _Block(NamedTuple):
+    """failing[i] is True where case i of the block fails; example(i) is its counterexample."""
+
+    failing: Any
+    example: Callable[[int], dict]
+
+
 _SUITES: dict[str, dict[str, Callable[[VerifyOptions], CheckOutcome]]] = {}
 
 # The VerifyOptions field each bound parameter takes when that field is set
@@ -314,11 +325,19 @@ def _check(suite: str, name: str, cap: Callable[..., None] | None = None, **decl
             params = resolve(opts)
             outcome = False, {"failure": "no cases examined"}, params
             examined = 0
-            for bad in cases(**params):
-                examined += 1
+            for verdict in cases(**params):
+                if isinstance(verdict, _Block):
+                    failing, example = verdict
+                    first = int(failing.argmax()) if len(failing) else 0
+                    bad = example(first) if len(failing) and failing[first] else None
+                    size = first + 1 if bad else len(failing)
+                else:
+                    bad, size = verdict, 1
+                examined += size
                 if bad:
                     return (False, bad, params), examined
-                outcome = True, None, params
+                if size:
+                    outcome = True, None, params
             return outcome, examined
 
         @functools.wraps(cases)
@@ -362,13 +381,57 @@ def _bijection_cap(max_n: int) -> None:
     brackets._order_matrix_guard(pop._east_staircase_ctx(max_n))
 
 
-def _census_rows(first_n: int, max_n: int):
-    """(n, vector, sortability time) for every element of Tam_n, first_n <= n <= max_n."""
-    for n in range(first_n, max_n + 1):
-        census = pop._census(n)
-        rows = brackets._whole_rows(census.rows, census.ctx).tolist()
-        for e, time_ in zip(rows, census.times.tolist()):
-            yield n, BracketVector(tuple(e), census.ctx), time_
+def _whole(census, r: int) -> list[int]:
+    """The entries of row r of a census as a whole vector."""
+    return brackets._whole_rows(census.rows[r, None], census.ctx)[0].tolist()
+
+
+def _components(rows):
+    """(p, k, sel) per irreducible component of the free-column rows of
+    E(NE)^(n-1), in column order: the component of the rows sel that starts
+    at column p spans the k columns p..rows[sel, p], so rows[sel, p:p + k]
+    less p are rows of the Tam_k census.  A row's next one starts after it."""
+    import numpy as np
+
+    start = np.zeros(len(rows), dtype=rows.dtype)  # the column of each row's next component
+    for p in range(rows.shape[1]):
+        at = np.flatnonzero(start == p)
+        ends = rows[at, p]
+        start[at] = ends + 1
+        for end in range(p, rows.shape[1]):
+            sel = at[ends == end]
+            if len(sel):
+                yield p, end - p + 1, sel
+
+
+def _in_census(rows, k: int):
+    """Whether each free-column row is a row of the Tam_k census: found by
+    int64 keys in radix k and a sorted search, then compared whole."""
+    import numpy as np
+
+    table = pop._census(k).rows
+    keys = brackets._mixed_radix_keys(table.T, k, len(table))
+    at = np.searchsorted(keys, brackets._mixed_radix_keys(rows.T, k, len(rows)))
+    return (table[np.minimum(at, len(table) - 1)] == rows).all(axis=1)
+
+
+def _iterated_times(rows, k: int):
+    """int8 Pop steps from each free-column row of Tam_k to the minimum,
+    whose column q is q, by iterating pop._pop_rows on the rows not there:
+    a second computation of the census times.  Pop lowers the entry sum, so
+    a row not there within its spread k(k-1)/2 is a RuntimeError."""
+    import numpy as np
+
+    ctx, bottom = pop._east_staircase_ctx(k), np.arange(k, dtype=rows.dtype)
+    times, live = np.zeros(len(rows), dtype=np.int8), np.arange(len(rows), dtype=np.int32)
+    for _ in range(k * (k - 1) // 2 + 1):
+        left = (rows != bottom).any(axis=1)
+        rows, live = rows[left], live[left]
+        if not len(live):
+            return times
+        times[live] += 1
+        rows = pop._pop_rows(rows, ctx)
+    raise RuntimeError(f"Pop orbits in Tam_{k} miss the minimum")
 
 
 def _corpus(max_ell: int, random_paths: int, seed: int) -> list[NuContext]:
@@ -441,12 +504,11 @@ def check_pop_oracle(max_ell, random_paths, seed):
         top = upper[order[runs]]
         meet[top] = np.minimum(meet[top], np.minimum.reduceat(V[lower[order]], runs))
         popped = brackets._whole_rows(pop._pop_rows(V[:, ctx.free_positions], ctx), ctx)
-        for r, same in enumerate((meet == popped).all(axis=1).tolist()):
-            yield not same and {
-                "nu": ctx.nu.steps, "path": mus[r].steps,
-                "meet_of_covers": brackets._decode(meet[r].tolist(), ctx).steps,
-                "entrywise_formula": brackets._decode(popped[r].tolist(), ctx).steps,
-            }
+        yield _Block((meet != popped).any(axis=1), lambda r: {
+            "nu": ctx.nu.steps, "path": mus[r].steps,
+            "meet_of_covers": brackets._decode(meet[r].tolist(), ctx).steps,
+            "entrywise_formula": brackets._decode(popped[r].tolist(), ctx).steps,
+        })
 
 
 @_check(
@@ -461,10 +523,9 @@ def check_pop_entry_lower_bound(max_ell, random_paths, seed):
         rows = brackets._vector_rows(ctx)
         whole = brackets._whole_rows(rows, ctx)
         low = pop._pop_rows(rows, ctx) < whole[:, free + 1]
-        for r, bad in enumerate(low.any(axis=1).tolist()):
-            yield bad and {
-                "nu": ctx.nu.steps, "vector": whole[r].tolist(), "index": int(free[low[r].argmax()])
-            }
+        yield _Block(low.any(axis=1), lambda r: {
+            "nu": ctx.nu.steps, "vector": whole[r].tolist(), "index": int(free[low[r].argmax()])
+        })
 
 
 @_check(
@@ -489,12 +550,11 @@ def check_down_cover_candidates(max_ell, random_paths, seed):
         bad = (hits.reshape(V.shape) != descents).any(axis=1)
         bad[changed] = True
         lowers = np.eye(V.shape[1], dtype=bool)  # row i: the candidate of descent i
-        for r, wrong in enumerate(bad.tolist()):
-            yield wrong and {
-                "nu": ctx.nu.steps, "path": mus[r].steps,
-                "covers_down": sorted(V[lower[upper == r]].tolist()),
-                "candidates": sorted(np.where(lowers[descents[r]], popped[r], V[r]).tolist()),
-            }
+        yield _Block(bad, lambda r: {
+            "nu": ctx.nu.steps, "path": mus[r].steps,
+            "covers_down": sorted(V[lower[upper == r]].tolist()),
+            "candidates": sorted(np.where(lowers[descents[r]], popped[r], V[r]).tolist()),
+        })
 
 
 @_check("theorem-1", "census-matches-series", max_n=CENSUS_MAX_N, max_t=5)
@@ -551,23 +611,40 @@ def check_series_irreducible_recursion(max_t, order):
 
 @_check("decomposition", "decomposition-round-trip", max_n=STRUCTURE_MAX_N)
 def check_decomposition_round_trip(max_n):
-    for n, v, _ in _census_rows(1, max_n):
-        parts = pop.decompose_irreducible(v)
-        case = {"n": n, "vector": list(v.entries)}
-        yield any(p.entries[0] != p.entries[-1] for p in parts) and {
-            **case, "failure": "component not irreducible"
-        }
-        yield pop.concat_irreducible(parts).entries != v.entries and {**case, "failure": "round trip"}
+    """Each census row splits into rows of smaller censuses, irreducible by
+    their span, which concatenate back to it, each shifted up to its column."""
+    import numpy as np
+
+    for n in range(1, max_n + 1):
+        census = pop._census(n)
+        reducible = np.zeros(len(census.rows), dtype=bool)
+        rebuilt = np.full_like(census.rows, -1)
+        for p, k, sel in _components(census.rows):
+            part = census.rows[sel, p : p + k] - p
+            reducible[sel] |= ~_in_census(part, k)
+            rebuilt[sel, p : p + k] = part + p
+        unjoined = (rebuilt != census.rows).any(axis=1)
+        yield _Block(np.stack((reducible, unjoined), axis=1).ravel(), lambda i: {  # in turn
+            "n": n, "vector": _whole(census, i // 2),
+            "failure": ("component not irreducible", "round trip")[i % 2],
+        })
 
 
 @_check("decomposition", "decomposition-sortability", max_n=STRUCTURE_MAX_N)
 def check_decomposition_sortability(max_n):
     """Sortability time equals the max over irreducible components."""
-    for n, v, time_ in _census_rows(1, max_n):
-        expected = max(pop.sortability_time(p) for p in pop.decompose_irreducible(v))
-        yield time_ != expected and {
-            "n": n, "vector": list(v.entries), "time": time_, "component_max": expected
-        }
+    import numpy as np
+
+    for n in range(1, max_n + 1):
+        census = pop._census(n)
+        expected = np.zeros_like(census.times)
+        for p, k, sel in _components(census.rows):
+            times = _iterated_times(census.rows[sel, p : p + k] - p, k)
+            expected[sel] = np.maximum(expected[sel], times)
+        yield _Block(census.times != expected, lambda r: {
+            "n": n, "vector": _whole(census, r),
+            "time": int(census.times[r]), "component_max": int(expected[r]),
+        })
 
 
 @_check("decomposition", "all-elements-sort-within-n", max_n=STRUCTURE_MAX_N)
@@ -581,25 +658,32 @@ def check_all_sort_within_n(max_n):
 
 @_check("hash", "hash-validity-and-monotonicity", max_n=STRUCTURE_MAX_N)
 def check_hash_validity_monotonicity(max_n):
-    for n, v, time_ in _census_rows(2, max_n):
-        reduced = pop.hash_map(v)
-        case = {"n": n, "vector": list(v.entries)}
-        yield not brackets.is_valid(reduced.entries, reduced.ctx) and {
-            **case, "failure": "hash not valid"
-        }
-        yield pop.sortability_time(reduced) > time_ and {
-            **case, "failure": "hash increased sortability time"
-        }
+    """The hash image of a census row, its columns 1.. less 1, is a row of
+    Tam_(n-1) that sorts no later."""
+    import numpy as np
+
+    for n in range(2, max_n + 1):
+        census = pop._census(n)
+        reduced = census.rows[:, 1:] - 1
+        valid = _in_census(reduced, n - 1)
+        later = np.zeros_like(valid)
+        later[valid] = _iterated_times(reduced[valid], n - 1) > census.times[valid]
+        yield _Block(np.stack((~valid, later), axis=1).ravel(), lambda i: {  # in turn
+            "n": n, "vector": _whole(census, i // 2),
+            "failure": ("hash not valid", "hash increased sortability time")[i % 2],
+        })
 
 
 @_check("hash", "hash-bijection-on-irreducibles", max_n=9)
 def check_hash_bijection(max_n):
+    """The hash images of the irreducible rows of Tam_n, whose first entry is
+    n - 1, are the rows of Tam_(n-1), in census order."""
+    import numpy as np
+
     for n in range(2, max_n + 1):
-        images = [
-            pop.hash_map(v).entries for _, v, _ in _census_rows(n, n) if v.entries[0] == v.entries[-1]
-        ]
-        target = sorted(v.entries for _, v, _ in _census_rows(n - 1, n - 1))
-        yield (sorted(images) != target or len(set(images)) != len(images)) and {
+        rows = pop._census(n).rows
+        images = rows[rows[:, 0] == n - 1, 1:] - 1
+        yield not np.array_equal(images, pop._census(n - 1).rows) and {
             "n": n, "failure": "hash not bijective on irreducibles"
         }
 
@@ -608,15 +692,20 @@ def check_hash_bijection(max_n):
 def check_hash_sortability_threshold(max_n):
     """time(v) = max(time(v#), b_0 - x_r + 1) for irreducible v, where 2 x_r
     is the length of the last irreducible component of v#."""
-    for n, v, time_ in _census_rows(2, max_n):
-        if v.entries[0] != v.entries[-1]:
-            continue
-        reduced = pop.hash_map(v)
-        x_r = len(pop.decompose_irreducible(reduced)[-1].entries) // 2
-        expected = max(pop.sortability_time(reduced), v.entries[0] - x_r + 1)
-        yield time_ != expected and {
-            "n": n, "vector": list(v.entries), "time": time_, "predicted": expected
-        }
+    import numpy as np
+
+    for n in range(2, max_n + 1):
+        census = pop._census(n)
+        irreducible = np.flatnonzero(census.rows[:, 0] == n - 1)
+        reduced = census.rows[irreducible, 1:] - 1
+        x_r = np.zeros_like(reduced[:, 0])  # the columns of the last component of v#
+        for _, k, sel in _components(reduced):  # in column order, so the last one stays
+            x_r[sel] = k
+        predicted = np.maximum(_iterated_times(reduced, n - 1), n - x_r)  # b_0 = n - 1
+        yield _Block(census.times[irreducible] != predicted, lambda i: {
+            "n": n, "vector": _whole(census, irreducible[i]),
+            "time": int(census.times[irreducible[i]]), "predicted": int(predicted[i]),
+        })
 
 
 @_check("congruence", "perm-vector-isomorphism-covers", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
@@ -674,9 +763,10 @@ def check_pidown_projects(max_n):
         avoider_keys = keys(perms._av312_words(n))
         lands = np.isin(keys(Q), avoider_keys)
         moved = np.isin(keys(S), avoider_keys) & (Q != S).any(axis=1)
-        for r, (landed, moved_r) in enumerate(zip(lands.tolist(), moved.tolist())):
-            yield not landed and {"n": n, "perm": _word_text(S[r]), "pi_down": _word_text(Q[r])}
-            yield moved_r and {"n": n, "perm": _word_text(S[r]), "failure": "moved a 312-avoider"}
+        yield _Block(np.stack((~lands, moved), axis=1).ravel(), lambda i: {  # in turn
+            "n": n, "perm": _word_text(S[i // 2]),
+            **({"failure": "moved a 312-avoider"} if i % 2 else {"pi_down": _word_text(Q[i // 2])}),
+        })
 
 
 @_check("congruence", "ascents-count-up-covers", cap=_bijection_cap, max_n=CONGRUENCE_MAX_N)
@@ -752,11 +842,9 @@ def check_rmap_bijection(max_n):
         descents, peaks = perms._descents_peaks(r)
         ascents = (image[:, :-1] < image[:, 1:]).sum(axis=1)
         kept = (peaks == descents) & (ascents == n - descents)
-        for word, ok in zip(image.tolist(), kept.tolist()):  # the least failing row first
-            yield not ok and {
-                "n": n, "perm": str(perms.Permutation(tuple(word))),
-                "failure": "descent/peak bookkeeping",
-            }
+        yield _Block(~kept, lambda r: {  # the least failing row first
+            "n": n, "perm": _word_text(image[r]), "failure": "descent/peak bookkeeping"
+        })
 
 
 @_check("theorem-2", "a055151-row-sums-motzkin", max_n=12)

@@ -2,9 +2,9 @@
 
 Each scenario returns None if the fault was refused as expected, else what
 went wrong; no assert statements, so `python -O tests/fault_scenarios.py
-census` (or `bijection`, `petersen`, `oracle` or `down-covers`) checks the
-same and exits 1 on a miss; without one of those names it prints a usage
-line to stderr and exits 2.
+census` (or `bijection`, `petersen`, `oracle`, `down-covers` or
+`decomposition`) checks the same and exits 1 on a miss; without one of those
+names it prints a usage line to stderr and exits 2.
 """
 
 import itertools
@@ -180,6 +180,52 @@ def down_cover_fault(edit, covers):
     return None if got == expected else f"expected {expected}, got {got}"
 
 
+# The component whose iterated time the decomposition fault puts off by one:
+# the top of Tam_2, free columns (1, 1), whole vector (1, 0, 1, 1)
+OFF_COMPONENT = (1, 0, 1, 1)
+
+
+def _first_component_fault(max_n):
+    """The counterexample the decomposition fault must give, from the scalar
+    routes: the first vector in census order whose sortability_time is not
+    the max over its decompose_irreducible components, with one added to
+    OFF_COMPONENT's time."""
+    for n in range(1, max_n + 1):
+        for v in brackets.enumerate_vectors(pop._east_staircase_ctx(n)):
+            parts = pop.decompose_irreducible(v)
+            expected = max(pop.sortability_time(p) + (p.entries == OFF_COMPONENT) for p in parts)
+            if pop.sortability_time(v) != expected:
+                time_ = pop.sortability_time(v)
+                return {"n": n, "vector": list(v.entries), "time": time_, "component_max": expected}
+    return None
+
+
+def decomposition_fault(max_n=6):
+    """Put the iterated Pop time of one component, OFF_COMPONENT, off by one
+    wherever it is read: decomposition-sortability must fail with the first
+    row the scalar routes predict."""
+    real = verification._iterated_times
+    off = np.array(OFF_COMPONENT[::2], dtype=np.int8)  # its free columns
+
+    def off_by_one(rows, k):
+        times = real(rows, k)
+        if k == len(off):
+            times[(rows == off).all(axis=1)] += 1
+        return times
+
+    verification._iterated_times = off_by_one
+    try:
+        passed, counterexample, _ = verification.check_decomposition_sortability(
+            verification.VerifyOptions(max_n=max_n)
+        )
+    finally:
+        verification._iterated_times = real
+    expected = _first_component_fault(max_n)
+    if passed:
+        return "a component time off by one passed the decomposition check"
+    return None if counterexample == expected else f"expected {expected}, got {counterexample}"
+
+
 if __name__ == "__main__":
     scenarios = {
         "census": lambda: next(filter(None, (census_fault(*case) for case in CENSUS_FAULTS)), None),
@@ -189,6 +235,7 @@ if __name__ == "__main__":
         "down-covers": lambda: next(
             filter(None, (down_cover_fault(*case) for case in DOWN_COVER_FAULTS)), None
         ),
+        "decomposition": decomposition_fault,
     }
     if len(sys.argv) != 2 or sys.argv[1] not in scenarios:
         print(f"usage: fault_scenarios.py {{{'|'.join(scenarios)}}}", file=sys.stderr)

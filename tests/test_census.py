@@ -209,7 +209,7 @@ def test_fault_scenarios_without_a_known_group_print_usage(args):
     proc = _run_optimized(SCENARIOS, *args)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout == ""
-    groups = "census|bijection|petersen|oracle|down-covers"
+    groups = "census|bijection|petersen|oracle|down-covers|decomposition"
     assert proc.stderr == f"usage: fault_scenarios.py {{{groups}}}\n"
 
 

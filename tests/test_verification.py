@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fault_scenarios import decomposition_fault
 from tamaripop import brackets, paths, perms, pop, series, verification
+from tamaripop.brackets import BracketVector
 from tamaripop.cli import main
 from tamaripop.paths import BoundExceeded, NuContext
 from tamaripop.verification import VerifyOptions
+from test_census import SCENARIOS, _run_optimized
 
 NU = "ENENE"
 # Tables of Tam(ENENE), rows sorted by (entry sum, entries):
@@ -570,6 +573,124 @@ def test_planted_fault_ends_the_check_at_its_first_counterexample(monkeypatch):
         {"max_n": 5},
     )
     assert sizes == [1, 2, 3]
+
+
+def test_a_block_verdict_counts_the_cases_up_to_its_first_failing_row(monkeypatch):
+    monkeypatch.setattr(verification, "_SUITES", {})
+    failing = np.zeros(10, dtype=bool)
+    failing[[6, 8]] = True
+
+    @verification._check("blocks", "blocks", max_n=2)
+    def blocks(max_n):
+        yield False
+        yield verification._Block(np.zeros(3, dtype=bool), lambda i: {"row": i})
+        yield verification._Block(failing, lambda i: {"row": i})
+        yield {"failure": "after the failing row"}
+
+    # one scalar case, three passing rows, then rows 0..6 of the failing block
+    assert blocks.counted(VerifyOptions()) == ((False, {"row": 6}, {"max_n": 2}), 11)
+
+
+def test_a_check_of_empty_blocks_examined_no_case(monkeypatch):
+    monkeypatch.setattr(verification, "_SUITES", {})
+    empty = verification._Block(np.zeros(0, dtype=bool), lambda i: {"row": i})
+
+    @verification._check("blocks", "empty", max_n=2)
+    def only_empty(max_n):
+        yield empty
+        yield empty
+
+    @verification._check("blocks", "passing", max_n=2)
+    def passing(max_n):
+        yield empty
+        yield verification._Block(np.zeros(4, dtype=bool), lambda i: {"row": i})
+        yield empty
+
+    assert only_empty.counted(VerifyOptions()) == (
+        (False, {"failure": "no cases examined"}, {"max_n": 2}), 0
+    )
+    assert passing.counted(VerifyOptions()) == ((True, None, {"max_n": 2}), 4)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_rows_split_hash_and_sort_like_the_scalar_routes(n):
+    # every element of Tam_n: the column rule splits it as decompose_irreducible,
+    # iterated Pop times each part as sortability_time, and the slice hashes it as hash_map
+    census = pop._census(n)
+    vectors = brackets.enumerate_vectors(census.ctx)
+    split = [[] for _ in vectors]
+    for p, k, sel in verification._components(census.rows):
+        ctx = pop._east_staircase_ctx(k)
+        part = census.rows[sel, p : p + k] - p
+        times = verification._iterated_times(part, k).tolist()
+        for r, e, t in zip(sel.tolist(), brackets._whole_rows(part, ctx).tolist(), times):
+            split[r].append((BracketVector(tuple(e), ctx), t))
+    for v, parts in zip(vectors, split):
+        assert [part for part, _ in parts] == pop.decompose_irreducible(v)
+        assert [t for _, t in parts] == [pop.sortability_time(part) for part, _ in parts]
+    times = verification._iterated_times(census.rows, n)
+    assert times.tolist() == [pop.sortability_time(v) for v in vectors]
+    if n > 1:
+        reduced = census.rows[:, 1:] - 1
+        ctx = pop._east_staircase_ctx(n - 1)
+        hashed = [BracketVector(tuple(e), ctx) for e in brackets._whole_rows(reduced, ctx).tolist()]
+        assert hashed == [pop.hash_map(v) for v in vectors]
+        assert verification._in_census(reduced, n - 1).all()
+        if n > 2:  # the same int64 keys in radix n - 1, other entries: compared whole
+            aliased = reduced.copy()
+            aliased[:, 0] -= 1
+            aliased[:, 1] += n - 1
+            assert not verification._in_census(aliased, n - 1).any()
+        reduced[:, -1] += 1  # the last free column of Tam_(n-1) holds only n - 2
+        assert not verification._in_census(reduced, n - 1).any()
+
+
+def _without_the_top_of_tam_2(n):
+    census = pop._Census(n)
+    if n == 2:  # keep the bottom (0, 1) only
+        census.rows, census.pop_idx, census.times = census.rows[:1], census.pop_idx[:1], census.times[:1]
+    return census
+
+
+@pytest.mark.parametrize(
+    "check, failure, cases",
+    [  # two cases a row: Tam_1's one row (the decomposition only), Tam_2's one, then two rows
+        (verification.check_decomposition_round_trip, "component not irreducible", 2 + 2 + 3),
+        (verification.check_hash_validity_monotonicity, "hash not valid", 2 + 3),
+    ],
+    ids=["decomposition-round-trip", "hash-validity-and-monotonicity"],
+)
+def test_a_part_missing_from_the_smaller_census_fails_first(monkeypatch, check, failure, cases):
+    # with Tam_2's census short of (1, 1), the first Tam_3 row that splits or
+    # hashes to it, (0, 2, 2), fails at the first of its two cases
+    monkeypatch.setattr(pop, "_build_census", _without_the_top_of_tam_2)
+    expected = {"n": 3, "vector": [0, 0, 2, 1, 2, 2], "failure": failure}
+    assert check.counted(VerifyOptions(max_n=4)) == ((False, expected, {"max_n": 4}), cases)
+
+
+@pytest.mark.parametrize(
+    "pi_down, expected, cases",
+    [
+        # the identity lands 312 itself off the 312-avoiders: S_3's fifth word
+        (lambda S: S, {"n": 3, "perm": "312", "pi_down": "312"}, 2 + 4 + 9),
+        # sorting moves 21, an avoider, the second case of S_2's second word
+        (lambda S: np.sort(S, axis=1), {"n": 2, "perm": "21", "failure": "moved a 312-avoider"}, 2 + 4),
+    ],
+    ids=["lands-off", "moves-an-avoider"],
+)
+def test_pidown_projection_reports_its_first_failing_case(monkeypatch, pi_down, expected, cases):
+    monkeypatch.setattr(perms, "_pi_down_rows", pi_down)
+    outcome = verification.check_pidown_projects.counted(VerifyOptions(max_n=4))
+    assert outcome == ((False, expected, {"max_n": 4}), cases)
+
+
+def test_a_component_time_off_by_one_fails_the_decomposition_check():
+    assert decomposition_fault() is None
+
+
+def test_decomposition_fault_fails_under_python_optimize():
+    proc = _run_optimized(SCENARIOS, "decomposition")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_rmap_check_compares_r_with_the_231_enumeration(monkeypatch):
