@@ -221,9 +221,9 @@ def _vector_rows(ctx: NuContext):
     fixed_positions[v], columns q+1.._rightmost[v]-1, at v: condition (3),
     which a fixed index fixed_positions[y] <= fixed_positions[v] meets, y <= v.
     A cap at index i is at least heights[i], so a column admits
-    heights[i]..cap (see _split_rows).  Besides the matrix, the build holds
-    a few arrays of at most 8 bytes a row.  Rows are int8 while n_nu fits,
-    int16 past that.
+    heights[i]..cap (see _split_rows).  The caps are lowered a block of rows
+    at a time, so besides the matrix the build holds about one block.  Rows
+    are int8 while n_nu fits, int16 past that.
     """
     import numpy as np
 
@@ -234,10 +234,11 @@ def _vector_rows(ctx: NuContext):
     r = 1  # rows so far
     for q, i in enumerate(ctx.free_positions):
         r = _split_rows(out, r, q, ctx.heights[i])
-        limit = rightmost[out[:r, q]]
-        for c in range(q + 1, int(limit.max())):
-            np.minimum(out[:r, c], np.where(limit > c, out[:r, q], n_nu), out=out[:r, c])
-        del limit  # not held through the next split
+        for block in _blocks(r, 4):  # an int16 limit, a mask and a column of caps a row
+            part = out[block]
+            limit = rightmost[part[:, q]]
+            for c in range(q + 1, int(limit.max())):
+                np.minimum(part[:, c], np.where(limit > c, part[:, q], n_nu), out=part[:, c])
     if r != len(out):
         raise RuntimeError(f"counted {len(out)} vectors for {ctx.nu} but built {r}")
     return out
@@ -246,31 +247,35 @@ def _vector_rows(ctx: NuContext):
 def _split_rows(out, r: int, q: int, low: int) -> int:
     """Replace each of the first r rows of out by one copy per value
     low..cap of column q, which holds its cap, in order, and return the new
-    row count.  The other columns are re-gathered in place through one
-    parent index, intp because numpy gathers through int32 indices about
-    four times slower; column q becomes the values."""
+    row count.  Blocks of rows go from the last backwards: the copies of a
+    row land at or after it, so no row is overwritten before it is read,
+    and each block gathers its other columns in place through a block-local
+    parent index; column q becomes the values."""
     import numpy as np
 
-    if out[:r, q].max() == low:  # one value a row, which column q holds
+    caps = out[:r, q]
+    top = int(caps.max())
+    if top == low:  # one value a row, which column q holds
         return r
-    counts = out[:r, q].astype(np.int32)
-    counts -= low - 1
-    ends = np.cumsum(counts, dtype=np.int32)
-    size = int(ends[-1])
-    starts = ends[:-1]  # the first copies of rows 1..r-1
-    parent = np.zeros(size, dtype=np.intp)
-    parent[starts] = 1
-    np.cumsum(parent, out=parent)  # the row each new row copies
-    # the values as a running sum of steps of 1 that restarts at low on
-    # each row's first copy
-    steps = np.ones(size, dtype=out.dtype)
-    steps[0] = low
-    steps[starts] = 1 - counts[:-1]
-    del counts, ends, starts
-    for c in range(out.shape[1]):
-        if c != q:
-            out[:size, c] = out[:r, c][parent]
-    np.cumsum(steps, dtype=out.dtype, out=out[:size, q])
+    size = int(caps.sum(dtype=np.int64)) - r * (low - 1)
+    stop = size
+    # intp counts, ends and indices a row; an intp parent, a step and a gathered entry a copy
+    for block in reversed(_blocks(r, 24 + 10 * (top - low + 1))):
+        counts = caps[block].astype(np.intp)
+        counts -= low - 1
+        ends = np.cumsum(counts)
+        lo = stop - int(ends[-1])
+        parent = np.repeat(np.arange(len(counts)), counts)  # the row each copy copies
+        # the values as a running sum of steps of 1 that restarts at low on
+        # each row's first copy
+        steps = np.ones(stop - lo, dtype=out.dtype)
+        steps[0] = low
+        steps[ends[:-1]] = 1 - counts[:-1]
+        for c in range(out.shape[1]):
+            if c != q:
+                out[lo:stop, c] = out[block, c][parent]
+        np.cumsum(steps, dtype=out.dtype, out=out[lo:stop, q])
+        stop = lo
     return size
 
 
@@ -299,6 +304,19 @@ def _mixed_radix_keys(columns, base: int, length: int):
         keys *= base
         keys += col
     return keys
+
+
+#: Bytes of scratch an array kernel holds at a time besides its input and
+#: output: the census build, Pop, the order rows and their checks work a
+#: block of rows of about this size at a time (_blocks).
+BLOCK_BYTES = 1 << 18
+
+
+def _blocks(m: int, row_bytes: int) -> list[slice]:
+    """Slices over m rows in order, each a block of about BLOCK_BYTES at
+    row_bytes of scratch a row, and at least one row."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return [slice(start, min(m, start + step)) for start in range(0, m, step)]
 
 
 #: Bytes of the packed order rows that _lattice_tables may build, m rows of
@@ -340,8 +358,8 @@ def _unpack_bits(rows, m: int):
 
 def _componentwise_down_rows(X):
     """Packed down-sets of the componentwise order on the rows of the integer
-    matrix X, in the layout of _lattice_tables, yielded as (start, rows) for
-    blocks of 256 KB of rows: bit i of row j is set iff X[i] <= X[j] in every
+    matrix X, in the layout of _lattice_tables, yielded as (start, rows) a
+    block at a time (_blocks): bit i of row j is set iff X[i] <= X[j] in every
     column.  Per column c, at_most[c][k] packs {i : X[i, c] <= k}, and row j
     ANDs at_most[c][X[j, c]] over the columns, so that a block and the words
     gathered for it stay in cache.  Bits past m stay clear, even with no
@@ -351,13 +369,12 @@ def _componentwise_down_rows(X):
     m = len(X)
     at_most = [_pack_bits(col[None, :] <= np.arange(int(col.max()) + 1)[:, None]) for col in X.T]
     ones = _pack_bits(np.ones((1, m), dtype=bool))
-    block = max(1, (1 << 15) // ones.shape[1])
-    for start in range(0, m, block):
-        part = X[start : start + block]
+    for block in _blocks(m, ones.nbytes):
+        part = X[block]
         rows = np.repeat(ones, len(part), axis=0)
         for table, col in zip(at_most, part.T):
             rows &= table[col]
-        yield start, rows
+        yield block.start, rows
 
 
 def _first_order_difference(X, down):
@@ -382,12 +399,17 @@ def _first_order_difference(X, down):
 
 def _incomparable(down, rows):
     """Bool (len(rows), m): [k, x] is set iff element x and element rows[k]
-    are incomparable in the order of the packed down-set rows down."""
+    are incomparable in the order of the packed down-set rows down.  Bit i
+    of a little-endian row is bit i % 8 of its byte i // 8, so a pair costs
+    a byte of each temporary."""
     import numpy as np
 
     below = _unpack_bits(down[rows], len(down))  # [k, x]: x <= rows[k]
-    above = (down[:, rows >> 6] >> (rows & 63).astype(np.uint64)).T & np.uint64(1)  # rows[k] <= x
-    return ~below & (above == 0)
+    above = down.view(np.uint8)[:, rows >> 3]
+    above >>= (rows & 7).astype(np.uint8)
+    above &= 1  # [x, k]: rows[k] <= x
+    above ^= 1
+    return np.greater(above.T, below, out=below)  # neither
 
 
 def _lower_covers(mus: _Paths, ctx: NuContext):
@@ -484,10 +506,9 @@ def _lattice_tables(ctx: NuContext):
     levels = np.concatenate(([0], np.flatnonzero(np.diff(sums)) + 1, [m]))
     cuts = np.searchsorted(upper, levels)
     for lo, start, stop in zip(levels, cuts, cuts[1:]):
-        u, d = upper[start:stop], lower[start:stop]
-        if not len(u):
-            continue
-        first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
         words = (lo + 63) // 64  # rows below this level only hold bits below lo
-        down[u[first], :words] |= np.bitwise_or.reduceat(down[d, :words], first, axis=0)
+        for block in _blocks(stop - start, 8 * words):  # the level's covers, a block at a time
+            u, d = upper[start:stop][block], lower[start:stop][block]
+            first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+            down[u[first], :words] |= np.bitwise_or.reduceat(down[d, :words], first, axis=0)
     return mus, V, down, np.stack((upper, lower), axis=1)

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .brackets import BracketVector, _lattice_tables
-from .brackets import _first_order_difference, _order_matrix_guard
+from .brackets import _blocks, _first_order_difference, _order_matrix_guard
 from .paths import _check_n
-from .pop import _east_staircase_ctx, _pop_blocks
+from .pop import _east_staircase_ctx
 
 __all__ = [
     "PermStats",
@@ -277,7 +277,7 @@ def _pi_down_rows(A):
 
 def _pop_words(W):
     """pop_tamari_perm of every row of the 312-avoider matrix W, in W's row
-    order, one pop._pop_blocks block at a time.  Pop-stack sends position i to
+    order, one brackets._blocks block at a time.  Pop-stack sends position i to
     start(i) + end(i) - i, its mirror image in its descending run; then
     _pi_down_rows."""
     import numpy as np
@@ -285,12 +285,13 @@ def _pop_words(W):
     n = W.shape[1]
     out = np.empty_like(W)
     cols = np.arange(n, dtype=np.int8)
-    for top, A in _pop_blocks(W):
+    for block in _blocks(len(W), W.shape[1] * W.itemsize):
+        A = W[block]
         edge = np.pad(A[:, :-1] < A[:, 1:], ((0, 0), (1, 1)), constant_values=True)
         start = np.maximum.accumulate(np.where(edge[:, :-1], cols, 0), axis=1)
         end = np.minimum.accumulate(np.where(edge[:, 1:], cols, n - 1)[:, ::-1], axis=1)
         A = np.take_along_axis(A, start + end[:, ::-1] - cols, axis=1)
-        out[top : top + len(A)] = _pi_down_rows(A)
+        out[block] = _pi_down_rows(A)
     return out
 
 
@@ -440,7 +441,7 @@ def tamari_perm_bijection(n: int) -> dict[Permutation, BracketVector]:
     the differing pair (i, j) of table rows with the least i, then the least
     j.  Past the order-matrix bound (n >= 11) it raises BoundExceeded before
     enumerating a word.  The dict is filled in W's row order, one
-    pop._pop_blocks(W, 8) block of rows at a time, so no list of every row
+    brackets._blocks block of rows at a time, so no list of every row
     is held next to it.
     """
     if n < 1:
@@ -450,6 +451,6 @@ def tamari_perm_bijection(n: int) -> dict[Permutation, BracketVector]:
     ctx = _east_staircase_ctx(n)
     return {
         Permutation(tuple(w)): BracketVector(tuple(v), ctx)
-        for top, block in _pop_blocks(W, 8)
-        for w, v in zip(block.tolist(), V[top : top + len(block)].tolist())
+        for block in _blocks(len(W), 8 * n)  # tolist spends a pointer, 8 bytes, on each entry
+        for w, v in zip(W[block].tolist(), V[block].tolist())
     }

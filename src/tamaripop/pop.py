@@ -19,12 +19,14 @@ vector of the lattice (the fixed ones are its heights) are one row of the
 int8 matrix that brackets._vector_rows fills in place (the enumeration
 behind enumerate_vectors too), Pop is the eta formula on whole columns, one
 free index i at a time and written where i is a descent, on blocks of about
-POP_BLOCK_BYTES of rows, each block's images are mapped to rows by integer
-keys and a sorted search, and the int8 sortability times are the fixpoint
-of 1 + times[pop_idx] off the minimum, gathered through the int32 Pop
-targets; no full-size image matrix or index copy is held.  The Pop image
-is a read-only set view over the distinct image rows, which builds a
-BracketVector only for an element read.  The q-polynomial counts the
+brackets.BLOCK_BYTES of rows, each block keeps only its distinct images by
+integer keys, and the blocks' images merge into the Motzkin-sized image,
+so a row keeps only the int16 id of its image row (int32 from n = 14).
+The int8 sortability times are 0 at the minimum and 1 plus the time of
+the row's image elsewhere, and the image rows' times are the fixpoint of
+1 + times[target] over their own targets.  The Pop image is a read-only
+set view over the image rows, which builds a BracketVector only for an
+element read.  The q-polynomial counts the
 up-covers of the image rows from their entry multiplicities, one height at
 a time over all rows.  The scalar functions above serve single vectors and
 are the test oracle for the census (up_cover_count, through the path
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .brackets import BracketVector, vector_to_path
-from .brackets import _decode, _mixed_radix_keys, _slot_entries, _vector_rows, _whole_rows
+from .brackets import _blocks, _decode, _mixed_radix_keys, _slot_entries, _vector_rows, _whole_rows
 from .paths import (
     LatticePath,
     NuContext,
@@ -204,19 +206,19 @@ def _pop_rows(rows, ctx: NuContext):
     return out
 
 
-def _times_to_bottom(pop_idx, bottom, max_steps: int):
-    """int8 steps each row takes along pop_idx to reach a bottom row: the
-    fixpoint of 0 on bottom rows and 1 + times[pop_idx] elsewhere, gathered
-    through the int32 pop_idx.  Pass k leaves min(time, k) in each row, so
+def _times_to_bottom(targets, bottom, max_steps: int):
+    """int8 steps each row takes along targets, its Pop row, to reach a
+    bottom row: the fixpoint of 0 on bottom rows and 1 + times[targets]
+    elsewhere.  Pass k leaves min(time, k) in each row, so
     the passes stop at the first whose maximum is below k.  A Pop that
     strictly lowers the entry sum gets there within the spread of the sums,
     so a row not there after max_steps steps is a RuntimeError, not a hang;
     max_steps must stay below 127, so that pass max_steps + 1 fits int8."""
     import numpy as np
 
-    times = np.zeros(len(pop_idx), dtype=np.int8)
+    times = np.zeros(len(targets), dtype=np.int8)
     for k in range(1, max_steps + 2):
-        times = times[pop_idx]
+        times = times[targets]
         times += 1
         times[bottom] = 0
         if times.max() < k:
@@ -224,68 +226,92 @@ def _times_to_bottom(pop_idx, bottom, max_steps: int):
     raise RuntimeError(f"Pop orbits miss the minimum after {max_steps} steps")
 
 
-#: Bytes of int8 rows per block when _pop_targets and perms._pop_words run
-#: Pop: a block's image matrix and its per-row keys and indices stay a small
-#: fraction of the rows, whatever their width.
-POP_BLOCK_BYTES = 1 << 18
-
-
-def _pop_blocks(rows, entry_bytes: int = 0):
-    """(start, block) over the rows of a matrix, about POP_BLOCK_BYTES at a
-    time (at least one row), counting entry_bytes per entry, or else the
-    rows' own itemsize: the one block rule of the array Pop kernels, and
-    with entry_bytes 8, a pointer per entry, the tolist block rule of
-    pop_image and perms.tamari_perm_bijection."""
-    step = max(1, POP_BLOCK_BYTES // max(1, rows.shape[1] * (entry_bytes or rows.itemsize)))
-    return ((start, rows[start : start + step]) for start in range(0, len(rows), step))
-
-
 def _pop_targets(rows, ctx: NuContext):
-    """int32 row of Pop(rows[r]) for every row r of the census matrix rows,
-    the free columns of _vector_rows.
+    """Pop of every row of the census matrix rows, the free columns of
+    _vector_rows, as (at, image_idx, bottom): rows[at] are the distinct Pop
+    images in census order, image_idx[r] is the index among them of
+    Pop(rows[r]) (int16 while there are fewer than 2**15 of them, else
+    int32), and bottom are the rows of least entry sum, the minimum's.
 
-    Pop runs on _pop_blocks blocks of about POP_BLOCK_BYTES of rows, and a
-    block's images are found by int64 keys over the columns, which must
-    strictly increase down rows.  A key names a row only once every image
-    entry lies in heights[i]..n_nu, for its free index i, so that is
-    checked per image row.
+    Pop runs a block of rows at a time (_blocks), each checked there: every
+    image entry lies in heights[i]..n_nu, for its free index i, so that an
+    int64 key over the columns names it, and the entry sum falls off the
+    minimum.  A block keeps only its distinct image keys, sorted with
+    neighbours compared, and each row's place among them; the blocks' keys
+    then merge into the image, and a pass over the keys of the rows, which
+    must strictly increase, finds each image row among them.
     """
     import numpy as np
 
     low = [ctx.heights[i] for i in ctx.free_positions]
-    radix = ctx.n_nu + 1
+    least = sum(low)  # the minimum's entries are the heights
+    radix, m = ctx.n_nu + 1, len(rows)
 
-    def keys(m):  # mixed radix over the columns
-        return _mixed_radix_keys(m.T, radix, len(m))
+    def keys(block):  # mixed radix over the columns
+        return _mixed_radix_keys(block.T, radix, len(block))
 
-    row_keys = keys(rows)
-    if (row_keys[1:] <= row_keys[:-1]).any():
-        raise RuntimeError(f"census rows for {ctx.nu} are not strictly increasing")
-    pop_idx = np.empty(len(rows), dtype=np.int32)
-    for start, block in _pop_blocks(rows):
-        image = _pop_rows(block, ctx)
+    def not_a_row(image_row):
+        e = tuple(_whole_rows(image_row[None], ctx)[0].tolist())
+        return RuntimeError(f"Pop image {e} is not a census row")
+
+    blocks = _blocks(m, rows.shape[1] * rows.itemsize)
+    image_idx = np.empty(m, dtype=np.int16 if blocks[0].stop <= 2**15 else np.int32)
+    distinct, bottom = [], []
+    for block in blocks:
+        image = _pop_rows(rows[block], ctx)
         ok = np.ones(len(image), dtype=bool)
         for h, col in zip(low, image.T):
             ok &= (h <= col) & (col <= ctx.n_nu)
-        image_keys = keys(image)
-        found = pop_idx[start : start + len(image)]
-        found[:] = np.searchsorted(row_keys, image_keys)
-        np.minimum(found, len(rows) - 1, out=found)
-        ok &= row_keys[found] == image_keys
         if not ok.all():
-            e = tuple(_whole_rows(image[int(np.argmin(ok)), None], ctx)[0].tolist())
-            raise RuntimeError(f"Pop image {e} is not a census row")
-    return pop_idx
+            raise not_a_row(image[int(np.argmin(ok))])
+        sums = rows[block].sum(axis=1, dtype=np.int16)
+        minimal = sums == least
+        if ((image.sum(axis=1, dtype=np.int16) >= sums) & ~minimal).any():
+            raise RuntimeError("Pop must strictly decrease non-minimal vectors")
+        bottom += (block.start + np.flatnonzero(minimal)).tolist()
+        block_keys = keys(image)
+        del image, sums, minimal  # so that a block's scratch peaks near its keys
+        order = np.argsort(block_keys)
+        block_keys = block_keys[order]
+        new = np.concatenate(([True], block_keys[1:] != block_keys[:-1]))
+        ids = np.cumsum(new, dtype=image_idx.dtype)
+        ids -= 1
+        image_idx[block][order] = ids  # each row's place among the distinct keys
+        distinct.append(block_keys[new])
+        del order, block_keys, new, ids  # not held through the next block's Pop
+    image_keys = np.concatenate(distinct)
+    image_keys.sort()
+    image_keys = image_keys[np.concatenate(([True], image_keys[1:] != image_keys[:-1]))]
+    if len(image_keys) > np.iinfo(image_idx.dtype).max:
+        image_idx = image_idx.astype(np.int32)
+    at = np.zeros(len(image_keys), dtype=np.intp)
+    last = -1
+    for block, block_keys in zip(blocks, distinct):
+        ids = image_idx[block]
+        ids[:] = np.searchsorted(image_keys, block_keys)[ids]
+        row_keys = keys(rows[block])
+        if row_keys[0] <= last or (row_keys[1:] <= row_keys[:-1]).any():
+            raise RuntimeError(f"census rows for {ctx.nu} are not strictly increasing")
+        last = row_keys[-1]
+        lo, hi = np.searchsorted(image_keys, (row_keys[0], last + 1))
+        at[lo:hi] = block.start + np.searchsorted(row_keys, image_keys[lo:hi])
+    missing = keys(rows[at]) != image_keys
+    if missing.any():  # the entries of the first image key no row has
+        key = image_keys[np.argmax(missing)]
+        raise not_a_row(np.array(np.unravel_index(key, (radix,) * len(low))))
+    return at, image_idx, bottom
 
 
 class _Census:
-    """All vectors for E(NE)^(n-1) with Pop targets and sortability times.
+    """All vectors for E(NE)^(n-1) with their Pop images and sortability times.
 
     rows is the int8 matrix of _vector_rows (the free columns of one valid
-    vector per row, lexicographic order), pop_idx[r] (int32, from _pop_targets) the row of
-    Pop(rows[r]) and times[r] (int8) its sortability time.  Entry sums are
-    int16.  Besides the rows, no array of more than 8 bytes per row is
-    held, and no image matrix of more than about POP_BLOCK_BYTES.
+    vector per row, lexicographic order), image its distinct Pop images,
+    rows too, in census order, image_idx[r] (from _pop_targets) the image
+    row of Pop(rows[r]) and times[r] (int8) its sortability time: 0 at the
+    minimum, else 1 plus that of its image row, whose times are the bounded
+    _times_to_bottom fixpoint over the image rows' own Pop targets.  Besides
+    the rows, the ids and the times, the build holds about one block.
     """
 
     def __init__(self, n: int):
@@ -294,15 +320,18 @@ class _Census:
         ctx = _east_staircase_ctx(n)
         self.ctx = ctx
         rows = _vector_rows(ctx)
-        pop_idx = _pop_targets(rows, ctx)
-        sums = rows.sum(axis=1, dtype=np.int16) + ctx.n_nu * (ctx.n_nu + 1) // 2  # fixed: 0..n_nu
-        bottom = sums == sum(ctx.bottom_entries())  # the minimum is the only vector of least sum
-        if (sums[pop_idx] >= sums)[~bottom].any():
-            raise RuntimeError("Pop must strictly decrease non-minimal vectors")
+        at, image_idx, bottom = _pop_targets(rows, ctx)
+        image = rows[at]
+        sums = image.sum(axis=1, dtype=np.int16)
         # int8 times hold the spread n(n-1)/2 of the sums: 105 at n = 15, the
         # largest n whose keys fit int64
-        times = _times_to_bottom(pop_idx, bottom, int(sums.max()) - int(sums.min()))
-        self.rows, self.pop_idx, self.times = rows, pop_idx, times
+        spread = int(sums.max()) - int(sums.min())
+        # the image rows' own targets; the minimum is the image row of least sum
+        image_times = _times_to_bottom(image_idx[at], sums == sums.min(), spread)
+        times = image_times[image_idx]
+        times += 1
+        times[bottom] = 0
+        self.rows, self.image, self.image_idx, self.times = rows, image, image_idx, times
 
 
 def _census(n: int, force: bool = False) -> _Census:
@@ -327,16 +356,11 @@ def count_t_sortable(n: int, t: int, *, force: bool = False) -> int:
 
 
 def _image_rows(n: int, force: bool):
-    """The census context and the distinct Pop images as whole vectors, in
-    census order: the rows some row's Pop target hits."""
-    import numpy as np
-
+    """The census context and its distinct Pop images as whole vectors, in census order."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     census = _census(n, force)
-    hit = np.zeros(len(census.rows), dtype=bool)
-    hit[census.pop_idx] = True
-    return census.ctx, _whole_rows(census.rows[hit], census.ctx)
+    return census.ctx, _whole_rows(census.image, census.ctx)
 
 
 class _ImageSet(Set[BracketVector]):
@@ -360,8 +384,8 @@ class _ImageSet(Set[BracketVector]):
         return len(self.rows)
 
     def __iter__(self) -> Iterator[BracketVector]:
-        blocks = _pop_blocks(self.rows, 8)  # tolist spends a pointer, 8 bytes, on each entry
-        return (BracketVector(tuple(e), self.ctx) for _, block in blocks for e in block.tolist())
+        blocks = _blocks(len(self.rows), 8 * self.rows.shape[1])  # tolist: a pointer an entry
+        return (BracketVector(tuple(e), self.ctx) for b in blocks for e in self.rows[b].tolist())
 
     def __contains__(self, vec) -> bool:
         if not isinstance(vec, BracketVector) or vec.ctx != self.ctx:

@@ -58,11 +58,8 @@ min(x, b) = min(min(x, c1), c2) is in S by the claim for c1 and then for
 c2.  A wrong candidate only leaves its b unwitnessed, so the verdict never
 depends on the covers being right.  In a lattice every element with two
 upper covers is their meet, so the rows checked against all others are the
-meet-irreducibles and the top: C(n, 2) + 1 of them in Tam_n.  Only the pairs
-incomparable in (i)'s order are looked up (the min of a comparable pair is
-one of the two), by integer keys over the columns that are not fixed to a
-height, and the first failing pair looked up is reported, row-major over
-a < b.
+meet-irreducibles and the top: C(n, 2) + 1 of them in Tam_n; see
+_min_closure_failure for the pairs they are checked on.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
 
 from . import brackets, paths, perms, pop, series
@@ -151,11 +148,7 @@ class VerificationReport:
             out_checks.append(entry)
         return {
             "suite": self.suite,
-            "options": {
-                "max_n": self.options.max_n,
-                "max_t": self.options.max_t,
-                "seed": self.options.seed,
-            },
+            "options": asdict(self.options),
             "checks": out_checks,
             "passed": self.passed,
         }
@@ -201,15 +194,14 @@ def _min_closure_failure(V, down, candidates, over: str):
     cols = V.T
     sorted_keys = np.sort(brackets._mixed_radix_keys(cols, base, m))
     first = None  # a * m + b of the first failing pair so far
-    chunk = max(1, (1 << 20) // m)
-    for start in range(0, len(unwitnessed), chunk):
-        rows = unwitnessed[start : start + chunk]
+    # a pair holds 8 bytes in each of k, x, lo, hi, its key and its position
+    for chunk in brackets._blocks(len(unwitnessed), 48 * m):
+        rows = unwitnessed[chunk]
         k, x = np.nonzero(brackets._incomparable(down, rows))
         lo, hi = np.minimum(rows[k], x), np.maximum(rows[k], x)
         mins = (np.minimum(c[lo], c[hi]) for c in cols)  # min(V_lo, V_hi), column by column
         key = brackets._mixed_radix_keys(mins, base, len(lo))
-        pos = np.minimum(np.searchsorted(sorted_keys, key), m - 1)
-        missing = sorted_keys[pos] != key
+        missing = sorted_keys[np.searchsorted(sorted_keys[:-1], key)] != key
         if missing.any():
             pair = int((lo * m + hi)[missing].min())
             first = pair if first is None else min(first, pair)
@@ -406,13 +398,18 @@ def _components(rows):
 
 def _in_census(rows, k: int):
     """Whether each free-column row is a row of the Tam_k census: found by
-    int64 keys in radix k and a sorted search, then compared whole."""
+    int64 keys in radix k, searched among all but the last, then compared
+    whole."""
     import numpy as np
 
     table = pop._census(k).rows
     keys = brackets._mixed_radix_keys(table.T, k, len(table))
-    at = np.searchsorted(keys, brackets._mixed_radix_keys(rows.T, k, len(rows)))
-    return (table[np.minimum(at, len(table) - 1)] == rows).all(axis=1)
+    found = np.empty(len(rows), dtype=bool)
+    for block in brackets._blocks(len(rows), 24 + 2 * k):
+        part = rows[block]
+        at = np.searchsorted(keys[:-1], brackets._mixed_radix_keys(part.T, k, len(part)))
+        found[block] = (table[at] == part).all(axis=1)
+    return found
 
 
 def _iterated_times(rows, k: int):

@@ -37,10 +37,21 @@ def _aliasing_pop(rows, ctx):
     return out
 
 
+def _invalid_pop(rows, ctx):
+    """The last image row moved to (1, 2, 2, 3, ..., n - 1), each entry in its
+    range and the sum lowered, but entry 1 above the cap 1 that entry 0 puts
+    on it: only the lookup among the census rows refuses it."""
+    out = _array_pop(rows, ctx)
+    out[-1] = np.arange(out.shape[1])
+    out[-1, :2] = 1, 2
+    return out
+
+
 CENSUS_FAULTS = [
     (_identity_pop, "strictly decrease"),
     (_off_lattice_pop, "not a census row"),
     (_aliasing_pop, "not a census row"),
+    (_invalid_pop, "Pop image (1, 0, 2, 1, 2, 2, 3, 3, 4, 4) is not a census row"),
 ]
 
 

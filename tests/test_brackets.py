@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamaripop import brackets
 from tamaripop.brackets import (
     BracketVector,
     _check_key_bound,
     _decode,
     _decode_rows,
+    _first_order_difference,
+    _incomparable,
     _lattice_tables,
     _lower_covers,
     _slot_entries,
@@ -254,6 +257,20 @@ def test_array_covers_and_closure_match_the_scalar_route_on_every_short_word(ell
 @given(st.text("NE", min_size=9, max_size=14))
 def test_array_covers_and_closure_match_the_scalar_route_on_random_nu(text):
     _assert_tables_match_scalar_covers(text)
+
+
+@pytest.mark.parametrize("text", ["ENEENENEEN", "NNEENENEEE", "E" + "NE" * 5])
+def test_order_rows_built_and_read_one_row_a_block_match_the_dense_order(monkeypatch, text):
+    # 1 byte: one cover ORed in at a time, one row a block of down-sets and
+    # of incomparable pairs, where the default rule takes each level at once
+    monkeypatch.setattr(brackets, "BLOCK_BYTES", 1)
+    _assert_tables_match_scalar_covers(text)
+    _, V, down, _ = _lattice_tables(NuContext.from_text(text))
+    assert _first_order_difference(V, down) is None
+    below = _unpack_bits(down, len(V)).T  # [i, j]: i <= j
+    rows = np.arange(len(V))[::3]
+    expected = ~(below | below.T)[rows]
+    assert (_incomparable(down, rows) == expected).all()
 
 
 def test_array_cover_that_leaves_the_paths_is_an_error():

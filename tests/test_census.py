@@ -71,8 +71,13 @@ def _assert_census_matches_scalar_route(census):
     ctx = census.ctx
     entries = list(map(tuple, _whole_rows(census.rows, ctx).tolist()))
     assert entries == list(_iter_entry_tuples(ctx))
-    for e, target, time_ in zip(entries, census.pop_idx.tolist(), census.times.tolist()):
-        assert entries[target] == pop._pop_entries(e, ctx.heights, ctx.fixed_positions)
+    image = list(map(tuple, _whole_rows(census.image, ctx).tolist()))
+    pops = [pop._pop_entries(e, ctx.heights, ctx.fixed_positions) for e in entries]
+    assert image == sorted(set(pops))  # the distinct Pop images, in census order
+    assert len(census.image_idx) == len(entries)
+    targets, times = census.image_idx.tolist(), census.times.tolist()
+    for e, target, popped, time_ in zip(entries, targets, pops, times):
+        assert image[target] == popped
         assert time_ == pop.sortability_time(BracketVector(e, ctx))
 
 
@@ -83,16 +88,26 @@ def test_array_census_matches_scalar_route(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pop_blocks_of_a_few_rows_match_the_scalar_routes(monkeypatch, n):
-    # 40 bytes: 5 to 40 census rows and 5 to 40 words a block, where the
-    # default rule takes 1 block for the Tam_8 census and the words of size 8
-    monkeypatch.setattr(pop, "POP_BLOCK_BYTES", 40)
-    blocks = []
-    real = pop._pop_rows
+    # 40 bytes: 5 to 40 census rows and 5 to 40 words a block, 10 rows a
+    # block of caps and 1 to 4 rows a block of splits, where the default rule
+    # takes 1 block for the Tam_8 census and the words of size 8
+    monkeypatch.setattr(brackets, "BLOCK_BYTES", 40)
+    blocks, splits = [], []
+    real, real_split = pop._pop_rows, brackets._split_rows
     monkeypatch.setattr(pop, "_pop_rows", lambda rows, ctx: blocks.append(len(rows)) or real(rows, ctx))
+    monkeypatch.setattr(
+        brackets, "_split_rows", lambda out, r, *a: splits.append(r) or real_split(out, r, *a)
+    )
     census = pop._Census(n)
     m, step = len(census.rows), 40 // n  # rows of n free int8 entries
+    # one Pop pass over the census rows; the image rows' targets are their ids
     assert blocks == [min(step, m - start) for start in range(0, m, step)]
+    assert n < 4 or (max(splits) > 4 and m > 10)  # several blocks of splits and of caps
     _assert_census_matches_scalar_route(census)
+    for bits in itertools.product("NE", repeat=7):
+        ctx = NuContext.from_text("".join(bits))
+        rows = _whole_rows(_vector_rows(ctx), ctx)
+        assert list(map(tuple, rows.tolist())) == list(_iter_entry_tuples(ctx))
     ctx = census.ctx
     image = {pop._pop_entries(e, ctx.heights, ctx.fixed_positions) for e in _iter_entry_tuples(ctx)}
     pop._build_census.cache_clear()
@@ -118,8 +133,10 @@ def _traced_peak(build):
 def test_census_build_holds_little_beyond_its_rows():
     # Tam_11: 58,786 vectors of 22 entries, held as 11 free int8 columns.
     # Against m (ell + 1) bytes, the whole vectors at a byte an entry, these
-    # builds peak near 1.36x and 1.75x.  With all 22 columns stored they
-    # peaked near 2.0x and 2.1x; with full-size temporaries (a list of
+    # builds peak near 0.79x and 1.26x.  With an intp parent index and the
+    # caps' temporaries over all rows, and int64 keys and int32 Pop targets
+    # for every row, they peaked near 1.36x and 1.75x; with all 22 columns
+    # stored near 2.0x and 2.1x; with full-size temporaries (a list of
     # columns and caps, a whole image matrix) at 3.3x and 4.7x, and one that
     # walked the Pop orbits through three intp index arrays and found Pop
     # targets 65,536 rows a block peaked at 3.4x for the census
@@ -129,8 +146,8 @@ def test_census_build_holds_little_beyond_its_rows():
     rows, rows_peak = _traced_peak(lambda: _vector_rows(ctx))
     census, census_peak = _traced_peak(lambda: pop._Census(11))
     assert rows.nbytes == census.rows.nbytes == whole // 2
-    assert rows_peak <= 1.45 * whole
-    assert census_peak <= 1.85 * whole
+    assert rows_peak <= 0.87 * whole
+    assert census_peak <= 1.39 * whole
 
 
 def test_image_and_q_polynomial_hold_little_beyond_the_image():
@@ -243,9 +260,9 @@ def test_forced_and_unforced_calls_share_one_census():
 
 def test_sortability_times_refuse_a_cyclic_pop_instead_of_hanging():
     # rows 0 and 1 pop onto each other and never reach the minimum, row 2
-    pop_idx, bottom = np.array([1, 0, 2]), np.array([False, False, True])
+    targets, bottom = np.array([1, 0, 2]), np.array([False, False, True])
     with pytest.raises(RuntimeError, match="miss the minimum after 5 steps"):
-        pop._times_to_bottom(pop_idx, bottom, 5)
+        pop._times_to_bottom(targets, bottom, 5)
     assert pop._times_to_bottom(np.array([1, 2, 2]), bottom, 2).tolist() == [2, 1, 0]
 
 

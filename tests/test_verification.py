@@ -6,6 +6,7 @@ fails a check that examined no case."""
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,40 @@ def test_min_closure_against_unwitnessed_rows_decides_like_all_pairs(data):
     if pair is not None:
         a, b = pair
         assert a < b and tuple(np.minimum(V[a], V[b]).tolist()) not in vectors
+
+
+def test_min_closure_one_row_a_chunk_reports_the_first_failing_pair(monkeypatch):
+    # 40 random vectors and the zero vector, far from min-closed, none
+    # witnessed: every pair is looked up, one row's pairs a chunk under a
+    # 1-byte block
+    rng = np.random.default_rng(1)
+    rows = [(0, 0, 0)]  # below every row, so the first failing pair is in a later chunk
+    rows = sorted(set(rows + list(map(tuple, rng.integers(0, 4, size=(40, 3)).tolist()))))
+    V = np.array(rows, dtype=np.int8)
+    down = np.concatenate([block for _, block in brackets._componentwise_down_rows(V)])
+    candidates = np.repeat(np.arange(len(V))[:, None], 2, axis=1)
+    first = next(
+        (a, b) for a, b in itertools.combinations(range(len(V)), 2)
+        if tuple(map(min, rows[a], rows[b])) not in set(rows)
+    )
+    assert verification._min_closure_failure(V, down, candidates, "random vectors") == first
+    monkeypatch.setattr(brackets, "BLOCK_BYTES", 1)
+    assert verification._min_closure_failure(V, down, candidates, "random vectors") == first
+
+
+def test_bijection_check_holds_little_beyond_its_order_rows():
+    # ENEENENEENEENEN: 1,966 elements, whose packed order rows take 0.49 MB.
+    # The check peaks near 1.65 MiB; with three 8-byte temporaries a pair in
+    # the incomparability test and 2**20 // m rows a chunk, it peaked at
+    # 2.85 MiB
+    verification._check_one_bijection(NU)  # numpy's lazy imports are not the check
+    tracemalloc.start()
+    try:
+        assert verification._check_one_bijection("ENEENENEENEENEN") is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 2**20
 
 
 def test_min_keys_that_would_overflow_int64_are_refused():
@@ -613,10 +648,11 @@ def test_a_check_of_empty_blocks_examined_no_case(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_census_rows_split_hash_and_sort_like_the_scalar_routes(n):
+def test_census_rows_split_hash_and_sort_like_the_scalar_routes(monkeypatch, n):
     # every element of Tam_n: the column rule splits it as decompose_irreducible,
     # iterated Pop times each part as sortability_time, and the slice hashes it as hash_map
     census = pop._census(n)
+    monkeypatch.setattr(brackets, "BLOCK_BYTES", 64)  # one or two rows a block of _in_census
     vectors = brackets.enumerate_vectors(census.ctx)
     split = [[] for _ in vectors]
     for p, k, sel in verification._components(census.rows):
@@ -648,7 +684,7 @@ def test_census_rows_split_hash_and_sort_like_the_scalar_routes(n):
 def _without_the_top_of_tam_2(n):
     census = pop._Census(n)
     if n == 2:  # keep the bottom (0, 1) only
-        census.rows, census.pop_idx, census.times = census.rows[:1], census.pop_idx[:1], census.times[:1]
+        census.rows, census.image_idx, census.times = census.rows[:1], census.image_idx[:1], census.times[:1]
     return census
 
 
